@@ -26,23 +26,17 @@ off on both backends.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
+
+from ..config import env_flag
 
 __all__ = ["COMPOSITOR_ENV", "enabled", "compositor_enabled", "configure"]
 
 COMPOSITOR_ENV = "ANDREW_COMPOSITOR"
 
-_TRUTHY = {"1", "true", "yes", "on"}
-
-
-def _env_on(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in _TRUTHY
-
-
 #: Hot-path switch.  The view tree reads this module attribute directly:
 #: ``if compositor.enabled and self.backing_store: ...``.
-enabled: bool = _env_on(COMPOSITOR_ENV)
+enabled: bool = env_flag(COMPOSITOR_ENV, False)
 
 
 def compositor_enabled() -> bool:

@@ -32,10 +32,10 @@ matrix uses to prove the contained path renders byte-identically).
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from .. import obs
+from ..config import env_flag
 
 __all__ = [
     "QUARANTINE_ENV",
@@ -55,16 +55,9 @@ STICKY_LIMIT = 5
 #: Upper bound on the number of damage passes skipped between retries.
 COOLDOWN_CAP = 8
 
-_FALSY = {"0", "false", "no", "off"}
-
-
-def _env_on(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() not in _FALSY
-
-
 #: Hot-path switch, **on by default**.  Containment sites read this
 #: module attribute directly: ``if faults.enabled: ...``.
-enabled: bool = _env_on(QUARANTINE_ENV)
+enabled: bool = env_flag(QUARANTINE_ENV, True)
 
 
 def quarantine_enabled() -> bool:

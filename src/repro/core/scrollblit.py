@@ -22,22 +22,16 @@ matrix uses to prove the shifted path renders byte-identically).
 
 from __future__ import annotations
 
-import os
 from typing import Optional
+
+from ..config import env_flag
 
 __all__ = ["SCROLLBLIT_ENV", "enabled", "scrollblit_enabled", "configure"]
 
 SCROLLBLIT_ENV = "ANDREW_SCROLLBLIT"
 
-_FALSY = {"0", "false", "no", "off"}
-
-
-def _env_on(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() not in _FALSY
-
-
 #: Hot-path switch, read directly as ``scrollblit.enabled``.
-enabled: bool = _env_on(SCROLLBLIT_ENV)
+enabled: bool = env_flag(SCROLLBLIT_ENV, True)
 
 
 def scrollblit_enabled() -> bool:

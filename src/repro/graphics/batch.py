@@ -10,6 +10,12 @@ data instead of executed, and :meth:`CommandBuffer.flush` replays the
 whole frame against the device in one pass.  Once drawing is a
 replayable op list, a wire protocol is serialization.
 
+Ops are immutable tuples laid out by :data:`SCHEMA`.  The recorded op
+list *is* the wire op list: :mod:`repro.remote.wire` serializes it as
+is, with no translation step.  :func:`apply_op` is the one executor of
+the seven device op kinds; this module's flush replay, the remote
+encoder's shadow and the remote renderer all go through it.
+
 Recording coalesces *runs* — consecutive compatible operations — into
 single device requests:
 
@@ -45,31 +51,24 @@ recorded instead of issued, ``wm.ops_coalesced`` merges,
 
 from __future__ import annotations
 
-import os
+import functools
 import time
 from typing import List, Optional
 
 from .. import obs
+from ..config import env_flag
 from .fontdesc import FontDesc, FontMetrics
 from .geometry import Rect
 from .image import Bitmap
 
 __all__ = ["BATCH_ENV", "enabled", "batch_enabled", "configure",
-           "CommandBuffer", "OP_NAMES",
-           "FILL", "HLINE", "VLINE", "TEXT", "PIXEL", "BLIT", "COPY"]
+           "CommandBuffer", "SCHEMA", "apply_op"]
 
 BATCH_ENV = "ANDREW_BATCH"
 
-_TRUTHY = {"1", "true", "yes", "on"}
-
-
-def _env_on(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in _TRUTHY
-
-
 #: Hot-path switch.  ``BackendWindow`` reads this module attribute when
 #: handing out a drawable: ``if batch.enabled: graphic._buffer = ...``.
-enabled: bool = _env_on(BATCH_ENV)
+enabled: bool = env_flag(BATCH_ENV, False)
 
 
 def batch_enabled() -> bool:
@@ -89,44 +88,77 @@ def configure(on: Optional[bool] = None) -> None:
         enabled = bool(on)
 
 
-# Op kinds.  Ops are small mutable lists so run coalescing can extend
-# the last op in place.  The kinds and per-kind layouts below are the
-# stable op schema the remote wire protocol serializes
-# (:mod:`repro.remote.wire`):
-#
-# =======  ==================================================
-# kind     op layout (after the kind tag)
-# =======  ==================================================
-# FILL     ``rect, value``
-# HLINE    ``x0, x1, y, value``
-# VLINE    ``x, y0, y1, value``
-# TEXT     ``x, y, text, font, clip, end_x`` (end_x is a
-#          recording-side coalescing cursor, not replayed)
-# PIXEL    ``x, y, value``
-# BLIT     ``bitmap_snapshot, x, y``
-# COPY     ``rect, dx, dy``
-# =======  ==================================================
-FILL, HLINE, VLINE, TEXT, PIXEL, BLIT, COPY = range(7)
-
-#: Kind tag -> name, for introspection/debugging and wire tooling.
-OP_NAMES = {
-    FILL: "fill", HLINE: "hline", VLINE: "vline", TEXT: "text",
-    PIXEL: "pixel", BLIT: "blit", COPY: "copy",
+#: The op schema: kind -> operand names.  An op is the immutable tuple
+#: ``(kind, *operands)``, the same tuple :mod:`repro.remote.wire`
+#: serializes, so a recorded frame needs no translation to ship.
+#: Rects flatten to ``left, top, width, height``; ``spec`` is the
+#: :meth:`FontDesc.spec` string; a blit ``bitmap`` is the content key
+#: ``(width, height, pixel_bytes)``.
+SCHEMA = {
+    "fill": ("left", "top", "width", "height", "value"),
+    "hline": ("x0", "x1", "y", "value"),
+    "vline": ("x", "y0", "y1", "value"),
+    "text": ("x", "y", "text", "spec",
+             "clip_left", "clip_top", "clip_width", "clip_height"),
+    "pixel": ("x", "y", "value"),
+    "blit": ("bitmap", "x", "y"),
+    "copy": ("left", "top", "width", "height", "dx", "dy"),
 }
 
+# Bounded: on a renderer the specs arrive from the wire.
+_font = functools.lru_cache(maxsize=64)(FontDesc.from_spec)
 
-def _merge_fill(a: Rect, b: Rect) -> Optional[Rect]:
-    """The union of two abutting rects, or None when they don't tile.
+
+def apply_op(graphic, op: tuple) -> None:
+    """Execute one device op against ``graphic``'s device primitives.
+
+    Text replays under its recorded clip: the device crops clip-split
+    glyphs (tabs on the cell device, partial glyph columns on the
+    raster), so replay must crop exactly as immediate execution would.
+    """
+    kind = op[0]
+    if kind == "text":
+        base_clip = graphic.clip
+        graphic.clip = Rect(op[5], op[6], op[7], op[8])
+        try:
+            graphic.device_draw_text(op[1], op[2], op[3], _font(op[4]))
+        finally:
+            graphic.clip = base_clip
+    elif kind == "fill":
+        graphic.device_fill_rect(Rect(op[1], op[2], op[3], op[4]), op[5])
+    elif kind == "hline":
+        graphic.device_hline(op[1], op[2], op[3], op[4])
+    elif kind == "vline":
+        graphic.device_vline(op[1], op[2], op[3], op[4])
+    elif kind == "copy":
+        graphic.device_copy_area(Rect(op[1], op[2], op[3], op[4]),
+                                 op[5], op[6])
+    elif kind == "pixel":
+        graphic.device_set_pixel(op[1], op[2], op[3])
+    elif kind == "blit":
+        width, height, bits = op[1]
+        bitmap = Bitmap(width, height)
+        bitmap._bits[:] = bits
+        graphic.device_blit(bitmap, op[2], op[3])
+    else:
+        raise ValueError(f"unknown device op kind {kind!r}")
+
+
+def _merge_fill(last: tuple, rect: Rect) -> Optional[tuple]:
+    """``last`` grown by ``rect``, or None when the two don't tile.
 
     Abutting (edge-sharing, disjoint) is required so merging is exact
     for every fill value, inversion included.
     """
-    if (a.top == b.top and a.height == b.height
-            and (a.right == b.left or b.right == a.left)):
-        return a.union(b)
-    if (a.left == b.left and a.width == b.width
-            and (a.bottom == b.top or b.bottom == a.top)):
-        return a.union(b)
+    kind, left, top, width, height, value = last
+    if top == rect.top and height == rect.height:
+        if left + width == rect.left or rect.right == left:
+            return (kind, min(left, rect.left), top,
+                    width + rect.width, height, value)
+    elif left == rect.left and width == rect.width:
+        if top + height == rect.top or rect.bottom == top:
+            return (kind, left, min(top, rect.top),
+                    width, height + rect.height, value)
     return None
 
 
@@ -135,11 +167,18 @@ class CommandBuffer:
 
     def __init__(self, window) -> None:
         self._window = window
-        self._ops: List[list] = []
-        # Content-hash intern of blit snapshots for the current frame:
-        # (width, height, pixel bytes) -> the one shared snapshot.
+        self._ops: List[tuple] = []
+        # Content intern of blit bitmaps for the current frame: one
+        # shared (width, height, pixel bytes) key per distinct content.
         # Cleared whenever the op list drains (flush/discard).
         self._blit_cache: dict = {}
+        # Text-run cursor: the last recorded text op and the font, clip
+        # and end x it was drawn with.  A run extends only while that op
+        # is still the last one recorded.
+        self._run_op: Optional[tuple] = None
+        self._run_font: Optional[FontDesc] = None
+        self._run_clip: Optional[Rect] = None
+        self._run_end = 0
 
     def __len__(self) -> int:
         return len(self._ops)
@@ -164,39 +203,40 @@ class CommandBuffer:
         ops = self._ops
         if ops:
             last = ops[-1]
-            if last[0] == FILL and last[2] == value:
-                merged = _merge_fill(last[1], rect)
+            if last[0] == "fill" and last[5] == value:
+                merged = _merge_fill(last, rect)
                 if merged is not None:
-                    last[1] = merged
+                    ops[-1] = merged
                     self._note_coalesced()
                     return
-        ops.append([FILL, rect, value])
+        ops.append(("fill", rect.left, rect.top, rect.width, rect.height,
+                    value))
 
     def record_hline(self, x0: int, x1: int, y: int, value: int) -> None:
         self._note_recorded()
         ops = self._ops
         if ops:
             last = ops[-1]
-            if last[0] == HLINE and last[3] == y and last[4] == value:
+            if last[0] == "hline" and last[3] == y and last[4] == value:
                 if self._spans_mergeable(last[1], last[2], x0, x1, value):
-                    last[1] = min(last[1], x0)
-                    last[2] = max(last[2], x1)
+                    ops[-1] = ("hline", min(last[1], x0), max(last[2], x1),
+                               y, value)
                     self._note_coalesced()
                     return
-        ops.append([HLINE, x0, x1, y, value])
+        ops.append(("hline", x0, x1, y, value))
 
     def record_vline(self, x: int, y0: int, y1: int, value: int) -> None:
         self._note_recorded()
         ops = self._ops
         if ops:
             last = ops[-1]
-            if last[0] == VLINE and last[1] == x and last[4] == value:
+            if last[0] == "vline" and last[1] == x and last[4] == value:
                 if self._spans_mergeable(last[2], last[3], y0, y1, value):
-                    last[2] = min(last[2], y0)
-                    last[3] = max(last[3], y1)
+                    ops[-1] = ("vline", x, min(last[2], y0),
+                               max(last[3], y1), value)
                     self._note_coalesced()
                     return
-        ops.append([VLINE, x, y0, y1, value])
+        ops.append(("vline", x, y0, y1, value))
 
     @staticmethod
     def _spans_mergeable(a0: int, a1: int, b0: int, b1: int,
@@ -218,54 +258,48 @@ class CommandBuffer:
         ops = self._ops
         if ops:
             last = ops[-1]
-            if (last[0] == TEXT and last[2] == y and last[6] == x
-                    and last[4] == font and last[5] == clip):
-                last[3] += text
-                last[6] = end_x
+            if (last is self._run_op and self._run_end == x
+                    and last[2] == y and self._run_font == font
+                    and self._run_clip == clip):
+                op = last[:3] + (last[3] + text,) + last[4:]
+                ops[-1] = self._run_op = op
+                self._run_end = end_x
                 self._note_coalesced()
                 return
-        ops.append([TEXT, x, y, text, font, clip, end_x])
+        op = ("text", x, y, text, font.spec(),
+              clip.left, clip.top, clip.width, clip.height)
+        ops.append(op)
+        self._run_op = op
+        self._run_font = font
+        self._run_clip = clip
+        self._run_end = end_x
 
     def record_pixel(self, x: int, y: int, value: int) -> None:
         self._note_recorded()
-        self._ops.append([PIXEL, x, y, value])
+        self._ops.append(("pixel", x, y, value))
 
     def record_blit(self, bitmap: Bitmap, x: int, y: int) -> None:
         self._note_recorded()
-        # Defensive copy: the frame may mutate the source bitmap after
-        # this draw (a later event in the same batch) but before replay.
-        # Identical contents within one frame intern to a single
-        # snapshot — an animation blitting the same cel N times costs
-        # one copy (and the wire encoder ships the pixels once).  Keyed
-        # by content, so a source mutated between blits still snapshots
-        # fresh.
+        # The op carries the pixels by value: the frame may mutate the
+        # source bitmap after this draw (a later event in the same
+        # batch) but before replay.  Identical contents within one frame
+        # intern to a single key — an animation blitting the same cel N
+        # times holds (and the wire encoder ships) the pixels once.
+        # Keyed by content, so a source mutated between blits still
+        # records its new pixels.
         key = (bitmap.width, bitmap.height, bytes(bitmap._bits))
-        snapshot = self._blit_cache.get(key)
-        if snapshot is None:
-            snapshot = bitmap.crop(Rect(0, 0, bitmap.width, bitmap.height))
-            self._blit_cache[key] = snapshot
-        elif obs.metrics_on:
+        snapshot = self._blit_cache.setdefault(key, key)
+        if snapshot is not key and obs.metrics_on:
             obs.registry.inc("wm.blit_snapshots_deduped")
-        self._ops.append([BLIT, snapshot, x, y])
+        self._ops.append(("blit", snapshot, x, y))
 
     def record_copy_area(self, rect: Rect, dx: int, dy: int) -> None:
         """A same-surface shift.  Never coalesced: the copy reads pixels
         earlier ops in this buffer may still have to produce, and replay
         order alone guarantees it reads them settled."""
         self._note_recorded()
-        self._ops.append([COPY, rect, dx, dy])
-
-    # -- introspection -------------------------------------------------
-
-    def snapshot_ops(self) -> List[list]:
-        """Copies of the pending ops, safe to hold across the flush.
-
-        Run coalescing mutates the *last* recorded op in place, so a
-        consumer that outlives this recording window (the remote wire
-        encoder) gets per-op copies.  Referenced objects (rects, fonts,
-        blit snapshots) are immutable or frame-private and are shared.
-        """
-        return [list(op) for op in self._ops]
+        self._ops.append(("copy", rect.left, rect.top, rect.width,
+                          rect.height, dx, dy))
 
     # -- draining ------------------------------------------------------
 
@@ -277,11 +311,8 @@ class CommandBuffer:
     def flush(self) -> int:
         """Replay every pending op against the device, in order.
 
-        Each coalesced op is one device request.  Text ops replay under
-        their recorded clip — the device crops clip-split glyphs (tabs
-        on the cell device, partial glyph columns on the raster), so
-        replay must crop exactly as immediate execution would have.
-        Returns the number of ops replayed.
+        Each coalesced op is one device request.  Returns the number of
+        ops replayed.
         """
         ops = self._ops
         if not ops:
@@ -289,27 +320,10 @@ class CommandBuffer:
         self._ops = []
         self._blit_cache.clear()
         graphic = self._window._raw_graphic()
-        base_clip = graphic.clip
         metered = obs.metrics_on
         start = time.perf_counter_ns() if metered else 0
         for op in ops:
-            kind = op[0]
-            if kind == FILL:
-                graphic.device_fill_rect(op[1], op[2])
-            elif kind == TEXT:
-                graphic.clip = op[5]
-                graphic.device_draw_text(op[1], op[2], op[3], op[4])
-                graphic.clip = base_clip
-            elif kind == HLINE:
-                graphic.device_hline(op[1], op[2], op[3], op[4])
-            elif kind == VLINE:
-                graphic.device_vline(op[1], op[2], op[3], op[4])
-            elif kind == PIXEL:
-                graphic.device_set_pixel(op[1], op[2], op[3])
-            elif kind == COPY:
-                graphic.device_copy_area(op[1], op[2], op[3])
-            else:
-                graphic.device_blit(op[1], op[2], op[3])
+            apply_op(graphic, op)
         if metered:
             obs.registry.inc("wm.batch_flushes")
             obs.registry.inc("wm.batch_ops_replayed", len(ops))

@@ -27,10 +27,10 @@ Metric naming convention: ``<seam>.<event>`` with dots, e.g.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Dict, Optional
 
+from ..config import env_flag
 from .metrics import MetricsRegistry, TimerStat
 from .report import render_json as _render_json
 from .report import render_text as _render_text
@@ -59,13 +59,6 @@ __all__ = [
 METRICS_ENV = "ANDREW_METRICS"
 TRACE_ENV = "ANDREW_TRACE"
 
-_TRUTHY = {"1", "true", "yes", "on"}
-
-
-def _env_on(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in _TRUTHY
-
-
 #: The process-wide registry and tracer.  These objects always exist —
 #: only *recording into them* is gated on the flags below — so readers
 #: (reporters, benches) never need None checks.
@@ -74,8 +67,8 @@ tracer = Tracer()
 
 #: Hot-path switches.  Instrumentation sites read these module
 #: attributes directly:  ``if obs.metrics_on: obs.registry.inc(...)``.
-metrics_on: bool = _env_on(METRICS_ENV)
-trace_on: bool = _env_on(TRACE_ENV)
+metrics_on: bool = env_flag(METRICS_ENV, False)
+trace_on: bool = env_flag(TRACE_ENV, False)
 
 
 def metrics_enabled() -> bool:

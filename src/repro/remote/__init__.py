@@ -14,8 +14,11 @@ Layers, bottom up:
   (:func:`~repro.remote.wire.encode_frame` /
   :func:`~repro.remote.wire.decode_frame`, typed
   :class:`~repro.remote.wire.WireError` on any malformed input);
-* :mod:`~repro.remote.encoder` — batch ops -> frames, with keyframes,
-  op elision against the previous frame and the ascii cell-diff pass;
+* :mod:`~repro.remote.encoder` — recorded ops -> frames, with
+  keyframes, op elision against the previous frame and the ascii
+  cell-diff pass.  The command buffer records wire ops
+  (:data:`repro.graphics.batch.SCHEMA`), so the encoder ships them
+  as they are;
 * :mod:`~repro.remote.renderer` — the dumb client: decode into a
   replica cell grid or framebuffer, resynchronizing on loss;
 * :mod:`~repro.remote.transport` — sinks (in-memory capture,
@@ -36,7 +39,7 @@ from .backend import (
     RemoteRasterWindow,
     RemoteWindowSystem,
 )
-from .encoder import FrameEncoder, delta_compress, diff_cells, ops_from_batch
+from .encoder import FrameEncoder, delta_compress, diff_cells
 from .reconnect import RECONNECT_ENV, ReconnectingSink, resume_viewer
 from .renderer import RemoteRenderer
 from .transport import CaptureSink, FanoutSink, RendererSink, SocketSink
@@ -76,6 +79,5 @@ __all__ = [
     "encode_frame",
     "encode_hello",
     "encode_ping",
-    "ops_from_batch",
     "resume_viewer",
 ]

@@ -16,8 +16,10 @@ Two deviations from a plain local backend:
   replica is unaffected;
 * the buffer is a :class:`_RecordingBuffer`: any flush — including the
   compositor's mid-frame ``settle()`` before an offscreen blit —
-  stashes op copies for the encoder before replaying, so the wire sees
-  every op the frame executed, in order.
+  stashes its ops for the encoder before replaying, so the wire sees
+  every op the frame executed, in order.  The recorded ops are already
+  wire ops (:data:`repro.graphics.batch.SCHEMA`), so nothing is copied
+  or translated.
 
 Select it like any backend: ``ANDREW_WM=remote`` builds one from the
 environment (``ANDREW_REMOTE_TARGET``, ``ANDREW_REMOTE_DELTA``,
@@ -33,6 +35,7 @@ import os
 from typing import List, Optional
 
 from .. import obs
+from ..config import env_flag
 from ..graphics import batch
 from ..graphics.fontdesc import FontDesc, FontMetrics
 from ..wm.ascii_ws import AsciiOffscreen, AsciiWindow, _cell_metrics
@@ -44,7 +47,7 @@ from ..wm.raster_ws import (
     _metrics_for,
 )
 from . import wire
-from .encoder import FrameEncoder, ops_from_batch
+from .encoder import FrameEncoder
 from .reconnect import ReconnectingSink, reconnect_from_env, resume_viewer
 from .transport import FanoutSink, RendererSink, SocketSink, faulty_send
 
@@ -57,22 +60,20 @@ REMOTE_ADDR_ENV = "ANDREW_REMOTE_ADDR"
 
 
 class _RecordingBuffer(batch.CommandBuffer):
-    """A command buffer that hands the encoder op copies at each drain.
+    """A command buffer that hands the encoder its ops at each drain.
 
     ``flush`` runs not just at frame boundaries but whenever something
     must observe settled pixels mid-frame (the compositor settles the
     window before blitting a backing store into it).  Every drain
-    appends wire-shaped op copies to the window's stash; the window's
-    own ``flush`` encodes the accumulated stash as one frame.
+    appends the recorded ops, which already are wire ops, to the
+    window's stash; the window's own ``flush`` encodes the accumulated
+    stash as one frame.
     ``discard`` (resize) drops ops without stashing — the surface they
     targeted is gone and the resize keyframe carries the new state.
     """
 
     def flush(self) -> int:
-        if self._ops:
-            self._window._wire_stash.extend(
-                ops_from_batch(self.snapshot_ops())
-            )
+        self._window._wire_stash.extend(self._ops)
         return super().flush()
 
 
@@ -242,8 +243,7 @@ class RemoteWindowSystem(WindowSystem):
         heartbeat pings default on.
         """
         target = os.environ.get(REMOTE_TARGET_ENV, "ascii").strip() or "ascii"
-        delta_raw = os.environ.get(REMOTE_DELTA_ENV, "1").strip().lower()
-        delta = delta_raw not in {"0", "false", "no", "off"}
+        delta = env_flag(REMOTE_DELTA_ENV, True)
         sink = None
         ping_every = None
         addr = os.environ.get(REMOTE_ADDR_ENV, "").strip()

@@ -1,4 +1,4 @@
-"""Frame encoding: batch ops -> wire frames, with delta compression.
+"""Frame encoding: recorded ops -> wire frames, with delta compression.
 
 The encoder consumes the already-settled :class:`CommandBuffer` op list
 at flush (GUI Easy's render-path discipline: no encoder state inside
@@ -6,12 +6,13 @@ stateful draw code) and emits at most one wire frame per window flush.
 
 The correctness anchor is the **shadow surface**: an exact replica of
 the renderer's surface, maintained by applying every emitted frame's
-ops through the *same* :mod:`repro.remote.renderer` appliers the
-client uses.  After predicting, the encoder diffs shadow vs the
-window's actual settled surface and appends repair ops for anything
-the op list missed — the compositor's ``OffscreenWindow.copy_to``
-writes window surfaces directly without recording, so prediction alone
-can't be complete.  With repairs, byte-identity is unconditional.
+ops through the *same* :func:`repro.graphics.batch.apply_op` the
+client's :class:`~repro.remote.renderer.Applier` uses.  After
+predicting, the encoder diffs shadow vs the window's actual settled
+surface and appends repair ops for anything the op list missed — the
+compositor's ``OffscreenWindow.copy_to`` writes window surfaces
+directly without recording, so prediction alone can't be complete.
+With repairs, byte-identity is unconditional.
 
 Frame shapes per mode:
 
@@ -48,51 +49,12 @@ import collections
 from typing import Deque, List, Optional, Tuple
 
 from .. import obs
-from ..graphics import batch
+from ..graphics.batch import apply_op
 from . import wire
-from .renderer import make_applier
+from .renderer import Applier
 from .wire import Frame
 
-__all__ = ["ops_from_batch", "delta_compress", "diff_cells",
-           "diff_rowbits", "FrameEncoder"]
-
-
-def ops_from_batch(raw_ops: List[list]) -> List[tuple]:
-    """Batch op lists -> immutable wire op tuples.
-
-    Input is ``CommandBuffer.snapshot_ops()`` output; rects/fonts
-    flatten to scalars and blit snapshots to ``(w, h, bytes)`` so wire
-    ops are hashable (delta matching keys on the tuple).
-    """
-    out: List[tuple] = []
-    for op in raw_ops:
-        kind = op[0]
-        if kind == batch.FILL:
-            rect = op[1]
-            out.append(("fill", rect.left, rect.top,
-                        rect.width, rect.height, op[2]))
-        elif kind == batch.TEXT:
-            clip = op[5]
-            out.append(("text", op[1], op[2], op[3], op[4].spec(),
-                        clip.left, clip.top, clip.width, clip.height))
-        elif kind == batch.HLINE:
-            out.append(("hline", op[1], op[2], op[3], op[4]))
-        elif kind == batch.VLINE:
-            out.append(("vline", op[1], op[2], op[3], op[4]))
-        elif kind == batch.PIXEL:
-            out.append(("pixel", op[1], op[2], op[3]))
-        elif kind == batch.BLIT:
-            bitmap = op[1]
-            out.append(("blit",
-                        (bitmap.width, bitmap.height, bytes(bitmap._bits)),
-                        op[2], op[3]))
-        elif kind == batch.COPY:
-            rect = op[1]
-            out.append(("copy", rect.left, rect.top,
-                        rect.width, rect.height, op[2], op[3]))
-        else:
-            raise ValueError(f"unknown batch op kind {kind!r}")
-    return out
+__all__ = ["delta_compress", "diff_cells", "diff_rowbits", "FrameEncoder"]
 
 
 _MAX_CANDIDATES = 8
@@ -199,21 +161,13 @@ def diff_rowbits(old, new) -> List[tuple]:
     return ops
 
 
-def _new_shadow(target: str, width: int, height: int):
-    if target == "ascii":
-        from ..wm.ascii_ws import CellSurface
-        return CellSurface(width, height)
-    from ..graphics.image import Bitmap
-    return Bitmap(width, height)
-
-
 class FrameEncoder:
     """Per-window frame producer with shadow-diff repair.
 
     ``encode(wire_ops, surface)`` is called once per window flush with
-    that flush's op list (already through :func:`ops_from_batch`) and
-    the settled surface; it returns the encoded frame bytes, or
-    ``None`` when nothing visible changed and no keyframe is due.
+    that flush's recorded op list and the settled surface; it returns
+    the encoded frame bytes, or ``None`` when nothing visible changed
+    and no keyframe is due.
     """
 
     #: Encoded frames retained for seq-based resume.  Small on purpose:
@@ -228,8 +182,6 @@ class FrameEncoder:
         if keyframe_interval < 1:
             raise ValueError("keyframe_interval must be >= 1")
         self.target = target
-        self.width = width
-        self.height = height
         self.delta = delta
         self.keyframe_interval = keyframe_interval
         self.frames_sent = 0
@@ -239,13 +191,11 @@ class FrameEncoder:
         self.cell_diff_cells = 0
         self._seq = 0
         self._since_keyframe = 0
-        self._force_keyframe = True
         self._prev_ops: List[tuple] = []
-        self._shadow = _new_shadow(target, width, height)
-        self._applier = make_applier(target, self._shadow)
         #: (seq, encoded bytes) of the most recent frames, oldest first.
         self._history: Deque[Tuple[int, bytes]] = collections.deque(
             maxlen=max(0, resume_window))
+        self.resize(width, height)
 
     # -- keyframe control ------------------------------------------------
 
@@ -298,8 +248,8 @@ class FrameEncoder:
         """The window resized: new shadow, keyframe next."""
         self.width = width
         self.height = height
-        self._shadow = _new_shadow(self.target, width, height)
-        self._applier = make_applier(self.target, self._shadow)
+        replica = Applier(self.target, width, height)
+        self._shadow, self._shadow_graphic = replica.surface, replica.graphic
         self._force_keyframe = True
 
     # -- shadow plumbing -------------------------------------------------
@@ -396,20 +346,20 @@ class FrameEncoder:
             if any(op[0] == "copy" for op in wire_ops[len(copies):]):
                 copies = []
             for op in copies:
-                self._applier.apply(op)
+                apply_op(self._shadow_graphic, op)
             cells, diffed = diff_cells(self._shadow, surface)
             elided = len(wire_ops) - len(copies)
             return copies + cells, max(0, elided), diffed
         compressed, elided = delta_compress(wire_ops, self._prev_ops)
         for op in wire_ops:
-            self._applier.apply(op)
+            apply_op(self._shadow_graphic, op)
         repairs = diff_rowbits(self._shadow, surface)
         return compressed + repairs, elided, 0
 
     def _literal_ops(self, wire_ops, surface):
         """The full op list plus shadow-diff repairs (delta off)."""
         for op in wire_ops:
-            self._applier.apply(op)
+            apply_op(self._shadow_graphic, op)
         if self.target == "ascii":
             repairs, diffed = diff_cells(self._shadow, surface)
         else:

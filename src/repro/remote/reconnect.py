@@ -36,11 +36,11 @@ its socket sinks in a :class:`ReconnectingSink` automatically.
 
 from __future__ import annotations
 
-import os
 import zlib
 from typing import Callable, Optional
 
 from .. import obs
+from ..config import env_flag
 from ..testing import faultinject
 
 __all__ = [
@@ -55,8 +55,7 @@ RECONNECT_ENV = "ANDREW_RECONNECT"
 
 def reconnect_from_env() -> bool:
     """True when ``ANDREW_RECONNECT`` asks socket sinks to self-heal."""
-    raw = os.environ.get(RECONNECT_ENV, "").strip().lower()
-    return raw not in ("", "0", "false", "no", "off")
+    return env_flag(RECONNECT_ENV, False)
 
 
 class ReconnectingSink:

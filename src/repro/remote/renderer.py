@@ -4,10 +4,11 @@ The renderer owns no toolkit state — no views, no data objects, no
 layout.  It holds one replica surface per target (a
 :class:`~repro.wm.ascii_ws.CellSurface` or a
 :class:`~repro.graphics.image.Bitmap`) and applies decoded ops through
-the *same device primitives* the local backends use, which is what
-makes byte-identity against a local run checkable (and is how the
-encoder predicts renderer state for its repair diff — both sides share
-:class:`AsciiApplier`/:class:`RasterApplier`).
+the *same device primitives* the local backends use, through the one
+device-op executor :func:`repro.graphics.batch.apply_op`.  That is what
+makes byte-identity against a local run checkable, and it is how the
+encoder predicts renderer state for its repair diff: both sides apply
+ops through an :class:`Applier`.
 
 Stream robustness (:meth:`RemoteRenderer.feed`):
 
@@ -30,152 +31,94 @@ import socket
 from typing import List, Optional
 
 from .. import obs
-from ..graphics.fontdesc import FontDesc
-from ..graphics.geometry import Rect
+from ..graphics import batch
 from ..graphics.image import Bitmap
 from ..wm.ascii_ws import AsciiGraphic, CellSurface
 from ..wm.raster_ws import RasterGraphic, RequestCounter
 from . import wire
 from .wire import WireError
 
-__all__ = ["AsciiApplier", "RasterApplier", "RemoteRenderer",
-           "make_applier"]
+__all__ = ["Applier", "RemoteRenderer"]
 
 
-class AsciiApplier:
-    """Applies decoded ops to a :class:`CellSurface` replica."""
+def _apply_cells(surface: CellSurface, op: tuple) -> None:
+    _, y, x0, chars, inverse, bold = op
+    inv_bits = wire.unpack_bits(inverse, len(chars))
+    bold_bits = wire.unpack_bits(bold, len(chars))
+    for i, char in enumerate(chars):
+        surface.put(x0 + i, y, char, inverse=inv_bits[i], bold=bold_bits[i])
 
-    target = "ascii"
 
-    def __init__(self, surface: CellSurface) -> None:
-        self.surface = surface
-        self._graphic = AsciiGraphic(surface)
+def _apply_grid(surface: CellSurface, op: tuple) -> None:
+    _, chars, inverse, bold = op
+    size = surface.width * surface.height
+    if len(chars) != size:
+        raise WireError(
+            f"grid of {len(chars)} chars for a {size}-cell surface")
+    surface._chars[:] = list(chars)
+    surface._inverse[:] = wire.unpack_bits(inverse, size)
+    surface._bold[:] = wire.unpack_bits(bold, size)
+
+
+def _apply_rowbits(fb: Bitmap, op: tuple) -> None:
+    _, y, x0, count, packed = op
+    if not 0 <= y < fb.height:
+        return
+    bits = wire.unpack_bits(packed, count)
+    start = max(0, -x0)
+    stop = min(count, fb.width - x0)
+    if stop <= start:
+        return
+    base = y * fb.width + x0
+    fb._bits[base + start:base + stop] = bits[start:stop]
+
+
+def _apply_snapshot(fb: Bitmap, op: tuple) -> None:
+    width, height, bits = op[1]
+    if (width, height) != (fb.width, fb.height):
+        raise WireError(f"snapshot {width}x{height} for a "
+                        f"{fb.width}x{fb.height} framebuffer")
+    fb._bits[:] = bits
+
+
+#: The ops each target applies straight to its surface, beside the
+#: device ops of :data:`repro.graphics.batch.SCHEMA`.
+_SURFACE_OPS = {
+    "ascii": {"cells": _apply_cells, "grid": _apply_grid},
+    "raster": {"rowbits": _apply_rowbits, "snapshot": _apply_snapshot},
+}
+
+
+class Applier:
+    """A blank replica surface of one target, and the op applier for it.
+
+    Device ops go through :func:`repro.graphics.batch.apply_op` on the
+    target's own graphic; the target's surface ops write the surface
+    directly.  Any other op is a :class:`WireError`.
+    """
+
+    def __init__(self, target: str, width: int, height: int) -> None:
+        if target == "ascii":
+            self.surface = CellSurface(width, height)
+            self.graphic = AsciiGraphic(self.surface)
+        elif target == "raster":
+            self.surface = Bitmap(width, height)
+            self.graphic = RasterGraphic(self.surface, RequestCounter())
+        else:
+            raise ValueError(f"unknown target {target!r}")
+        self.target = target
+        self._surface_ops = _SURFACE_OPS[target]
 
     def apply(self, op: tuple) -> None:
         kind = op[0]
-        graphic = self._graphic
-        if kind == "fill":
-            graphic.device_fill_rect(Rect(op[1], op[2], op[3], op[4]), op[5])
-        elif kind == "text":
-            base_clip = graphic.clip
-            graphic.clip = Rect(op[5], op[6], op[7], op[8])
-            try:
-                graphic.device_draw_text(op[1], op[2], op[3],
-                                         FontDesc.from_spec(op[4]))
-            finally:
-                graphic.clip = base_clip
-        elif kind == "hline":
-            graphic.device_hline(op[1], op[2], op[3], op[4])
-        elif kind == "vline":
-            graphic.device_vline(op[1], op[2], op[3], op[4])
-        elif kind == "pixel":
-            graphic.device_set_pixel(op[1], op[2], op[3])
-        elif kind == "copy":
-            graphic.device_copy_area(Rect(op[1], op[2], op[3], op[4]),
-                                     op[5], op[6])
-        elif kind == "blit":
-            width, height, bits = op[1]
-            bitmap = Bitmap(width, height)
-            bitmap._bits[:] = bits
-            graphic.device_blit(bitmap, op[2], op[3])
-        elif kind == "cells":
-            _, y, x0, chars, inverse, bold = op
-            inv_bits = wire.unpack_bits(inverse, len(chars))
-            bold_bits = wire.unpack_bits(bold, len(chars))
-            surface = self.surface
-            for i, char in enumerate(chars):
-                surface.put(x0 + i, y, char,
-                            inverse=inv_bits[i], bold=bold_bits[i])
-        elif kind == "grid":
-            _, chars, inverse, bold = op
-            surface = self.surface
-            size = surface.width * surface.height
-            if len(chars) != size:
-                raise WireError(
-                    f"grid of {len(chars)} chars for a {size}-cell surface"
-                )
-            surface._chars[:] = list(chars)
-            surface._inverse[:] = wire.unpack_bits(inverse, size)
-            surface._bold[:] = wire.unpack_bits(bold, size)
-        else:
-            raise WireError(f"op {kind!r} is not valid on an ascii target")
-
-
-class RasterApplier:
-    """Applies decoded ops to a :class:`Bitmap` replica."""
-
-    target = "raster"
-
-    def __init__(self, framebuffer: Bitmap,
-                 requests: Optional[RequestCounter] = None) -> None:
-        self.framebuffer = framebuffer
-        self.requests = requests if requests is not None else RequestCounter()
-        self._graphic = RasterGraphic(framebuffer, self.requests)
-
-    def apply(self, op: tuple) -> None:
-        kind = op[0]
-        graphic = self._graphic
-        if kind == "fill":
-            graphic.device_fill_rect(Rect(op[1], op[2], op[3], op[4]), op[5])
-        elif kind == "text":
-            base_clip = graphic.clip
-            graphic.clip = Rect(op[5], op[6], op[7], op[8])
-            try:
-                graphic.device_draw_text(op[1], op[2], op[3],
-                                         FontDesc.from_spec(op[4]))
-            finally:
-                graphic.clip = base_clip
-        elif kind == "hline":
-            graphic.device_hline(op[1], op[2], op[3], op[4])
-        elif kind == "vline":
-            graphic.device_vline(op[1], op[2], op[3], op[4])
-        elif kind == "pixel":
-            graphic.device_set_pixel(op[1], op[2], op[3])
-        elif kind == "copy":
-            graphic.device_copy_area(Rect(op[1], op[2], op[3], op[4]),
-                                     op[5], op[6])
-        elif kind == "blit":
-            width, height, bits = op[1]
-            bitmap = Bitmap(width, height)
-            bitmap._bits[:] = bits
-            graphic.device_blit(bitmap, op[2], op[3])
-        elif kind == "rowbits":
-            _, y, x0, count, packed = op
-            fb = self.framebuffer
-            if not 0 <= y < fb.height:
-                return
-            bits = wire.unpack_bits(packed, count)
-            start = max(0, -x0)
-            stop = min(count, fb.width - x0)
-            if stop <= start:
-                return
-            base = y * fb.width + x0
-            fb._bits[base + start:base + stop] = bits[start:stop]
-        elif kind == "snapshot":
-            width, height, bits = op[1]
-            fb = self.framebuffer
-            if (width, height) != (fb.width, fb.height):
-                raise WireError(
-                    f"snapshot {width}x{height} for a "
-                    f"{fb.width}x{fb.height} framebuffer"
-                )
-            fb._bits[:] = bits
-        else:
-            raise WireError(f"op {kind!r} is not valid on a raster target")
-
-
-def make_applier(target: str, surface):
-    """The applier for ``target`` over an existing replica surface."""
-    if target == "ascii":
-        return AsciiApplier(surface)
-    if target == "raster":
-        return RasterApplier(surface)
-    raise ValueError(f"unknown target {target!r}")
-
-
-def _new_surface(target: str, width: int, height: int):
-    return (CellSurface(width, height) if target == "ascii"
-            else Bitmap(width, height))
+        if kind in batch.SCHEMA:
+            batch.apply_op(self.graphic, op)
+            return
+        apply = self._surface_ops.get(kind)
+        if apply is None:
+            raise WireError(
+                f"op {kind!r} is not valid on a {self.target} target")
+        apply(self.surface, op)
 
 
 class RemoteRenderer:
@@ -283,8 +226,7 @@ class RemoteRenderer:
         return True
 
     def _apply_keyframe(self, frame: wire.Frame) -> bool:
-        surface = _new_surface(frame.target, frame.width, frame.height)
-        applier = make_applier(frame.target, surface)
+        applier = Applier(frame.target, frame.width, frame.height)
         try:
             for op in frame.ops:
                 applier.apply(op)
@@ -295,9 +237,9 @@ class RemoteRenderer:
         self.width, self.height = frame.width, frame.height
         self._applier = applier
         if frame.target == "ascii":
-            self.surface, self.framebuffer = surface, None
+            self.surface, self.framebuffer = applier.surface, None
         else:
-            self.surface, self.framebuffer = None, surface
+            self.surface, self.framebuffer = None, applier.surface
         self._prev_ops = list(frame.ops)
         self.last_seq = frame.seq
         self._awaiting_keyframe = False

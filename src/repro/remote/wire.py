@@ -88,6 +88,8 @@ from __future__ import annotations
 import zlib
 from typing import List, Optional, Tuple
 
+from ..graphics.fontdesc import FontDesc
+
 __all__ = [
     "MAGIC",
     "VERSION",
@@ -550,6 +552,10 @@ def _read_tables(cur: _Cursor) -> Tuple[List[str], List[str], List[tuple]]:
         ref = cur.read_varint()
         if ref >= len(strings):
             raise WireError(f"font spec ref {ref} outside string table")
+        try:
+            FontDesc.from_spec(strings[ref])
+        except ValueError as exc:
+            raise WireError(f"bad font table entry: {exc}") from exc
         fonts.append(strings[ref])
     bitmaps: List[tuple] = []
     for _ in range(cur.read_count("bitmap table")):

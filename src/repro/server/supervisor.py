@@ -60,6 +60,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .. import obs
+from ..config import env_flag
 from ..core.application import atomic_write_bytes
 from ..core.datastream import read_document, write_document
 from .session import Session
@@ -83,8 +84,7 @@ RUNNING, SUSPENDED, RESTARTING, DEAD = (
 
 def supervise_from_env() -> bool:
     """True when ``ANDREW_SUPERVISE`` asks the loop to self-supervise."""
-    raw = os.environ.get(SUPERVISE_ENV, "").strip().lower()
-    return raw not in ("", "0", "false", "no", "off")
+    return env_flag(SUPERVISE_ENV, False)
 
 
 def checkpoint_interval_from_env(default: int) -> int:

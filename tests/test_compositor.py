@@ -5,7 +5,8 @@ Covers:
 * pixel-identity: compositor on vs off under randomized edit/scroll/
   expose/divider sequences, on both backends (the tentpole's proof);
 * the blit fast path itself (cache miss, then hit; counters);
-* the global ``ANDREW_COMPOSITOR`` switch and the budget env knob;
+* the global ``ANDREW_COMPOSITOR`` switch and the budget env knob
+  (the switch's env parsing is in ``tests/test_config.py``);
 * ``OffscreenWindow.copy_to`` clipping on both backends (regression);
 * root-drawable clip restoration between merged-damage passes of one
   ``flush_updates`` (regression);
@@ -153,12 +154,6 @@ class TestBlitPath:
         printer = im.window_system.create_offscreen(40, 8)
         view.print_to(printer.graphic())
         assert "BBBBB" in "\n".join(printer.surface.lines())
-
-    def test_env_switch_parsing(self, monkeypatch):
-        for raw, want in [("1", True), ("true", True), ("ON", True),
-                          ("0", False), ("off", False), ("", False)]:
-            monkeypatch.setenv(compositor.COMPOSITOR_ENV, raw)
-            assert compositor._env_on(compositor.COMPOSITOR_ENV) is want
 
     def test_budget_env_parsing(self, monkeypatch):
         monkeypatch.setenv(wm_base.BUDGET_ENV, "1234")

@@ -276,3 +276,56 @@ class TestRendererRobustness:
                 f"closing keyframe misapplied (round {round_no}, "
                 f"{describe_seed(9106)})"
             )
+
+    @pytest.mark.parametrize("spec", ["zz", "andy0", "andy12q"])
+    def test_malformed_font_spec_resyncs_to_next_keyframe(self, spec):
+        """A checksum-valid frame whose font table holds a spec that
+        does not parse is a typed decode error: the renderer resyncs
+        past it instead of raising out of ``feed`` on every call."""
+        bad = Frame(keyframe=True, seq=0, target="ascii", width=4, height=2,
+                    ops=[("text", 0, 0, "hi", spec, 0, 0, 4, 2)])
+        good = Frame(keyframe=True, seq=1, target="ascii", width=4,
+                     height=2, ops=[("grid", "abcdefgh", b"\x00", b"\x00")])
+        with pytest.raises(WireError):
+            decode_frame(encode_frame(bad))
+        renderer = RemoteRenderer()
+        renderer.feed(encode_frame(bad))
+        renderer.feed(encode_frame(good))
+        assert renderer.resyncs == 1
+        assert renderer.synchronized
+        assert renderer.surface.lines() == ["abcd", "efgh"]
+
+    @pytest.mark.parametrize("target, op", [
+        ("ascii", ("rowbits", 0, 0, 4, b"\xf0")),
+        ("ascii", ("snapshot", (4, 2, bytes(8)))),
+        ("raster", ("cells", 0, 0, "ab", b"\x00", b"\x00")),
+        ("raster", ("grid", "abcdefgh", b"\x00", b"\x00")),
+    ], ids=["ascii-rowbits", "ascii-snapshot", "raster-cells", "raster-grid"])
+    def test_surface_op_of_the_other_target_is_skipped(self, target, op):
+        """A sealed delta frame carrying another target's surface op is
+        skipped whole; the renderer waits for, and applies, the next
+        keyframe."""
+        if target == "ascii":
+            keyframe_op = ("grid", "abcdefgh", b"\x00", b"\x00")
+        else:
+            keyframe_op = ("snapshot", (4, 2, bytes([1, 0] * 4)))
+
+        def frame(seq, keyframe, ops):
+            return encode_frame(Frame(keyframe=keyframe, seq=seq,
+                                      target=target, width=4, height=2,
+                                      ops=ops))
+
+        def replica():
+            if target == "raster":
+                return bytes(renderer.framebuffer._bits)
+            return renderer.surface.lines()
+
+        renderer = RemoteRenderer()
+        renderer.feed(frame(0, True, [keyframe_op]))
+        before = replica()
+        renderer.feed(frame(1, False, [op]))
+        assert renderer.frames_skipped == 1
+        assert not renderer.synchronized
+        assert replica() == before
+        assert renderer.feed(frame(2, True, [keyframe_op])) == 1
+        assert renderer.synchronized and renderer.last_seq == 2
