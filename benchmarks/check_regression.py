@@ -42,13 +42,16 @@ THRESHOLD = 0.20  # flag beyond 20% in the losing direction
 BASELINE_DIR = Path(__file__).parent / "baselines"
 
 #: Hard ceilings per snapshot file and dotted summary path — latency
-#: metrics in nanoseconds, wire costs in bytes (``*_bytes``).  Values
+#: metrics in nanoseconds, wire costs in bytes (``*_bytes``), device
+#: work in requests (``*_per_keystroke``).  Values
 #: are deliberately several times the observed numbers so they catch a
 #: lost optimisation (a disabled cache, a full-pane scroll repaint, a
 #: delta encoder shipping literals), not clock jitter.
 BUDGETS = {
     "BENCH_text_editing.json": {
         "incremental.keystroke_p50_ns": 10_000_000,   # 10 ms per keystroke
+        # Run-level text drawing does ~7; one request per glyph ~68.
+        "incremental.device_requests_per_keystroke": 20,
     },
     "BENCH_scroll.json": {
         "blit.scroll_p95_ns": 10_000_000,             # 10 ms per scroll tick
@@ -84,6 +87,14 @@ def _is_budgeted(name: str, field: str, waivers) -> bool:
     return not any(pat in field or pat in name for pat in waivers)
 
 
+def _unit(field: str) -> str:
+    if field.endswith("_bytes"):
+        return "bytes"
+    if field.endswith("_per_keystroke"):
+        return "requests"
+    return "ns"
+
+
 def check_budgets(fresh_path: Path, fresh: dict, waivers) -> tuple:
     """Absolute ceilings: these hold even without a baseline."""
     errors, warnings = [], []
@@ -96,7 +107,7 @@ def check_budgets(fresh_path: Path, fresh: dict, waivers) -> tuple:
             continue
         new = fresh[field]
         if new > ceiling:
-            unit = "bytes" if field.endswith("_bytes") else "ns"
+            unit = _unit(field)
             line = (
                 f"{fresh_path.name}: {field} = {new:.0f} {unit} exceeds "
                 f"the {ceiling:.0f} {unit} budget "
@@ -127,13 +138,14 @@ def compare(fresh_path: Path, fresh: dict, baseline_path: Path,
                     f"{base:.0f} -> {new:.0f} ns "
                     f"(+{(new / base - 1) * 100:.0f}%)"
                 )
-        elif leaf.endswith("_bytes"):
-            # Wire/storage costs: bigger is worse (and deterministic,
-            # so drift here is a real codec change, not clock noise).
+        elif leaf.endswith(("_bytes", "_per_keystroke")):
+            # Wire/storage costs and device work: bigger is worse (and
+            # deterministic, so drift here is a real change in what the
+            # code emits, not clock noise).
             if new > base * (1 + THRESHOLD):
                 line = (
                     f"{fresh_path.name}: {field} grew "
-                    f"{base:.0f} -> {new:.0f} bytes "
+                    f"{base:.0f} -> {new:.0f} {_unit(field)} "
                     f"(+{(new / base - 1) * 100:.0f}%)"
                 )
         elif "ratio" in leaf:

@@ -72,6 +72,11 @@ def run_arm(metrics, incremental, timer_name):
     counters = {name: metrics.counter(name) for name in _WORK_COUNTERS}
     timer = metrics.timer(timer_name)
     counters["keystroke_p50_ns"] = timer.percentile(0.5) if timer else 0
+    # Every device op the ascii backend executed (text runs, fills,
+    # copies): ~7 with run-level text drawing, ~68 drawing per glyph.
+    counters["device_requests_per_keystroke"] = round(
+        metrics.counter("wm.ascii.requests") / KEYSTROKES, 1
+    )
     return counters
 
 

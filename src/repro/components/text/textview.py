@@ -45,36 +45,44 @@ __all__ = ["TextView"]
 _clipboard: List[str] = [""]
 
 
+def _advance(text: str, runs: List[tuple], x: int, offset: int) -> int:
+    """``x`` moved across ``text[:offset]`` (a tab is four cells wide),
+    given the line's ``(lo, hi, font, char_width)`` runs."""
+    for lo, hi, _font, width in runs:
+        if lo >= offset:
+            break
+        hi = min(hi, offset)
+        x += width * (hi - lo + 3 * text.count("\t", lo, hi))
+    return x
+
+
 class _TextLine:
     """One wrapped display line of character cells.
 
     The characters on one display line always occupy consecutive buffer
-    positions, so the line stores a plain string plus its first
-    position; ``doc_start`` is a mutable int that the view shifts when
-    edits move content without re-wrapping the line (incremental
-    relayout).
+    positions, so the line stores a plain string; its first position
+    lives in the view's :class:`_ShiftedInts` start index, where edits
+    move it without touching the line (incremental relayout).
     """
 
-    __slots__ = ("doc_start", "text", "indent", "centered", "height")
+    __slots__ = ("text", "indent", "centered", "height")
 
-    def __init__(self, doc_start: int, text: str,
-                 indent: int, centered: bool, height: int) -> None:
-        self.doc_start = doc_start
+    def __init__(self, text: str, indent: int, centered: bool,
+                 height: int) -> None:
         self.text = text
         self.indent = indent
         self.centered = centered
         self.height = height
-
-    @property
-    def doc_end(self) -> int:
-        """One past the last position on this line."""
-        return self.doc_start + len(self.text)
 
 
 class _EmbedLine:
     """A display block occupied by an embedded component's view."""
 
     __slots__ = ("embed", "indent", "width", "height")
+
+    #: The one buffer position the block occupies, so ``len(line.text)``
+    #: is every line's extent.
+    text = OBJECT_CHAR
 
     def __init__(self, embed: EmbeddedObject, indent: int,
                  width: int, height: int) -> None:
@@ -83,13 +91,75 @@ class _EmbedLine:
         self.width = width
         self.height = height
 
-    @property
-    def doc_start(self) -> int:
-        return self.embed.pos
 
-    @property
-    def doc_end(self) -> int:
-        return self.embed.pos + 1
+class _ShiftedInts:
+    """A non-decreasing int list with one deferred suffix shift.
+
+    Entries from index ``at`` onward read ``values[i] + delta``.  Moving
+    everything after some point (an edit shifting the buffer positions
+    of later lines, a re-wrap changing the height of everything below)
+    first *moves* the shift point there — settling only the entries
+    between the old and the new point, as a gap buffer moves its gap —
+    then adds to ``delta``.  A run of edits in one place therefore costs
+    O(1) each, not O(len).  Binary searches split at ``at``.
+    """
+
+    __slots__ = ("values", "at", "delta")
+
+    def __init__(self, values: List[int]) -> None:
+        self.values = values
+        self.at = len(values)
+        self.delta = 0
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index: int) -> int:
+        if index < 0:
+            index += len(self.values)
+        value = self.values[index]
+        return value + self.delta if index >= self.at else value
+
+    def move(self, to: int) -> None:
+        """Settle entries so the pending shift starts at index ``to``."""
+        at, delta, values = self.at, self.delta, self.values
+        if delta and to != at:
+            if to > at:
+                values[at:to] = [v + delta for v in values[at:to]]
+            else:
+                values[to:at] = [v - delta for v in values[to:at]]
+            if obs.metrics_on:
+                obs.registry.inc("text.lines_settled", abs(to - at))
+        self.at = to
+
+    def shift_from(self, index: int, delta: int) -> None:
+        """Add ``delta`` to every entry from ``index`` on."""
+        self.move(index)
+        self.delta += delta
+
+    def splice(self, i: int, j: int, new: List[int]) -> None:
+        """Replace entries ``[i, j)`` with the settled values ``new``."""
+        self.move(j)
+        self.values[i:j] = new
+        self.at = i + len(new)
+
+    def bisect_left(self, x: int, lo: int = 0) -> int:
+        values, at = self.values, self.at
+        if lo < at:
+            index = bisect_left(values, x, lo, at)
+            if index < at:
+                return index
+            lo = at
+        return bisect_left(values, x - self.delta, lo)
+
+    def bisect_right(self, x: int, lo: int = 0) -> int:
+        values, at = self.values, self.at
+        if lo < at:
+            index = bisect_right(values, x, lo, at)
+            if index < at:
+                return index
+            lo = at
+        return bisect_right(values, x - self.delta, lo)
 
 
 class TextView(View, Scrollable):
@@ -116,14 +186,18 @@ class TextView(View, Scrollable):
         self._embed_views: Dict[int, View] = {}
         # Incremental-relayout state: the dirty span is kept in current
         # buffer coordinates (each edit both widens it and shifts the
-        # cached lines' doc_starts); a full layout is forced when the
-        # cache cannot be trusted (width change, region change, embed
+        # cached lines' starts); a full layout is forced when the cache
+        # cannot be trusted (width change, region change, embed
         # mutations, no prior lines).
         self._dirty_lo: Optional[int] = None
         self._dirty_hi: Optional[int] = None
         self._full_layout = True
-        self._prefix: Optional[List[int]] = None  # cumulative line heights
-        self._starts: Optional[List[int]] = None  # doc_start per line
+        # Parallel to _lines: the buffer position each line starts at,
+        # and p[i] = total height of the lines before index i.  Both are
+        # spliced by incremental layout and shifted lazily.
+        self._starts = _ShiftedInts([])
+        self._prefix = _ShiftedInts([0])
+        self._embed_lines: List[_EmbedLine] = []
         self._bind_keys()
         self._build_menus()
         if dataobject is not None:
@@ -196,11 +270,18 @@ class TextView(View, Scrollable):
         return self._dot.pos if self._dot is not None else 0
 
     def set_dot(self, pos: int, extend: bool = False) -> None:
-        """Move the caret; ``extend`` grows the selection instead."""
+        """Move the caret; ``extend`` grows the selection instead.
+
+        A plain caret move damages only the old and the new caret line;
+        a scroll or a selection change repaints the whole view.
+        """
         if self.data is None or self._dot is None:
             return
         lo, hi = self.region()
         pos = max(lo, min(pos, hi))
+        selection = self.selection()
+        old_caret = self._caret_row() if selection is None else None
+        top = self._top
         if extend:
             if self._anchor is None:
                 self._anchor = self.data.marks.create(self._dot.pos)
@@ -208,7 +289,15 @@ class TextView(View, Scrollable):
             self._clear_selection()
         self._dot.pos = pos
         self._scroll_dot_visible()
-        self.want_update()
+        if (self._top != top or selection is not None
+                or self.selection() is not None):
+            self.want_update()
+            return
+        new_caret = self._caret_row()
+        if old_caret is not None and old_caret != new_caret:
+            self.want_update(old_caret)
+        if new_caret is not None:
+            self.want_update(new_caret)
 
     def selection(self) -> Optional[Tuple[int, int]]:
         """The selected range (start, end), or None."""
@@ -244,9 +333,6 @@ class TextView(View, Scrollable):
         or below the visible region damage everything / nothing."""
         damage_top = self._damage_row_for(change)
         self._record_change(change)
-        # doc_starts may have shifted (cached lines and embed marks):
-        # drop the position index so pre-layout hit tests stay honest.
-        self._starts = None
         self._needs_layout = True
         if damage_top is None:
             self.want_update()
@@ -260,10 +346,11 @@ class TextView(View, Scrollable):
     def _record_change(self, change: ChangeRecord) -> None:
         """Fold one change record into the dirty span (current coords).
 
-        Inserts and deletes also shift the cached ``doc_start`` of every
-        unaffected line so the cache stays addressed in current buffer
-        coordinates; embed mutations and anything unclassifiable force
-        the one-shot full-layout fallback.
+        Inserts and deletes also shift the cached start of every later
+        line so the cache stays addressed in current buffer coordinates
+        -- lazily, through the start index's deferred shift; embed
+        mutations and anything unclassifiable force the one-shot
+        full-layout fallback.
         """
         if self._full_layout:
             return
@@ -276,26 +363,26 @@ class TextView(View, Scrollable):
         if not self._lines:
             self._full_layout = True
             return
+        starts = self._starts
         if what == "insert":
             self._shift_dirty_insert(where, extent)
             self._extend_dirty(where, where + extent)
-            for line in self._lines:
-                if isinstance(line, _TextLine) and line.doc_start >= where:
-                    line.doc_start += extent
+            # A line starting exactly at ``where`` keeps its start: the
+            # new text opens it (and it is re-wrapped with the span).
+            starts.shift_from(starts.bisect_right(where), extent)
         elif what == "delete":
             self._shift_dirty_delete(where, extent)
             # The join point plus one: a cached line starting exactly at
             # ``where`` may have lost leading characters, so it can never
             # be trusted for suffix reuse.
             self._extend_dirty(where, where + 1)
-            cutoff = where + extent
-            for line in self._lines:
-                if not isinstance(line, _TextLine):
-                    continue  # embed lines track their marks
-                if line.doc_start >= cutoff:
-                    line.doc_start -= extent
-                elif line.doc_start > where:
-                    line.doc_start = where  # inside the cut: dirty anyway
+            inside = starts.bisect_right(where)
+            after = starts.bisect_left(where + extent, inside)
+            starts.shift_from(after, -extent)
+            # Lines starting inside the cut (settled now, being before
+            # the shift point) collapse onto the join point; they are
+            # dirty anyway.
+            starts.values[inside:after] = [where] * (after - inside)
         else:  # style: no positions move
             self._extend_dirty(where, where + extent)
 
@@ -334,22 +421,26 @@ class TextView(View, Scrollable):
             change.where, int
         ):
             return None
-        if not self._lines or self._top >= len(self._lines):
+        lines, starts = self._lines, self._starts
+        n = len(lines)
+        if not n or self._top >= n:
             return None
-        visible = self._lines[self._top:]
-        if change.where < visible[0].doc_start:
+        where = change.where
+        if where < starts[self._top]:
             return 0  # content above the window moved: repaint all
         y = 0
-        for line in visible:
+        for index in range(self._top, n):
             if y >= self.height:
                 return self.height  # change below the window: no damage
             # ``<=`` so an edit at a line's end (the caret sitting at
             # end-of-line, the common typing position) damages that
             # line's row; damage runs to the bottom, so attributing it
             # one row early is always safe, never wrong.
-            if change.where <= line.doc_end or line is self._lines[-1]:
+            if where <= starts[index] + len(lines[index].text) or (
+                index == n - 1
+            ):
                 return y
-            y += line.height
+            y += lines[index].height
         return self.height
 
     # ------------------------------------------------------------------
@@ -376,10 +467,6 @@ class TextView(View, Scrollable):
                 flags.add("fixed")
         return FontDesc(font.family, max(4, size), flags)
 
-    def _font_at(self, pos: int) -> FontDesc:
-        assert self.data is not None
-        return self.font_for_styles(self.data.styles_at(pos))
-
     def _paragraph_props(self, pos: int) -> Tuple[int, bool]:
         """(indent, centered) from the styles covering ``pos``."""
         indent = 0
@@ -401,11 +488,9 @@ class TextView(View, Scrollable):
         embed mutations, dataobject swap).
         """
         if self.data is None or self.width <= 0:
-            self._lines = []
+            self._install([], [])
             self._dirty_lo = self._dirty_hi = None
             self._full_layout = True
-            self._prefix = None
-            self._starts = None
             self._place_embed_views()
             return
         done = (
@@ -416,14 +501,58 @@ class TextView(View, Scrollable):
         if not done:
             self._layout_full()
         self._reset_dirty()
-        self._prefix = None
-        self._starts = None
         self._clamp_top()
         self._place_embed_views()
 
+    def _install(self, lines: List[object], starts: List[int]) -> None:
+        """Adopt a from-scratch line list and build its indexes."""
+        self._lines = lines
+        self._starts = _ShiftedInts(starts)
+        total = 0
+        prefix = [0]
+        for line in lines:
+            total += line.height
+            prefix.append(total)
+        self._prefix = _ShiftedInts(prefix)
+        self._embed_lines = [
+            line for line in lines if isinstance(line, _EmbedLine)
+        ]
+
+    def _splice(self, i0: int, k: int, lines: List[object],
+                starts: List[int]) -> None:
+        """Replace display lines ``[i0, k)`` and splice both indexes.
+
+        Only the replaced entries are rewritten; the lines below keep
+        their stored starts and heights and move through the deferred
+        shifts, so the cost follows the re-wrapped paragraph.
+        """
+        prefix = self._prefix
+        base = prefix[i0]
+        old_height = prefix[k] - base
+        heights = []
+        total = base
+        for line in lines:
+            total += line.height
+            heights.append(total)
+        gone = [line for line in self._lines[i0:k]
+                if isinstance(line, _EmbedLine)]
+        if gone:
+            self._embed_lines = [
+                line for line in self._embed_lines if line not in gone
+            ]
+        self._embed_lines.extend(
+            line for line in lines if isinstance(line, _EmbedLine)
+        )
+        self._lines[i0:k] = lines
+        self._starts.splice(i0, k, starts)
+        prefix.splice(i0 + 1, k + 1, heights)
+        if total - base != old_height:
+            prefix.shift_from(i0 + 1 + len(heights),
+                              total - base - old_height)
+
     def _layout_full(self) -> None:
         lo, hi = self.region()
-        self._lines = self._wrap_range(lo, hi, final_trailing=True)
+        self._install(*self._wrap_range(lo, hi, final_trailing=True))
         if obs.metrics_on:
             obs.registry.inc("text.layout_full")
             obs.registry.inc("text.lines_wrapped", len(self._lines))
@@ -432,17 +561,16 @@ class TextView(View, Scrollable):
         """Re-wrap only the dirty paragraphs; splice cached lines around.
 
         Returns False when the cached line list cannot be repaired in
-        place (the caller then falls back to a full wrap).  Cached
-        ``doc_start`` values were already shifted into current buffer
-        coordinates by :meth:`_record_change`, so paragraph boundaries
-        are re-verified against the live buffer before any line is
-        trusted for reuse.
+        place (the caller then falls back to a full wrap).  Cached line
+        starts were already shifted into current buffer coordinates by
+        :meth:`_record_change`, so paragraph boundaries are re-verified
+        against the live buffer before any line is trusted for reuse.
         """
-        lines = self._lines
+        lines, starts = self._lines, self._starts
         n = len(lines)
         lo, hi = self.region()
         if (not n or not isinstance(lines[-1], _TextLine)
-                or lines[0].doc_start != lo):
+                or starts[0] != lo):
             return False
         if self._dirty_lo is None:
             # Only scroll/placement state changed: reuse every line.
@@ -453,33 +581,32 @@ class TextView(View, Scrollable):
             return True
         dlo = max(lo, min(self._dirty_lo, hi))
         dhi = max(dlo, min(self._dirty_hi, hi))
-        starts = [line.doc_start for line in lines]
         # Paragraph start at or before the dirty span (verified against
         # the live buffer — cached lines may be stale inside the span).
         if self._hard_start(dlo, lo):
             para_start = dlo
         else:
-            idx = bisect_right(starts, dlo) - 1
+            idx = starts.bisect_right(dlo) - 1
             if idx < 0:
                 return False
-            while idx > 0 and not self._line_is_hard(lines[idx], lo):
+            while idx > 0 and not self._line_is_hard(idx, lo):
                 idx -= 1
-            if not self._line_is_hard(lines[idx], lo):
+            if not self._line_is_hard(idx, lo):
                 return False
-            para_start = lines[idx].doc_start
+            para_start = starts[idx]
             if para_start > dlo:
                 return False
         # Prefix: lines lying entirely before the re-wrapped range.  A
-        # stale line can share the paragraph's doc_start (a deletion
-        # clamps interior lines to the join point), so membership is by
+        # stale line can share the paragraph's start (a deletion clamps
+        # interior lines to the join point), so membership is by
         # content extent, not by index arithmetic.
-        i0 = bisect_left(starts, para_start)
-        while i0 > 0 and lines[i0 - 1].doc_end > para_start:
+        i0 = starts.bisect_left(para_start)
+        while i0 > 0 and self._line_end(i0 - 1) > para_start:
             i0 -= 1
         # Suffix: the first verified paragraph-start line at or after
         # the dirty end; it and everything below are reused as-is.
-        k = bisect_left(starts, dhi, i0)
-        while k < n and not self._line_is_hard(lines[k], lo):
+        k = starts.bisect_left(dhi, i0)
+        while k < n and not self._line_is_hard(k, lo):
             k += 1
         if k == n - 1 and not lines[k].text:
             # The empty trailing line (the caret home) inherits its
@@ -492,16 +619,18 @@ class TextView(View, Scrollable):
             # content before ``para_start``, which only a full pass sees.
             return False
         if k < n:
-            if lines[-1].doc_end != hi:
+            if self._line_end(n - 1) != hi:
                 return False  # suffix drifted: cache not trustworthy
-            new_lines = self._wrap_range(
-                para_start, lines[k].doc_start, final_trailing=False
+            new_lines, new_starts = self._wrap_range(
+                para_start, starts[k], final_trailing=False
             )
             reused = i0 + (n - k)
         else:
-            new_lines = self._wrap_range(para_start, hi, final_trailing=True)
+            new_lines, new_starts = self._wrap_range(
+                para_start, hi, final_trailing=True
+            )
             reused = i0
-        self._lines[i0:k] = new_lines
+        self._splice(i0, k, new_lines, new_starts)
         self._refresh_embed_lines()
         if obs.metrics_on:
             obs.registry.inc("text.layout_incremental")
@@ -517,14 +646,31 @@ class TextView(View, Scrollable):
         grew (a table gaining rows, say) would keep its stale block
         size until the next full wrap.
         """
-        for line in self._lines:
-            if isinstance(line, _EmbedLine):
-                view = self._view_for_embed(line.embed)
-                offer_w = max(1, self.width - line.indent - 1)
-                offer_h = max(1, self.height - 1) if self.height else 8
-                w, h = view.desired_size(offer_w, offer_h)
-                line.width = max(1, w)
-                line.height = max(1, h)
+        for line in self._embed_lines:
+            view = self._view_for_embed(line.embed)
+            offer_w = max(1, self.width - line.indent - 1)
+            offer_h = max(1, self.height - 1) if self.height else 8
+            w, h = view.desired_size(offer_w, offer_h)
+            line.width = max(1, w)
+            h = max(1, h)
+            if h != line.height:
+                self._prefix.shift_from(self._index_of_line(line) + 1,
+                                        h - line.height)
+                line.height = h
+
+    def _index_of_line(self, line: _EmbedLine) -> int:
+        """Where an embedded block sits in the line list.
+
+        An embed line's start is its mark's position and no earlier
+        line starts there, so the bisect lands on it exactly.
+        """
+        index = self._starts.bisect_left(line.embed.pos)
+        assert self._lines[index] is line, (index, line.embed.pos)
+        return index
+
+    def _line_end(self, index: int) -> int:
+        """One past the last buffer position on display line ``index``."""
+        return self._starts[index] + len(self._lines[index].text)
 
     def _hard_start(self, pos: int, region_lo: int) -> bool:
         """Is ``pos`` a wrap-restart point (region or paragraph start)?
@@ -538,14 +684,16 @@ class TextView(View, Scrollable):
             return False
         return self.data.char_at(pos - 1) == "\n"
 
-    def _line_is_hard(self, line: object, region_lo: int) -> bool:
-        return isinstance(line, _TextLine) and self._hard_start(
-            line.doc_start, region_lo
+    def _line_is_hard(self, index: int, region_lo: int) -> bool:
+        return isinstance(self._lines[index], _TextLine) and (
+            self._hard_start(self._starts[index], region_lo)
         )
 
-    def _wrap_range(self, start: int, end: int,
-                    final_trailing: bool) -> List[object]:
+    def _wrap_range(self, start: int, end: int, final_trailing: bool
+                    ) -> Tuple[List[object], List[int]]:
         """Wrap buffer positions ``[start, end)`` into display lines.
+
+        Returns the lines and, in parallel, the position each starts at.
 
         The single wrap state machine: full layout runs it over the
         whole region with ``final_trailing=True`` (the trailing line
@@ -557,6 +705,7 @@ class TextView(View, Scrollable):
         """
         data = self.data
         out: List[object] = []
+        out_starts: List[int] = []
         base_metrics = self._metrics(self.base_font)
         base_height = base_metrics.height
         wrap_unit = base_metrics.char_width
@@ -570,10 +719,9 @@ class TextView(View, Scrollable):
 
         def flush(next_start: int) -> None:
             nonlocal current, current_start, current_width, line_height
-            out.append(
-                _TextLine(current_start, "".join(current), indent, centered,
-                          max(1, line_height))
-            )
+            out.append(_TextLine("".join(current), indent, centered,
+                                 max(1, line_height)))
+            out_starts.append(current_start)
             current = []
             current_start = next_start
             current_width = 0
@@ -607,6 +755,7 @@ class TextView(View, Scrollable):
                         out.append(
                             _EmbedLine(embed, indent, max(1, w), max(1, h))
                         )
+                        out_starts.append(pos)
                     continue
                 advance = metrics.char_width * (4 if char == "\t" else 1)
                 if current and current_width + advance > avail * wrap_unit:
@@ -617,11 +766,10 @@ class TextView(View, Scrollable):
                 current_width += advance
                 line_height = max(line_height, metrics.height)
         if final_trailing:
-            out.append(
-                _TextLine(current_start, "".join(current), indent, centered,
-                          max(1, line_height))
-            )
-        return out
+            out.append(_TextLine("".join(current), indent, centered,
+                                 max(1, line_height)))
+            out_starts.append(current_start)
+        return out, out_starts
 
     def _view_for_embed(self, embed: EmbeddedObject) -> View:
         """The child view displaying ``embed``, created on demand.
@@ -643,20 +791,19 @@ class TextView(View, Scrollable):
 
     def _place_embed_views(self) -> None:
         """Assign window space to embedded views for the current scroll."""
-        y = 0
-        for index, line in enumerate(self._lines):
-            if index < self._top:
-                if isinstance(line, _EmbedLine):
-                    self._embed_views_bounds(line.embed, Rect(0, 0, 0, 0))
-                continue
-            if isinstance(line, _EmbedLine):
+        prefix = self._prefix
+        top_y = prefix[min(self._top, len(prefix) - 1)]
+        for line in self._embed_lines:
+            index = self._index_of_line(line)
+            rect = Rect(0, 0, 0, 0)
+            if index >= self._top:
+                y = prefix[index] - top_y
                 visible_h = min(line.height, max(0, self.height - y))
-                rect = (
-                    Rect(line.indent + 1, y, line.width, visible_h)
-                    if visible_h > 0 else Rect(0, 0, 0, 0)
-                )
-                self._embed_views_bounds(line.embed, rect)
-            y += line.height
+                if visible_h > 0:
+                    rect = Rect(line.indent + 1, y, line.width, visible_h)
+            self._embed_views_bounds(line.embed, rect)
+        if not self._embed_views:
+            return
         # Views whose embeds were deleted leave the tree.
         current = (
             {id(e) for e in self.data.embeds()} if self.data is not None else set()
@@ -676,38 +823,13 @@ class TextView(View, Scrollable):
     # Scrollable protocol
     # ------------------------------------------------------------------
 
-    def _prefix_heights(self) -> List[int]:
-        """``p[i]`` = total height of display lines before index ``i``.
-
-        Cached alongside the line list (invalidated by every layout), so
-        scrollbar queries and clip searches are O(1)/O(log n) instead of
-        an O(lines) sum per call.
-        """
-        prefix = self._prefix
-        if prefix is None:
-            total = 0
-            prefix = [0]
-            for line in self._lines:
-                total += line.height
-                prefix.append(total)
-            self._prefix = prefix
-        return prefix
-
-    def _doc_starts(self) -> List[int]:
-        """Cached ``doc_start`` per line, for binary position searches."""
-        starts = self._starts
-        if starts is None:
-            starts = [line.doc_start for line in self._lines]
-            self._starts = starts
-        return starts
-
     def scroll_total(self) -> int:
         self.ensure_layout()
-        return self._prefix_heights()[-1]
+        return self._prefix[-1]
 
     def scroll_pos(self) -> int:
         self.ensure_layout()
-        prefix = self._prefix_heights()
+        prefix = self._prefix
         return prefix[min(self._top, len(prefix) - 1)]
 
     def scroll_visible(self) -> int:
@@ -725,8 +847,7 @@ class TextView(View, Scrollable):
         # never re-run layout.  Only embedded children, whose bounds
         # are viewport-relative, need replacing.
         self.ensure_layout()
-        prefix = self._prefix_heights()
-        index = bisect_right(prefix, pos) - 1
+        index = self._prefix.bisect_right(pos) - 1
         self._top = min(index, max(0, len(self._lines) - 1))
         self._clamp_top()
         if self._embed_views:
@@ -759,7 +880,7 @@ class TextView(View, Scrollable):
             self._top = index
         else:
             # Walk down until the dot line starts inside the window.
-            prefix = self._prefix_heights()
+            prefix = self._prefix
             window = max(1, self.height)
             while self._top < index and (
                 prefix[index] - prefix[self._top] >= window
@@ -774,60 +895,80 @@ class TextView(View, Scrollable):
 
     def _line_index_of(self, pos: int) -> Optional[int]:
         self.ensure_layout()
-        lines = self._lines
+        lines, starts = self._lines, self._starts
         n = len(lines)
         if not n:
             return None
-        idx = bisect_right(self._doc_starts(), pos) - 1
-        if idx < 0:
-            idx = 0
-        # Earlier lines can share a doc_start boundary (an embed at the
+        idx = max(0, starts.bisect_right(pos) - 1)
+        # Earlier lines can share a start boundary (an embed at the
         # very end leaves the trailing empty line at the embed's own
         # position); back up while a predecessor still contains ``pos``.
-        while idx > 0 and lines[idx - 1].doc_end > pos:
+        while idx > 0 and self._line_end(idx - 1) > pos:
             idx -= 1
         for index in range(idx, n):
-            line = lines[index]
-            if line.doc_start <= pos < line.doc_end:
+            start = starts[index]
+            end = start + len(lines[index].text)
+            if start <= pos < end:
                 return index
-            if isinstance(line, _TextLine) and pos == line.doc_end and (
-                index == n - 1 or lines[index + 1].doc_start > pos
+            if isinstance(lines[index], _TextLine) and pos == end and (
+                index == n - 1 or starts[index + 1] > pos
             ):
                 return index
         return n - 1
+
+    def _caret_row(self) -> Optional[Rect]:
+        """The caret line's row in view coordinates, if it is on screen."""
+        index = self._line_index_of(self.dot)
+        if index is None or index < self._top:
+            return None
+        y = self._prefix[index] - self._prefix[self._top]
+        if y >= self.height:
+            return None
+        return Rect(0, y, self.width, self._lines[index].height)
+
+    def _line_runs(self, start: int, line: _TextLine) -> List[tuple]:
+        """``(lo, hi, font, char_width)`` per constant-style run of a
+        text line, as offsets into ``line.text``: fonts and metrics are
+        resolved once per run, not once per character."""
+        runs = []
+        for run_start, run_end, styles in self.data.runs(
+            start, start + len(line.text)
+        ):
+            font = self.font_for_styles(styles)
+            runs.append((run_start - start, run_end - start, font,
+                         self._metrics(font).char_width))
+        return runs
+
+    def _line_origin(self, line: _TextLine, runs: List[tuple]) -> int:
+        """The x of a text line's first cell (indent plus centering)."""
+        if not line.centered:
+            return line.indent
+        used = _advance(line.text, runs, 0, len(line.text))
+        return line.indent + max(0, (self.width - line.indent - used) // 2)
 
     def position_at(self, point: Point) -> int:
         """Document position under a view-local point (hit test)."""
         self.ensure_layout()
         if self.data is None:
             return 0
-        y = 0
-        for line in self._lines[self._top:]:
-            if y <= point.y < y + line.height:
-                if isinstance(line, _EmbedLine):
-                    return line.embed.pos
-                x = line.indent
-                if line.centered:
-                    x += self._center_pad(line)
-                for offset, char in enumerate(line.text):
-                    pos = line.doc_start + offset
-                    width = self._metrics(self._font_at(pos)).char_width * (
-                        4 if char == "\t" else 1
-                    )
-                    if point.x < x + width:
-                        return pos
-                    x += width
-                return line.doc_end
-            y += line.height
-        return self.region()[1]
-
-    def _center_pad(self, line: _TextLine) -> int:
-        used = 0
-        for offset, char in enumerate(line.text):
-            used += self._metrics(
-                self._font_at(line.doc_start + offset)
-            ).char_width * (4 if char == "\t" else 1)
-        return max(0, (self.width - line.indent - used) // 2)
+        prefix = self._prefix
+        index = prefix.bisect_right(prefix[self._top] + point.y) - 1
+        if point.y < 0 or index >= len(self._lines):
+            return self.region()[1]
+        line = self._lines[index]
+        start = self._starts[index]
+        if isinstance(line, _EmbedLine):
+            return start
+        runs = self._line_runs(start, line)
+        x = self._line_origin(line, runs)
+        text = line.text
+        for lo, hi, _font, width in runs:
+            for offset in range(lo, hi):
+                step = width * 4 if text[offset] == "\t" else width
+                if point.x < x + step:
+                    return start + offset
+                x += step
+        return start + len(text)
 
     # ------------------------------------------------------------------
     # Drawing
@@ -842,13 +983,13 @@ class TextView(View, Scrollable):
             self._line_index_of(self.dot) if selection is None else None
         )
         lines = self._lines
-        prefix = self._prefix_heights()
+        prefix = self._prefix
         clip = graphic.bounds
         top_offset = prefix[min(self._top, len(prefix) - 1)]
         limit = min(self.height, clip.bottom)
         # Start at the first display line intersecting the clip instead
         # of walking down from _top unconditionally (damage culling).
-        start = bisect_right(prefix, top_offset + max(0, clip.top)) - 1
+        start = prefix.bisect_right(top_offset + max(0, clip.top)) - 1
         start = max(start, self._top)
         if start >= len(lines):
             return
@@ -857,48 +998,47 @@ class TextView(View, Scrollable):
             line = lines[index]
             if y >= limit:
                 break
-            if isinstance(line, _EmbedLine):
-                # A marker column so embedded blocks are findable in
-                # snapshots; the child view draws itself after us.
-                graphic.draw_string(line.indent, y, "")
-                y += line.height
-                continue
-            x = line.indent + (self._center_pad(line) if line.centered else 0)
-            for run_start, run_end, styles in self.data.runs(
-                line.doc_start, line.doc_end
-            ):
-                font = self.font_for_styles(styles)
-                metrics = self._metrics(font)
-                graphic.set_font(font)
-                for pos in range(run_start, run_end):
-                    char = line.text[pos - line.doc_start]
-                    width = metrics.char_width * (4 if char == "\t" else 1)
-                    if char != "\t":
-                        graphic.draw_string(x, y, char)
-                    if selection is not None and (
-                        selection[0] <= pos < selection[1]
-                    ):
-                        graphic.invert_rect(Rect(x, y, width, line.height))
-                    x += width
-            if caret_index is not None and lines[caret_index] is line:
-                caret_x = self._caret_x(line)
-                graphic.invert_rect(
-                    Rect(caret_x, y,
-                         self._metrics(self.base_font).char_width,
-                         line.height)
-                )
+            # Embedded blocks draw themselves, as child views, after us.
+            if isinstance(line, _TextLine):
+                self._draw_line(graphic, index, line, y, selection,
+                                index == caret_index)
             y += line.height
 
-    def _caret_x(self, line: _TextLine) -> int:
-        x = line.indent + (self._center_pad(line) if line.centered else 0)
-        for offset, char in enumerate(line.text):
-            pos = line.doc_start + offset
-            if pos >= self.dot:
-                break
-            x += self._metrics(self._font_at(pos)).char_width * (
-                4 if char == "\t" else 1
+    def _draw_line(self, graphic: Graphic, index: int, line: _TextLine,
+                   y: int, selection: Optional[Tuple[int, int]],
+                   caret: bool) -> None:
+        """Paint one text line at row ``y``.
+
+        One ``draw_string`` per tab-free piece of each constant-style
+        run: tab cells are skipped, never painted as spaces, so they
+        keep the attributes underneath.  Then one ``invert_rect`` over
+        the selected span (glyphs never ink outside their own cell, so
+        inverting after the whole line equals inverting per glyph), or
+        the caret.
+        """
+        start = self._starts[index]
+        text = line.text
+        runs = self._line_runs(start, line)
+        origin = x = self._line_origin(line, runs)
+        for lo, hi, font, width in runs:
+            graphic.set_font(font)
+            for piece in text[lo:hi].split("\t"):
+                if piece:
+                    graphic.draw_string(x, y, piece)
+                x += width * (len(piece) + 4)
+            x -= width * 4  # no tab after the run's last piece
+        if selection is not None:
+            lo = max(0, selection[0] - start)
+            hi = min(len(text), selection[1] - start)
+            if lo < hi:
+                left = _advance(text, runs, origin, lo)
+                right = _advance(text, runs, origin, hi)
+                graphic.invert_rect(Rect(left, y, right - left, line.height))
+        elif caret:
+            graphic.invert_rect(
+                Rect(_advance(text, runs, origin, self.dot - start), y,
+                     self._metrics(self.base_font).char_width, line.height)
             )
-        return x
 
     # ------------------------------------------------------------------
     # Mouse
@@ -1001,12 +1141,12 @@ class TextView(View, Scrollable):
         if index is None:
             return
         target = max(0, min(index + delta, len(self._lines) - 1))
-        line = self._lines[target]
-        offset = self.dot - self._lines[index].doc_start
-        if isinstance(line, _TextLine):
-            self.set_dot(min(line.doc_start + offset, line.doc_end))
+        start = self._starts[target]
+        offset = self.dot - self._starts[index]
+        if isinstance(self._lines[target], _TextLine):
+            self.set_dot(min(start + offset, self._line_end(target)))
         else:
-            self.set_dot(line.doc_start)
+            self.set_dot(start)
 
     def _cmd_up(self, view, key) -> None:
         self._vertical_move(-1)

@@ -19,6 +19,7 @@ from repro.components.text import TextData, TextView
 from repro.components.text.textview import _EmbedLine, _TextLine
 from repro.core import InteractionManager
 from repro.graphics import Rect
+from repro.wm import AsciiWindowSystem
 
 
 @pytest.fixture
@@ -30,15 +31,21 @@ def telemetry():
 
 
 def line_signature(view):
-    """Every field of every display line, after a (lazy) layout."""
+    """Every field of every display line, after a (lazy) layout.
+
+    A line's start and the height above it are read through the view's
+    deferred-shift indexes, so a stale pending shift shows up here.
+    """
     view.layout()
     signature = []
-    for line in view._lines:
+    for index, line in enumerate(view._lines):
+        start, above = view._starts[index], view._prefix[index]
         if isinstance(line, _TextLine):
-            signature.append(("text", line.doc_start, line.text,
+            signature.append(("text", start, above, line.text,
                               line.indent, line.centered, line.height))
         elif isinstance(line, _EmbedLine):
-            signature.append(("embed", line.doc_start, id(line.embed),
+            assert start == line.embed.pos
+            signature.append(("embed", start, above, id(line.embed),
                               line.indent, line.width, line.height))
         else:  # pragma: no cover - no other line kinds exist
             signature.append(("?", repr(line)))
@@ -159,6 +166,20 @@ class TestDirectedEquivalence:
         assert_equivalent(*pair[:4])
         data.insert(0, "zz")  # then an ordinary edit with the embed present
         assert_equivalent(*pair[:4])
+
+    def test_grown_embed_shifts_heights_below(self, ascii_ws, telemetry):
+        # An embedded view that grew between layouts changes the height
+        # above every later line, though none of them was re-wrapped.
+        pair = make_pair(ascii_ws, "top\nmiddle\n" + "tail line\n" * 6)
+        *_, data = pair
+        inner = TextData("one")
+        data.insert_object(4, inner, "textview")
+        assert_equivalent(*pair[:4])
+        telemetry.reset()
+        inner.insert(3, "\ntwo\nthree")
+        data.insert(data.length - 3, "y")  # far below the embed
+        assert_equivalent(*pair[:4])
+        assert telemetry.counter("text.layout_incremental") >= 1
 
     def test_width_change_forces_full_layout(self, ascii_ws, telemetry):
         pair = make_pair(ascii_ws, "a long paragraph that wraps at the "
@@ -303,3 +324,167 @@ def test_randomized_equivalence_raster(raster_ws, seed):
     for step in range(30):
         _random_edit(rng, pair, step)
         assert_equivalent(*pair[:4])
+
+
+# ---------------------------------------------------------------------------
+# The deferred shift: edit scripts aimed at the pending (index, delta)
+# ---------------------------------------------------------------------------
+
+
+def _straddling_delete(rng, subject, data):
+    """A delete whose range straddles the line where the subject's
+    pending start shift begins (or a random one when none is pending)."""
+    starts = subject._starts
+    if starts.delta and starts.at < len(starts):
+        pivot = starts[starts.at]
+    else:
+        pivot = rng.randint(0, data.length)
+    lo = max(0, pivot - rng.randint(0, 6))
+    hi = min(data.length, pivot + rng.randint(1, 6))
+    if hi > lo:
+        data.delete(lo, hi - lo)
+
+
+def _deferred_shift_step(rng, pair, step):
+    subject_im, subject, control_im, control, data = pair
+    roll = rng.random()
+    if roll < 0.35 or data.length == 0:  # a typing burst at the caret
+        for char in rng.choice(["abc", "x", "wrap me ", "\t", "q\n"]):
+            subject.insert_text(char)
+            control.set_dot(subject.dot)
+    elif roll < 0.45:  # far jump, then type there
+        pos = rng.randint(0, data.length)
+        subject.set_dot(pos)
+        control.set_dot(pos)
+        subject.insert_text("jump")
+        control.set_dot(subject.dot)
+    elif roll < 0.60:
+        _straddling_delete(rng, subject, data)
+    elif roll < 0.68:  # backspace at the caret
+        subject._cmd_backspace(subject, None)
+        control.set_dot(subject.dot)
+    elif roll < 0.76:  # style change around the caret
+        lo = max(0, subject.dot - rng.randint(1, 12))
+        hi = min(data.length, subject.dot + rng.randint(0, 12))
+        if hi > lo:
+            data.add_style(lo, hi, rng.choice(_STYLE_NAMES))
+    elif roll < 0.82:  # embed insert
+        data.insert_object(rng.randint(0, data.length),
+                           TextData(f"embed {step}"), "textview")
+    elif roll < 0.88 and data.embeds():  # embed delete, with neighbours
+        embed = rng.choice(data.embeds())
+        lo = max(0, embed.pos - rng.randint(0, 3))
+        data.delete(lo, min(data.length, embed.pos + 1) - lo)
+    elif roll < 0.94:  # a set_region view, or the whole buffer again
+        if rng.random() < 0.6 and data.length > 2:
+            a = rng.randint(0, data.length - 1)
+            b = rng.randint(a + 1, data.length)
+            subject.set_region(a, b)
+            control.set_region(a, b)
+        else:
+            subject.clear_region()
+            control.clear_region()
+    else:  # scroll
+        pos = rng.randint(0, max(0, subject.scroll_total()))
+        subject.set_scroll_pos(pos)
+        control.set_scroll_pos(pos)
+
+
+@pytest.mark.parametrize("backend,seed", [
+    ("ascii", s) for s in range(8)] + [("raster", s) for s in range(3)])
+def test_deferred_shift_matches_full_layout(ascii_ws, raster_ws, backend,
+                                            seed):
+    # After every step, each line's effective start and each prefix
+    # height equal a from-scratch _layout_full of the same buffer.
+    rng = seeded_rng(2000 + seed)
+    text = "\n".join(f"paragraph {i}: some words that wrap at the margin"
+                     for i in range(rng.randint(3, 15)))
+    if backend == "ascii":
+        pair = make_pair(ascii_ws, text, width=30, height=10)
+    else:
+        pair = make_pair(raster_ws, text, width=180, height=96)
+    subject = pair[1]
+    subject.set_dot(pair[4].length // 2)
+    for step in range(50):
+        _deferred_shift_step(rng, pair, step)
+        assert line_signature(subject) == line_signature(pair[3]), (
+            describe_seed(2000 + seed), step)
+    assert_equivalent(*pair[:4])
+
+
+# ---------------------------------------------------------------------------
+# Per-keystroke work does not grow with the document
+# ---------------------------------------------------------------------------
+
+_WORK_COUNTERS = ("text.lines_settled", "text.lines_wrapped",
+                  "text.layout_full", "wm.ascii.requests",
+                  "im.repaint_area")
+
+
+def _untouched_run(before, after):
+    """Entries at the two ends of ``after`` still equal to ``before``."""
+    head = 0
+    while (head < min(len(before), len(after))
+           and before[head] == after[head]):
+        head += 1
+    tail = 0
+    while (tail < min(len(before), len(after)) - head
+           and before[-1 - tail] == after[-1 - tail]):
+        tail += 1
+    return len(after) - head - tail
+
+
+def _local_editing_work(telemetry, paragraphs):
+    """Counters for a local editing script in the middle of a document
+    of ``paragraphs`` paragraphs (each paragraph wraps to two lines)."""
+    text = "\n".join(f"paragraph {i % 10}: a few words that wrap here"
+                     for i in range(paragraphs))
+    data = TextData(text)
+    im = InteractionManager(AsciiWindowSystem(), width=30, height=12)
+    view = TextView(data)
+    im.set_child(view)
+    im.redraw()
+    view.set_dot(text.index("\n", len(text) // 2))
+    im.flush_updates()
+    starts_before = list(view._starts.values)
+    prefix_before = list(view._prefix.values)
+    telemetry.reset()
+    for action in ["type:hello", "back", "back", "type:\n", "type:ab",
+                   "left", "left", "right", "up", "down", "style",
+                   "type:more words here to rewrap", "back"]:
+        kind, _, payload = action.partition(":")
+        if kind == "type":
+            for char in payload:
+                view.insert_text(char)
+                im.flush_updates()
+            continue
+        if kind == "back":
+            view._cmd_backspace(view, None)
+        elif kind == "left":
+            view._cmd_left(view, None)
+        elif kind == "right":
+            view._cmd_right(view, None)
+        elif kind == "up":
+            view._cmd_up(view, None)
+        elif kind == "down":
+            view._cmd_down(view, None)
+        elif kind == "style":
+            data.add_style(view.dot - 3, view.dot, "bold")
+        im.flush_updates()
+    work = {name: telemetry.counter(name) for name in _WORK_COUNTERS}
+    # Stored index entries rewritten: the later lines move through the
+    # pending delta, never by rewriting their entries.
+    work["starts_rewritten"] = _untouched_run(starts_before,
+                                              view._starts.values)
+    work["prefix_rewritten"] = _untouched_run(prefix_before,
+                                              view._prefix.values)
+    return work
+
+
+def test_keystroke_work_independent_of_document_length(telemetry):
+    small = _local_editing_work(telemetry, 2_000)
+    large = _local_editing_work(telemetry, 20_000)
+    assert small == large
+    assert small["text.layout_full"] == 0
+    assert small["starts_rewritten"] <= 12
+    assert small["prefix_rewritten"] <= 12

@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro import obs
 from repro.components.table import TableData
 from repro.components.text import TextData, TextView
+from repro.components.text.textview import _TextLine
 from repro.core import InteractionManager
 from repro.graphics import Point, Rect
+from repro.wm import AsciiWindowSystem, RasterWindowSystem
+from tests.conformance.driver import fingerprint
 
 
 @pytest.fixture
@@ -324,3 +328,232 @@ class TestTwoViewsOneBuffer:
         a.set_dot(0)
         a.insert_text("xy")
         assert b.dot == 8
+
+
+# ---------------------------------------------------------------------------
+# Run-level drawing: one draw_string per tab-free piece of a style run
+# ---------------------------------------------------------------------------
+
+
+def per_glyph_draw(view, graphic):
+    """The per-glyph paint contract the run-level ``TextView.draw`` must
+    reproduce byte for byte: every character resolves its own font, is
+    drawn on its own (tabs are skipped, not painted), and each selected
+    character inverts its own cell; the caret inverts one base-font
+    cell."""
+    view.ensure_layout()
+    data = view.data
+    selection = view.selection()
+    caret_index = view._line_index_of(view.dot) if selection is None else None
+    y = 0
+    for index in range(view._top, len(view._lines)):
+        if y >= view.height:
+            break
+        line = view._lines[index]
+        if isinstance(line, _TextLine):
+            start = view._starts[index]
+            fonts = [view.font_for_styles(data.styles_at(start + offset))
+                     for offset in range(len(line.text))]
+            widths = [view._metrics(font).char_width * (4 if char == "\t" else 1)
+                      for font, char in zip(fonts, line.text)]
+            x = line.indent
+            if line.centered:
+                x += max(0, (view.width - line.indent - sum(widths)) // 2)
+            origin = x
+            for offset, char in enumerate(line.text):
+                graphic.set_font(fonts[offset])
+                if char != "\t":
+                    graphic.draw_string(x, y, char)
+                if selection is not None and (
+                    selection[0] <= start + offset < selection[1]
+                ):
+                    graphic.invert_rect(Rect(x, y, widths[offset], line.height))
+                x += widths[offset]
+            if index == caret_index:
+                caret_x = origin + sum(widths[:view.dot - start])
+                graphic.invert_rect(Rect(
+                    caret_x, y, view._metrics(view.base_font).char_width,
+                    line.height))
+        y += line.height
+
+
+_DRAW_TEXT = (
+    "plain\ttabbed\t\tdouble tab and a long tail that wraps past the margin\n"
+    "bold run then bigger run then italic run\n"
+    "\tcentered paragraph with a tab\n"
+    "last line"
+)
+
+
+def _styled_editor(backend, width, height):
+    """A view over ``_DRAW_TEXT`` with bold, bigger, italic and centered
+    runs (the bold one covering a tab), plus a paragraph-crossing
+    style; the caret sits just past the first tab."""
+    ws = AsciiWindowSystem() if backend == "ascii" else RasterWindowSystem()
+    data = TextData(_DRAW_TEXT)
+    data.add_style(3, 13, "bold")
+    second = data.search("bold run")
+    data.add_style(second, second + 8, "bold")
+    data.add_style(second + 14, second + 24, "bigger")
+    data.add_style(second + 30, second + 40, "italic")
+    third = data.search("\tcentered")
+    data.add_style(third, data.search("last line"), "center")
+    data.add_style(second + 20, third + 6, "typewriter")
+    im = InteractionManager(ws, width=width, height=height)
+    view = TextView(data)
+    im.set_child(view)
+    im.process_events()
+    view.set_dot(6)
+    return im, view, data
+
+
+_SIZES = {"ascii": (40, 14), "raster": (260, 120)}
+
+
+@pytest.fixture(params=["ascii", "raster"])
+def backend(request):
+    return request.param
+
+
+def _select(view, data, case):
+    if case == "caret":
+        view.set_dot(6)
+    elif case == "across-runs":
+        second = data.search("bold run")
+        view.set_dot(second + 4)
+        view.set_dot(second + 33, extend=True)
+    elif case == "across-lines-and-tabs":
+        view.set_dot(2)
+        view.set_dot(data.search("centered") + 3, extend=True)
+    elif case == "caret-in-centered":
+        view.set_dot(data.search("paragraph"))
+
+
+class TestRunLevelDrawing:
+    @pytest.mark.parametrize("case", ["caret", "across-runs",
+                                      "across-lines-and-tabs",
+                                      "caret-in-centered"])
+    def test_equals_per_glyph_render(self, backend, case):
+        live_im, live, live_data = _styled_editor(backend, *_SIZES[backend])
+        ref_im, ref, ref_data = _styled_editor(backend, *_SIZES[backend])
+        ref.draw = lambda graphic: per_glyph_draw(ref, graphic)
+        _select(live, live_data, case)
+        _select(ref, ref_data, case)
+        live_im.redraw()
+        ref_im.redraw()
+        assert fingerprint(live_im.window) == fingerprint(ref_im.window)
+
+    @pytest.mark.parametrize("case", ["caret", "across-runs",
+                                      "across-lines-and-tabs"])
+    def test_clip_split_repair_equals_fresh_render(self, backend, case):
+        # Damage rects whose edges split text lines, glyph columns and
+        # (on raster) glyph rows: scribbled-over pixels must be repaired
+        # to exactly what a from-scratch render shows.
+        width, height = _SIZES[backend]
+        im, view, data = _styled_editor(backend, width, height)
+        _select(view, data, case)
+        im.redraw()
+        fresh = fingerprint(im.window)
+        if backend == "ascii":
+            rects = [Rect(3, 0, 7, 2), Rect(11, 1, 1, 3), Rect(0, 2, 25, 1)]
+        else:
+            rects = [Rect(7, 3, 40, 11), Rect(61, 9, 3, 20),
+                     Rect(0, 17, 150, 5)]
+        for rect in rects:
+            scribble = im.window.graphic()
+            scribble.invert_rect(rect)
+            view.want_update(rect)
+            im.flush_updates()
+            assert fingerprint(im.window) == fresh, rect
+
+    def test_device_text_requests_per_keystroke_are_bounded(self, ascii_ws):
+        # One request per repainted line, not one per glyph.
+        was = obs.metrics_enabled()
+        obs.configure(metrics=True, reset_data=True)
+        try:
+            im = InteractionManager(ascii_ws, width=60, height=18)
+            data = TextData("\n".join(
+                f"paragraph {i}: the quick brown fox jumps over the dog"
+                for i in range(40)))
+            view = TextView(data)
+            im.set_child(view)
+            im.redraw()
+            view.set_dot(data.search("paragraph 3:"))
+            im.flush_updates()
+            obs.registry.reset()
+            view.insert_text("x")
+            im.flush_updates()
+            requests = obs.registry.counter("wm.ascii.draw_text")
+            repainted_rows = 18 - 3
+            assert 0 < requests <= repainted_rows
+            assert obs.registry.counter("wm.ascii.requests") <= 2 * 18
+        finally:
+            obs.configure(metrics=was, reset_data=True)
+
+    def test_raster_text_requests_per_keystroke_are_bounded(self, raster_ws):
+        im = InteractionManager(raster_ws, width=240, height=80)
+        data = TextData("\n".join(
+            f"paragraph {i}: quick brown fox" for i in range(30)))
+        view = TextView(data)
+        im.set_child(view)
+        im.redraw()
+        view.set_dot(data.search("paragraph 2:"))
+        im.flush_updates()
+        before = raster_ws.stats().get("draw_text", 0)
+        view.insert_text("x")
+        im.flush_updates()
+        rows = 80 // view._lines[0].height
+        assert 0 < raster_ws.stats()["draw_text"] - before <= rows
+
+
+class TestCaretDamage:
+    @pytest.fixture
+    def lined(self, make_im):
+        im = make_im(width=30, height=6)
+        data = TextData("\n".join(f"line {i} text" for i in range(12)))
+        view = TextView(data)
+        im.set_child(view)
+        im.process_events()
+        im.redraw()
+        view.set_dot(data.search("line 2"))
+        im.flush_updates()
+        return im, view, data
+
+    def _repainted(self, im, move):
+        was = obs.metrics_enabled()
+        obs.configure(metrics=True, reset_data=True)
+        try:
+            move()
+            im.flush_updates()
+            return obs.registry.counter("im.repaint_area")
+        finally:
+            obs.configure(metrics=was, reset_data=True)
+
+    def _matches_full_redraw(self, im):
+        live = fingerprint(im.window)
+        im.redraw()
+        return live == fingerprint(im.window)
+
+    def test_move_within_line_repaints_one_row(self, lined):
+        im, view, _ = lined
+        assert self._repainted(im, lambda: view._cmd_right(view, None)) == 30
+        assert self._matches_full_redraw(im)
+
+    def test_move_between_lines_repaints_two_rows(self, lined):
+        im, view, _ = lined
+        assert self._repainted(im, lambda: view._cmd_down(view, None)) == 60
+        assert self._matches_full_redraw(im)
+
+    def test_scrolling_move_repaints_whole_view(self, lined):
+        im, view, data = lined
+        far = data.search("line 10")
+        assert self._repainted(im, lambda: view.set_dot(far)) == 30 * 6
+        assert self._matches_full_redraw(im)
+
+    def test_selection_change_repaints_whole_view(self, lined):
+        im, view, _ = lined
+        grow = lambda: view.set_dot(view.dot + 3, extend=True)  # noqa: E731
+        assert self._repainted(im, grow) == 30 * 6
+        assert self._matches_full_redraw(im)
+        assert self._repainted(im, lambda: view.set_dot(view.dot)) == 30 * 6
+        assert self._matches_full_redraw(im)
