@@ -43,7 +43,8 @@ BASELINE_DIR = Path(__file__).parent / "baselines"
 
 #: Hard ceilings per snapshot file and dotted summary path — latency
 #: metrics in nanoseconds, wire costs in bytes (``*_bytes``), device
-#: work in requests (``*_per_keystroke``).  Values
+#: work in requests (``*_per_keystroke``), observer traffic in change
+#: records (``*_per_edit``).  Values
 #: are deliberately several times the observed numbers so they catch a
 #: lost optimisation (a disabled cache, a full-pane scroll repaint, a
 #: delta encoder shipping literals), not clock jitter.
@@ -59,6 +60,13 @@ BUDGETS = {
     },
     "BENCH_remote.json": {
         "delta.per_frame_bytes": 600,                 # wire cost per frame
+    },
+    "BENCH_recalc.json": {
+        # A 502-cell cone edit plus the repaint of an 80x24 view: ~30 ms
+        # (mostly the 9,000-cell SUM); a per-record view walk is seconds.
+        "view_edit_p50_ns": 150_000_000,
+        # One change record per assignment; one per changed cell is 502.
+        "notifications_per_edit": 4,
     },
 }
 
@@ -92,6 +100,8 @@ def _unit(field: str) -> str:
         return "bytes"
     if field.endswith("_per_keystroke"):
         return "requests"
+    if field.endswith("_per_edit"):
+        return "records"
     return "ns"
 
 
@@ -138,10 +148,10 @@ def compare(fresh_path: Path, fresh: dict, baseline_path: Path,
                     f"{base:.0f} -> {new:.0f} ns "
                     f"(+{(new / base - 1) * 100:.0f}%)"
                 )
-        elif leaf.endswith(("_bytes", "_per_keystroke")):
-            # Wire/storage costs and device work: bigger is worse (and
-            # deterministic, so drift here is a real change in what the
-            # code emits, not clock noise).
+        elif leaf.endswith(("_bytes", "_per_keystroke", "_per_edit")):
+            # Wire/storage costs, device work and observer traffic:
+            # bigger is worse (and deterministic, so drift here is a
+            # real change in what the code emits, not clock noise).
             if new > base * (1 + THRESHOLD):
                 line = (
                     f"{fresh_path.name}: {field} grew "

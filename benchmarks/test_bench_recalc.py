@@ -15,9 +15,16 @@ from-scratch recalculation (the equivalence fuzzer in
 ``tests/test_table_incremental.py`` carries the general proof; this
 bench asserts it at scale on the chain tail and aggregate).
 
+A ``TableView`` on an ascii 80x24 window is then attached to the same
+sheet and the mid-chain edit repeated end to end (edit plus
+``process_events``): the table must announce the whole cone in **one**
+change record, and the view must pay for the cells it shows — the
+cone's 501 rows below the viewport are rejected by row index, and only
+the visible ``SUM`` cell is repainted.
+
 Outputs ``BENCH_recalc.json``; CI uploads it and gates the ``*_ns``
-timings and ``*_ratio`` claims against the committed baseline via
-``benchmarks/check_regression.py``.
+timings, ``*_ratio`` claims and ``*_per_edit`` counts against the
+committed baseline and budgets via ``benchmarks/check_regression.py``.
 
 ``ANDREW_RECALC_ROWS`` scales the sheet (default 10000 rows x 10 cols).
 """
@@ -27,7 +34,8 @@ import os
 import time
 
 from conftest import report
-from repro.components.table import TableData
+from repro.components.table import TableData, TableView
+from repro.core import InteractionManager
 
 ROWS = int(os.environ.get("ANDREW_RECALC_ROWS", "10000"))
 COLS = 10
@@ -55,7 +63,7 @@ def chain_tail_expected(table):
     return sum(table.value_at(row, 0) for row in range(CHAIN))
 
 
-def test_bench_incremental_recalc(metrics):
+def test_bench_incremental_recalc(metrics, ascii_ws):
     build_start = time.perf_counter_ns()
     table = build_sheet()
     build_ns = time.perf_counter_ns() - build_start
@@ -104,6 +112,29 @@ def test_bench_incremental_recalc(metrics):
     recompute_ratio = full_recomputed / cone
     assert recompute_ratio >= 100.0, (full_recomputed, cone)
 
+    # The same edit with a view attached, end to end.
+    im = InteractionManager(ascii_ws, title="E18", width=80, height=24)
+    view = TableView(table)
+    im.set_child(view)
+    im.process_events()
+    view_ns = []
+    notifications = []
+    for trial in range(5):
+        metrics.reset()
+        old = table.value_at(EDIT_ROW, 0)
+        start = time.perf_counter_ns()
+        table.set_cell(EDIT_ROW, 0, old + 1.0)
+        im.process_events()
+        view_ns.append(time.perf_counter_ns() - start)
+        notifications.append(metrics.counter("notify.notifications"))
+        assert metrics.counter("table.cells_recomputed") == cone
+        # The first data row (window row 2) shows the changed SUM in C1.
+        shown = im.snapshot_lines()[2][view._col_x(2):view._col_x(3) - 1]
+        assert shown.strip() == table.display_at(0, 2)[:9]
+    view_edit_p50_ns = sorted(view_ns)[len(view_ns) // 2]
+    notifications_per_edit = max(notifications)
+    assert notifications_per_edit == 1, notifications
+
     summary = {
         "cells": cells,
         "formulas": formulas,
@@ -117,6 +148,8 @@ def test_bench_incremental_recalc(metrics):
         "cells_recomputed_edit": cone,
         "recompute_ratio": round(recompute_ratio, 1),
         "speedup_ratio": round(full_ns / max(1, edit_p50_ns), 1),
+        "view_edit_p50_ns": view_edit_p50_ns,
+        "notifications_per_edit": notifications_per_edit,
     }
     registry_snapshot = metrics.snapshot()
     with open("BENCH_recalc.json", "w") as fh:
@@ -129,6 +162,9 @@ def test_bench_incremental_recalc(metrics):
         f"one edit: {cone} evaluations in {edit_p50_ns / 1e6:.2f}ms (p50)",
         f"recompute reduction: {recompute_ratio:.0f}x fewer evaluations, "
         f"{full_ns / max(1, edit_p50_ns):.0f}x faster",
+        f"one edit + repaint with an 80x24 view attached: "
+        f"{view_edit_p50_ns / 1e6:.2f}ms (p50), "
+        f"{notifications_per_edit} change record",
         "snapshot written to BENCH_recalc.json",
     ])
 

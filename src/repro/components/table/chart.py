@@ -12,10 +12,14 @@ would notify the chart view."
 view-adjacent state a chart needs (title, labels, which column is the
 series) — state that belongs in *no* view because views are transient —
 and observes a :class:`TableData`, recomputing its series and notifying
-its own observers when the table changes.  :class:`PieChartView` and
-:class:`BarChartView` are two view types on the chart data, giving the
-paper's "table of numbers and a pie chart representing the table" in
-one window.
+its own observers when the table changes.  The table announces one
+``"cell"`` record per assignment, listing every cell whose value
+changed in its ``extent``; the chart recomputes once if any of those
+cells lies in its series and not at all otherwise, so an edit costs one
+series read however many charted values its recalc moved.
+:class:`PieChartView` and :class:`BarChartView` are two view types on
+the chart data, giving the paper's "table of numbers and a pie chart
+representing the table" in one window.
 """
 
 from __future__ import annotations
@@ -81,19 +85,14 @@ class ChartData(DataObject, Observer):
         """The table changed: refresh the series, then tell *our*
         observers (the chart views) — the paper's two-hop update.
 
-        Cell-level records carry the edited coordinate, so edits in
-        rows/columns outside the charted series are ignored entirely —
-        the table's incremental recalc announces one record per changed
-        value, and only the ones crossing our series cost a recompute.
+        A cell record's ``extent`` lists every cell whose value changed,
+        so an edit whose values all lie outside the charted series is
+        ignored entirely, and one that crosses it costs one recompute.
         """
-        if change.what == "cell" and isinstance(change.where, tuple):
-            row, col = change.where
-            in_series = (
-                col == self.series_index
-                if self.series_axis == "col"
-                else row == self.series_index
-            )
-            if not in_series:
+        if change.what == "cell":
+            axis = 1 if self.series_axis == "col" else 0
+            index = self.series_index
+            if not any(key[axis] == index for key in change.extent):
                 return
         self._recompute()
 

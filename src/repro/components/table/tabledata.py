@@ -19,12 +19,16 @@ formula references and the graph through one coordinate mapping;
 references into a deleted row/column become ``#REF`` and evaluate to
 ``#VALUE``.
 
-Every mutation follows the delayed-update discipline, announcing
-``("cell", (row, col))`` for the edited cell and one further
-``("cell", (row, col), detail="recalc")`` record **per downstream cell
-whose value actually changed**, so any number of views — the table
+Every mutation follows the delayed-update discipline and announces
+**one** ``"cell"`` record per assignment: ``where`` is the edited
+``(row, col)`` and ``extent`` the tuple of keys whose value actually
+changed, the edited key first (just ``(key,)`` while values are still
+lazy).  The data object says *what* changed; each observer — the table
 view, the pie chart's auxiliary data object (§2's observer example) —
-can repair exactly the damaged cells afterwards.
+works out its own damage from that one record, so a 480-cell cone
+costs one notification, not 480.  A structural edit announces its
+``"shape"`` record, then at most one ``("cell", detail="recalc")``
+record whose ``extent`` lists the values its rebased formulas changed.
 
 Telemetry (``ANDREW_METRICS=1``): ``table.recalc_full`` /
 ``table.recalc_incremental`` count the two recalc kinds,
@@ -175,9 +179,10 @@ class TableData(DataObject):
         ``<tag>view``).
 
         Once values have been materialised (any :meth:`value_at` read),
-        the edit recomputes only its dependency cone and announces one
-        ``("cell", ...)`` change per cell whose value actually changed
-        — the edited cell's record always comes first.
+        the edit recomputes only its dependency cone.  Either way it
+        announces exactly one ``"cell"`` record: ``where`` is
+        ``(row, col)`` and ``extent`` the keys whose value changed,
+        ``(row, col)`` first.
         """
         self._check(row, col)
         key = (row, col)
@@ -202,17 +207,15 @@ class TableData(DataObject):
             # Values were never materialised (sheet still being built,
             # or incremental repair disabled): stay lazy, one record.
             self._values_valid = False
-            self.changed("cell", where=key)
+            self.changed("cell", where=key, extent=(key,))
             return
         self.incremental_count += 1
         if obs.metrics_on:
             obs.registry.inc("table.recalc_incremental")
         cone = self._graph.dirty_cone((key,))
         changed_keys = self._recompute(cone, seeds=(key,))
-        self.changed("cell", where=key)
-        for other in changed_keys:
-            if other != key:
-                self.changed("cell", where=other, detail="recalc")
+        downstream = tuple(other for other in changed_keys if other != key)
+        self.changed("cell", where=key, extent=(key,) + downstream)
 
     @staticmethod
     def _coerce(value) -> Cell:
@@ -491,8 +494,9 @@ class TableData(DataObject):
     def _announce_structure(self, kind: str, at: int, extent: int,
                             changed_keys: List[Tuple[int, int]]) -> None:
         self.changed("shape", where=(kind, at), extent=extent)
-        for key in changed_keys:
-            self.changed("cell", where=key, detail="recalc")
+        if changed_keys:
+            self.changed("cell", where=changed_keys[0],
+                         extent=tuple(changed_keys), detail="recalc")
 
     def insert_row(self, at: int) -> None:
         """Insert an empty row before ``at`` (0..rows)."""

@@ -6,13 +6,21 @@ child views by name through the dynamic loader, exactly like the text
 view; a cell's row grows to give the embedded view room (the Fig. 5
 document embeds text, an equation and an animation inside table cells).
 
-Repaint is region-level: a ``("cell", (row, col))`` change record
-damages only that cell's rectangle (tracked in ``_damaged_cells`` and
-consumed by :meth:`draw`, which restricts its row/column sweep to the
-graphic's clip band), and moving the selection repaints exactly the two
-cells involved.  Full relayout (``_needs_layout``) is reserved for
-shape changes, column-width drags, scrolling, and cells whose embedded
-component arrives or departs — the cases where geometry actually moves.
+Repaint is region-level and costs the *visible* change, not the
+sheet.  One ``"cell"`` change record arrives per assignment, its
+``extent`` listing every cell whose value changed; the view first
+checks the edited cell for an embedded component arriving or departing
+(which forces relayout), then rejects each key whose row lies outside
+the visible band ``[top, top + height - HEADER_ROWS)`` in O(1) —
+exact, since every row is at least one unit tall and rows above the
+top are never drawn.  Only the survivors (at most the visible cells)
+build a :meth:`cell_rect` and post damage, tracked in
+``_damaged_cells`` and consumed by :meth:`draw`, which restricts its
+row/column sweep to the graphic's clip band.  Moving the selection
+repaints exactly the two cells involved.  Full relayout
+(``_needs_layout``) is reserved for shape changes, column-width drags,
+scrolling, and cells whose embedded component arrives or departs — the
+cases where geometry actually moves.
 
 The datastream view-type tag for this class is ``spread`` (the paper's
 section-5 example places ``\\view{spread, 2}`` on a table), registered
@@ -65,27 +73,31 @@ class TableView(View, Scrollable):
 
     def on_data_changed(self, change) -> None:
         data = self.data
-        if (
-            change.what == "cell"
-            and data is not None
-            and not self._needs_layout
-            and isinstance(change.where, tuple)
-        ):
-            row, col = change.where
-            key = (row, col)
-            if key in self._embed_views or data.cell(row, col).kind == "object":
+        if (change.what == "cell" and data is not None
+                and not self._needs_layout):
+            edited = change.where
+            # Only the edited cell's content changed; the other keys
+            # changed value through recalc, and an object cell has no
+            # references, so it is never downstream of anything.
+            if (edited in self._embed_views
+                    or data.cell(*edited).kind == "object"):
                 # An embedded component arrived or departed: row heights
                 # move, so geometry must be rebuilt.
                 self._needs_layout = True
                 self.want_update()
                 return
-            if key in self._damaged_cells:
-                return  # damage already posted, repaint still pending
-            rect = self.cell_rect(row, col).intersection(self.local_bounds)
-            if rect.is_empty():
-                return  # scrolled off or clipped away: nothing to paint
-            self._damaged_cells.add(key)
-            self.want_update(rect)
+            top = self._top_row
+            bottom = top + self.height - HEADER_ROWS
+            bounds = self.local_bounds
+            damaged = self._damaged_cells
+            for key in change.extent:
+                row, col = key
+                if not top <= row < bottom or key in damaged:
+                    continue  # off the visible band, or already pending
+                rect = self.cell_rect(row, col).intersection(bounds)
+                if not rect.is_empty():
+                    damaged.add(key)
+                    self.want_update(rect)
             return
         self._needs_layout = True
         if data is not None:
@@ -136,13 +148,17 @@ class TableView(View, Scrollable):
         return height
 
     def _row_y(self, row: int) -> int:
-        """Y of a data row relative to the view (may be negative)."""
+        """Y of a data row at or below ``_top_row``, relative to the view."""
         y = HEADER_ROWS
         for r in range(self._top_row, row):
             y += self.row_height(r)
         return y
 
     def cell_rect(self, row: int, col: int) -> Rect:
+        """A cell's rectangle in view coordinates; empty for a row
+        scrolled above the viewport, which is never drawn."""
+        if row < self._top_row:
+            return Rect.empty()
         return Rect(
             self._col_x(col), self._row_y(row),
             self.col_width(col), self.row_height(row),

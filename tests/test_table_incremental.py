@@ -275,8 +275,9 @@ def test_randomized_equivalence(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_randomized_announcements_are_exact(seed):
-    """The subject announces the edited cell first, then exactly the
-    downstream cells whose value changed — no more, no less."""
+    """Each assignment announces one cell record whose extent lists the
+    edited cell first, then exactly the downstream cells whose value
+    changed — no more, no less."""
     from repro.class_system import FunctionObserver
 
     rng = seeded_rng(2000 + seed)
@@ -291,7 +292,10 @@ def test_randomized_announcements_are_exact(seed):
             continue  # structure op: covered by the "shape" record
         after = grid(subject)
         label = f"{describe_seed(2000 + seed)} step {step}"
-        announced = [c.where for c in changes if c.what == "cell"]
+        records = [c for c in changes if c.what == "cell"]
+        assert len(records) == 1, label
+        assert records[0].where == key, label
+        announced = list(records[0].extent)
         assert announced[0] == key, label
         assert len(set(announced)) == len(announced), label
         differing = {
@@ -300,8 +304,7 @@ def test_randomized_announcements_are_exact(seed):
             for col in range(subject.cols)
             if before[row][col] != after[row][col]
         }
-        assert differing <= set(announced), label
-        assert set(announced) <= differing | {key}, label
+        assert set(announced) == differing | {key}, label
         assert_equivalent(subject, control, label)
 
 

@@ -56,8 +56,9 @@ class TestCells:
         changes = []
         table.add_observer(FunctionObserver(lambda c: changes.append(c)))
         table.set_cell(1, 1, 9)
-        assert changes[0].what == "cell"
-        assert changes[0].where == (1, 1)
+        assert [(c.what, c.where, c.extent) for c in changes] == [
+            ("cell", (1, 1), ((1, 1),))
+        ]
 
 
 class TestRecalculation:
@@ -263,8 +264,10 @@ class TestStructureEditRebasing:
         table.add_observer(FunctionObserver(changes.append))
         table.delete_row(0)  # destroys the referent: formula -> #REF
         assert changes[0].what == "shape"
-        cells = [(c.where, c.detail) for c in changes if c.what == "cell"]
-        assert ((1, 0), "recalc") in cells
+        cells = [c for c in changes if c.what == "cell"]
+        assert len(cells) == 1  # one record for every recalculated value
+        assert cells[0].detail == "recalc"
+        assert cells[0].extent == ((1, 0),)
         assert table.value_at(1, 0) == VALUE_ERROR
 
 
@@ -347,7 +350,7 @@ class TestIncrementalRecalc:
         assert table.recalc_count == fulls
         assert table.incremental_count >= 1
 
-    def test_downstream_records_carry_recalc_detail(self):
+    def test_one_record_lists_downstream_changes(self):
         table = TableData(2, 1)
         table.set_cell(0, 0, 2)
         table.set_cell(1, 0, "=A1+1")
@@ -355,9 +358,10 @@ class TestIncrementalRecalc:
         changes = []
         table.add_observer(FunctionObserver(changes.append))
         table.set_cell(0, 0, 5)
-        records = [(c.where, c.detail) for c in changes if c.what == "cell"]
-        assert records[0] == ((0, 0), None)  # the edit itself comes first
-        assert ((1, 0), "recalc") in records
+        records = [(c.where, c.extent, c.detail)
+                   for c in changes if c.what == "cell"]
+        # One record; the edit itself comes first in its extent.
+        assert records == [((0, 0), ((0, 0), (1, 0)), None)]
 
     def test_unchanged_downstream_value_not_announced(self):
         table = TableData(2, 1)
@@ -367,8 +371,8 @@ class TestIncrementalRecalc:
         changes = []
         table.add_observer(FunctionObserver(changes.append))
         table.set_cell(0, 0, 99)
-        records = [c.where for c in changes if c.what == "cell"]
-        assert records == [(0, 0)]
+        records = [(c.where, c.extent) for c in changes if c.what == "cell"]
+        assert records == [((0, 0), ((0, 0),))]
 
     def test_incremental_disabled_restores_lazy_behaviour(self):
         table = TableData(2, 1)

@@ -108,6 +108,115 @@ class TestTableView:
         assert width == view._col_x(table.cols)
 
 
+def chained_sheet(rows):
+    """Column A numbers, column B the running sum of A, column C twice B:
+    an edit of A<n> changes A<n> and every B and C from row n down."""
+    table = TableData(rows, 3)
+    for row in range(rows):
+        table.set_cell(row, 0, row % 17 + 1)
+        table.set_cell(row, 1, f"=B{row}+A{row + 1}" if row else "=A1")
+        table.set_cell(row, 2, f"=B{row + 1}*2")
+    return table
+
+
+def chain_column(rows):
+    """One column where each cell reads the one above: an edit of row 0
+    changes every value in the sheet."""
+    table = TableData(rows, 1)
+    table.set_cell(0, 0, 1)
+    for row in range(1, rows):
+        table.set_cell(row, 0, f"=A{row}+1")
+    return table
+
+
+def record_damage(view):
+    """Replace ``view.want_update`` with a recorder of its rects (``None``
+    for a whole-view update)."""
+    posted = []
+    view.want_update = lambda rect=None: posted.append(rect)
+    return posted
+
+
+class TestVisibleBandDamage:
+    def scrolled(self, make_im, table, top):
+        im = make_im(width=80, height=24)
+        view = TableView(table)
+        im.set_child(view)
+        im.process_events()
+        view.apply_scroll_pos(top)
+        view.want_update()
+        im.process_events()
+        assert view._top_row == top
+        return im, view
+
+    def test_edit_above_viewport_posts_no_damage(self, make_im):
+        table = TableData(100, 3)
+        im, view = self.scrolled(make_im, table, 50)
+        posted = record_damage(view)
+        table.set_cell(10, 2, "hello")
+        assert posted == []
+        assert view.cell_rect(10, 2).is_empty()
+
+    def test_selection_above_viewport_posts_no_damage(self, make_im):
+        table = TableData(100, 3)
+        im, view = self.scrolled(make_im, table, 50)
+        view.selected = (10, 2)
+        posted = record_damage(view)
+        im.window.inject_key("x")
+        im.process_events()
+        assert view.editing == "x"
+        assert posted == []
+
+    def test_edit_damages_only_visible_changed_cells(self, make_im):
+        table = chained_sheet(240)
+        im, view = self.scrolled(make_im, table, 100)
+        posted = record_damage(view)
+        table.set_cell(90, 0, 99)  # changes B/C of rows 90..239
+        visible = view.height - 2  # header rows
+        assert len(posted) == 2 * visible
+        assert {rect.top for rect in posted} == set(range(2, 2 + visible))
+        assert {rect.left for rect in posted} == {
+            view._col_x(1), view._col_x(2)
+        }
+
+    @staticmethod
+    def view_work_per_edit(make_im, rows, monkeypatch):
+        """cell_rect and row_height calls for one edit of row 0 of a
+        ``rows``-row chain in an 80x24 view, which settles afterwards."""
+        table = chain_column(rows)
+        im = make_im(width=80, height=24)
+        view = TableView(table)
+        im.set_child(view)
+        im.process_events()
+        calls = {"cell_rect": 0, "row_height": 0}
+
+        def counted(name):
+            original = getattr(view, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                # Fail fast on an O(sheet) walk rather than running it.
+                assert calls[name] <= 1000, f"{name} called per sheet row"
+                return original(*args)
+
+            monkeypatch.setattr(view, name, wrapper)
+
+        counted("cell_rect")
+        counted("row_height")
+        table.set_cell(0, 0, 5)
+        im.process_events()
+        assert table.value_at(rows - 1, 0) == 5 + rows - 1
+        return calls, view.height - 2
+
+    def test_view_work_per_edit_independent_of_sheet_rows(
+        self, make_im, monkeypatch
+    ):
+        small, visible = self.view_work_per_edit(make_im, 240, monkeypatch)
+        large, _ = self.view_work_per_edit(make_im, 24_000, monkeypatch)
+        assert small == large
+        assert 0 < small["cell_rect"] <= visible
+
+
 class TestChartObserverChain:
     def make_chart(self):
         table = TableData(4, 2)
@@ -187,6 +296,19 @@ class TestChartObserverChain:
         im.process_events()
         table.set_cell(0, 1, 100)
         assert len(im.updates) == 1  # the §2 chain queued a repaint
+
+    @pytest.mark.parametrize("rows", [120, 480])
+    def test_one_recompute_per_edit_crossing_the_series(self, rows):
+        table = chained_sheet(rows)
+        chart = ChartData(table, series_axis="col", series_index=1)
+        for row in (0, rows // 2, rows - 1):
+            before = chart.recompute_count
+            table.set_cell(row, 0, 100 + row)  # moves B from ``row`` down
+            assert chart.recompute_count == before + 1
+        assert chart.series() == table.column_values(1)
+        before = chart.recompute_count
+        table.set_cell(rows // 2, 2, 7)  # column C only: outside the series
+        assert chart.recompute_count == before
 
     def test_bad_axis_rejected(self):
         table, _ = self.make_chart()
