@@ -573,10 +573,10 @@ class InteractionManager:
         """
         self._run_scrolls()
         if self.child is None or self.updates.is_empty():
-            # Even with no queued damage, drain the window's command
-            # buffer: a direct repaint (e.g. an UpdateEvent dispatched
-            # straight from the queue) may have recorded batched ops
-            # without going through the damage path.
+            # Even with no queued damage, flush the window: a direct
+            # repaint (e.g. an UpdateEvent dispatched straight from the
+            # queue) may have recorded remote ops without going through
+            # the damage path.
             self.window.flush()
             return 0
         with obs.span("im.flush"):

@@ -69,8 +69,8 @@ class Graphic:
     arguments are in-bounds device coordinates.
 
     A drawable may carry a :class:`~repro.graphics.batch.CommandBuffer`
-    (``_buffer``, attached by the backend window when ``ANDREW_BATCH``
-    is on): the ``_emit_*`` dispatchers below then record device ops
+    (``_buffer``, attached by a remote window, which needs its frames
+    as data): the ``_emit_*`` dispatchers below then record device ops
     instead of executing them, and the buffer replays the frame in one
     device pass at flush.  Child drawables share the parent's buffer —
     the whole window records into one op stream, in drawing order.
@@ -137,7 +137,7 @@ class Graphic:
     # ------------------------------------------------------------------
     # Op dispatch: record into the command buffer, or hit the device.
     # Every drawing operation below funnels device work through these,
-    # so batching needs no cooperation from individual ops.
+    # so recording needs no cooperation from individual ops.
     # ------------------------------------------------------------------
 
     def settle(self) -> None:
@@ -175,14 +175,13 @@ class Graphic:
         else:
             self.device_set_pixel(x, y, value)
 
-    def _emit_text(self, x: int, y: int, text: str, font: FontDesc,
-                   metrics: FontMetrics) -> None:
+    def _emit_text(self, x: int, y: int, text: str, font: FontDesc) -> None:
         if faultinject.enabled:
             faultinject.maybe_raise("wm.device")
         if self._buffer is not None:
             # The device crops clip-split glyphs, so the op must carry
             # the clip it was recorded under.
-            self._buffer.record_text(x, y, text, font, self.clip, metrics)
+            self._buffer.record_text(x, y, text, font, self.clip)
         else:
             self.device_draw_text(x, y, text, font)
 
@@ -442,7 +441,7 @@ class Graphic:
             fit += 1
         text = text[:fit]
         if text:
-            self._emit_text(device_x, device_y, text, self.state.font, metrics)
+            self._emit_text(device_x, device_y, text, self.state.font)
 
     def draw_string_centered(self, rect: Rect, text: str) -> None:
         """Draw ``text`` centered inside ``rect``."""

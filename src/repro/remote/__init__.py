@@ -1,7 +1,7 @@
 """Remote display: the command buffer as a wire protocol.
 
-PR 4 turned every frame into data (:class:`~repro.graphics.batch.
-CommandBuffer`); this package serializes that op list into a
+A remote window records every frame as data (:class:`~repro.graphics.
+batch.CommandBuffer`); this package serializes that op list into a
 versioned, delta-encoded binary stream so the toolkit can run
 server-side with dumb renderers at the edge — the thin-client split
 the paper's §8 portability story promises and the ROADMAP's

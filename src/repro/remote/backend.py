@@ -8,18 +8,14 @@ encoder's diff source and the conformance baseline), and at ``flush``
 the frame's recorded ops go through a :class:`~repro.remote.encoder.
 FrameEncoder` and out every attached sink to dumb renderers.
 
-Two deviations from a plain local backend:
-
-* drawables *always* carry a recording buffer (a wire needs ops as
-  data even when ``ANDREW_BATCH`` is off) — conformance already proves
-  batched replay byte-identical to immediate execution, so the local
-  replica is unaffected;
-* the buffer is a :class:`_RecordingBuffer`: any flush — including the
-  compositor's mid-frame ``settle()`` before an offscreen blit —
-  stashes its ops for the encoder before replaying, so the wire sees
-  every op the frame executed, in order.  The recorded ops are already
-  wire ops (:data:`repro.graphics.batch.SCHEMA`), so nothing is copied
-  or translated.
+One deviation from a plain local backend: drawables carry the
+window's :class:`~repro.graphics.batch.CommandBuffer`, so device ops
+are recorded instead of executed.  Any flush of that buffer —
+including the compositor's mid-frame ``settle()`` before an offscreen
+blit — replays its ops onto the replica and keeps them, so the wire
+sees every op the frame executed, in order.  The recorded ops already
+are wire ops (:data:`repro.graphics.batch.SCHEMA`), so nothing is
+copied or translated.
 
 Select it like any backend: ``ANDREW_WM=remote`` builds one from the
 environment (``ANDREW_REMOTE_TARGET``, ``ANDREW_REMOTE_DELTA``,
@@ -32,7 +28,7 @@ heartbeat pings, making the connection self-healing).
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+from typing import Optional
 
 from .. import obs
 from ..config import env_flag
@@ -59,30 +55,12 @@ REMOTE_DELTA_ENV = "ANDREW_REMOTE_DELTA"
 REMOTE_ADDR_ENV = "ANDREW_REMOTE_ADDR"
 
 
-class _RecordingBuffer(batch.CommandBuffer):
-    """A command buffer that hands the encoder its ops at each drain.
-
-    ``flush`` runs not just at frame boundaries but whenever something
-    must observe settled pixels mid-frame (the compositor settles the
-    window before blitting a backing store into it).  Every drain
-    appends the recorded ops, which already are wire ops, to the
-    window's stash; the window's own ``flush`` encodes the accumulated
-    stash as one frame.
-    ``discard`` (resize) drops ops without stashing — the surface they
-    targeted is gone and the resize keyframe carries the new state.
-    """
-
-    def flush(self) -> int:
-        self._window._wire_stash.extend(self._ops)
-        return super().flush()
-
-
 class _RemoteWindowMixin:
     """The wire-shipping half of a remote window (both targets)."""
 
     def _init_remote(self) -> None:
-        self.commands = _RecordingBuffer(self)
-        self._wire_stash: List[tuple] = []
+        #: The frame's recorded device ops, awaiting replay and shipping.
+        self.commands = batch.CommandBuffer(self)
         self._encoder: Optional[FrameEncoder] = None
         self._sink = FanoutSink()
         #: Heartbeat cadence: after this many consecutive flushes that
@@ -91,29 +69,32 @@ class _RemoteWindowMixin:
         self.pings_sent = 0
         self._quiet_flushes = 0
 
-    def _wrap(self, graphic):
-        # Always record — the wire needs the frame as data even with
-        # ANDREW_BATCH off (replay is proven byte-identical either way).
+    def graphic(self):
+        """The root drawable; it records into :attr:`commands`, and its
+        child drawables inherit the buffer via ``Graphic.child``."""
+        graphic = super().graphic()
         graphic._buffer = self.commands
         return graphic
+
+    def _raw_graphic(self):
+        """A full-window drawable that always hits the replica, so
+        replay can never re-record into the buffer it is draining."""
+        return super().graphic()
 
     def _wire_surface(self):
         raise NotImplementedError
 
     def flush(self) -> None:
-        super().flush()
+        self.commands.flush()
         self._ship()
 
     def _ship(self) -> None:
         encoder = self._encoder
-        ops = self._wire_stash
+        ops = self.commands.take()
         if encoder is None or not self._sink.sinks:
-            # No viewer: drop the stash; the attach keyframe will carry
+            # No viewer: drop the ops; the attach keyframe will carry
             # whatever state accumulates meanwhile.
-            if ops:
-                self._wire_stash = []
             return
-        self._wire_stash = []
         data = encoder.encode(ops, self._wire_surface())
         if data is not None:
             self._quiet_flushes = 0
@@ -131,7 +112,9 @@ class _RemoteWindowMixin:
                 faulty_send(self._sink, wire.encode_ping(encoder.last_seq))
 
     def resize(self, width: int, height: int) -> None:
-        self._wire_stash = []  # stashed ops targeted the old surface
+        # Recorded ops targeted the old surface; the queued full expose
+        # re-records everything and the encoder keyframes the new size.
+        self.commands.discard()
         super().resize(width, height)
         if self._encoder is not None:
             self._encoder.resize(width, height)

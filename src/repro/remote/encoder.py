@@ -323,7 +323,6 @@ class FrameEncoder:
             if keyframe:
                 obs.registry.inc("remote.keyframes_sent")
             obs.registry.inc("remote.bytes_sent", len(data))
-            obs.registry.observe_ns("remote.bytes_per_frame", len(data))
             if elided:
                 obs.registry.inc("remote.ops_elided", elided)
             if diffed:

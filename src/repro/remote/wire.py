@@ -1,7 +1,7 @@
 """The remote display wire format (version 2).
 
 One *frame* is everything a window's :meth:`flush` produced: the
-coalesced :class:`~repro.graphics.batch.CommandBuffer` op list plus any
+recorded :class:`~repro.graphics.batch.CommandBuffer` op list plus any
 repair/diff ops the encoder appended.  Frames are self-delimiting and
 integrity-checked so a dumb renderer can consume them from a byte
 stream and recover from corruption at the next keyframe:

@@ -237,8 +237,8 @@ class AsciiOffscreen(OffscreenWindow):
 
     def copy_to(self, target: Graphic, x: int, y: int) -> None:
         self.count_blit()
-        # The blit writes the target surface directly, so any batched
-        # ops recorded before it must land first (recording order).
+        # The blit writes the target surface directly, so any ops a
+        # remote window recorded before it must land first.
         target.settle()
         device = target.rect_to_device(Rect(x, y, self.width, self.height))
         visible = device.intersection(target.clip)
@@ -278,13 +278,13 @@ class AsciiWindow(BackendWindow):
         self.surface = CellSurface(width, height)
 
     def graphic(self) -> AsciiGraphic:
-        return self._wrap(AsciiGraphic(self.surface))
+        return AsciiGraphic(self.surface)
 
     def _resize_surface(self, width: int, height: int) -> None:
         self.surface = CellSurface(width, height)
 
     def snapshot_lines(self) -> List[str]:
-        self.flush()  # settle batched ops before observing the cells
+        self.flush()  # settle recorded ops before observing the cells
         return self.surface.lines()
 
     def snapshot(self) -> str:

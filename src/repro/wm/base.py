@@ -33,7 +33,6 @@ from typing import Deque, Dict, List, Optional, Type
 
 from .. import obs
 from ..class_system.registry import ATKObject
-from ..graphics import batch
 from ..graphics.fontdesc import FontDesc, FontMetrics
 from ..graphics.geometry import Point, Rect
 from ..graphics.graphic import Graphic
@@ -274,9 +273,6 @@ class BackendWindow:
         self._queue: Deque[Event] = collections.deque()
         self._button_down: Optional[MouseButton] = None
         self._window_system: Optional["WindowSystem"] = None
-        #: Recorded device ops awaiting replay (the ``ANDREW_BATCH``
-        #: command buffer); empty and inert while batching is off.
-        self.commands = batch.CommandBuffer(self)
 
     # -- porting points ---------------------------------------------------
 
@@ -284,37 +280,15 @@ class BackendWindow:
         """The root drawable covering the whole window."""
         raise NotImplementedError
 
-    def _wrap(self, graphic: Graphic) -> Graphic:
-        """Attach the command buffer to a freshly built drawable.
-
-        Backends route every ``graphic()`` result through here so the
-        whole frame records into one per-window op stream.  Child
-        drawables inherit the buffer via ``Graphic.child``.
-        """
-        if batch.enabled:
-            graphic._buffer = self.commands
-        return graphic
-
-    def _raw_graphic(self) -> Graphic:
-        """A full-window drawable that always hits the device.
-
-        The command buffer replays through this, so replay can never
-        re-record into the buffer it is draining.
-        """
-        graphic = self.graphic()
-        graphic._buffer = None
-        return graphic
-
     def flush(self) -> None:
         """Push buffered output to the 'display'.
 
-        Drains the command buffer: after ``flush`` the surface holds
-        every recorded op's pixels.  Anything that *observes* the
-        surface (``snapshot_lines``, ``pending_events``, a blit into
-        the window) must flush first — mid-frame observers would
-        otherwise see a half-settled display.
+        Local backends draw immediately, so there is nothing to push;
+        the remote backend replays and ships its recorded frame here.
+        Anything that *observes* the surface (``snapshot_lines``,
+        ``pending_events``) calls this first, so no backend can show a
+        half-settled display.
         """
-        self.commands.flush()
 
     def set_cursor(self, cursor: Cursor) -> None:
         self.cursor = cursor
@@ -328,10 +302,7 @@ class BackendWindow:
         The old surface is gone, so every cached backing store rendered
         for it is suspect: the owning window system's offscreen pool is
         flushed, forcing the next repaint to come from live draw code.
-        Pending command-buffer ops targeted the old surface and are
-        discarded — the queued full expose re-records everything.
         """
-        self.commands.discard()
         self.width = width
         self.height = height
         self._resize_surface(width, height)
@@ -367,9 +338,9 @@ class BackendWindow:
 
     def queued_events(self) -> int:
         """Queue depth *without* flushing — the scheduler's readiness
-        probe.  A server loop polling thousands of idle windows must
-        not force a command-buffer replay on each; anything that acts
-        on the display itself still goes through ``pending_events``."""
+        probe.  A server loop polling thousands of idle remote windows
+        must not force a frame out of each; anything that acts on the
+        display itself still goes through ``pending_events``."""
         return len(self._queue)
 
     # -- synthetic input ------------------------------------------------------

@@ -179,8 +179,8 @@ class RasterOffscreen(OffscreenWindow):
 
     def copy_to(self, target: Graphic, x: int, y: int) -> None:
         self.count_blit()
-        # The blit writes the framebuffer directly, so any batched ops
-        # recorded before it must land first (recording order).
+        # The blit writes the framebuffer directly, so any ops a remote
+        # window recorded before it must land first.
         target.settle()
         device = target.rect_to_device(Rect(x, y, self.width, self.height))
         visible = device.intersection(target.clip)
@@ -209,7 +209,7 @@ class RasterWindow(BackendWindow):
         self._requests = requests
 
     def graphic(self) -> RasterGraphic:
-        return self._wrap(RasterGraphic(self.framebuffer, self._requests))
+        return RasterGraphic(self.framebuffer, self._requests)
 
     def _resize_surface(self, width: int, height: int) -> None:
         self.framebuffer = Bitmap(width, height)
@@ -221,7 +221,7 @@ class RasterWindow(BackendWindow):
         character by ink density, so raster snapshots remain printable
         and comparable to ascii snapshots at the block level.
         """
-        self.flush()  # settle batched ops before observing the pixels
+        self.flush()  # settle recorded ops before observing the pixels
         lines = []
         for cy in range(0, self.height, cell_height):
             row = []

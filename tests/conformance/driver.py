@@ -10,11 +10,13 @@ the pieces the matrix test (and any future gate's tests) composes:
   divider / resize operations;
 * :func:`apply_op` — apply one script entry and pump the event loop;
 * :func:`fingerprint` — every cell/pixel and attribute of the window
-  surface, flushed first so batched ops cannot hide;
+  surface, flushed first so recorded ops cannot hide;
 * :func:`run_scenario` — the full loop, returning one fingerprint per
   step so divergence is reported at the exact step and op;
 * :func:`gates` — a context manager configuring the whole gate set and
-  restoring the previous state afterwards.
+  restoring the previous state afterwards;
+* :func:`recording_ws` — the ``batch`` arm's window system: the same
+  target, but every frame recorded and replayed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from repro.core import compositor
 from repro.core import faults
 from repro.core import scrollblit as scrollblit_mod
 from repro.graphics import Rect
-from repro.graphics import batch
 
 __all__ = [
     "OP_KINDS",
@@ -37,6 +38,7 @@ __all__ = [
     "fingerprint",
     "gates",
     "inject_op",
+    "recording_ws",
     "run_scenario",
     "run_scenario_remote",
     "run_scenario_server",
@@ -185,8 +187,9 @@ def apply_op(app, op: Tuple) -> None:
 def fingerprint(window):
     """Every cell/pixel and attribute of a backend window's surface.
 
-    Flushes first: a pending command buffer must never make two
-    identical frames look different (or two different frames alike).
+    Flushes first: a remote window's pending command buffer must never
+    make two identical frames look different (or two different frames
+    alike).
     """
     window.flush()
     surface = getattr(window, "surface", None)
@@ -197,6 +200,21 @@ def fingerprint(window):
             bytes(surface._bold),
         )
     return bytes(window.framebuffer._bits)  # raster: the bit plane
+
+
+def recording_ws(target: str) -> Callable:
+    """Factory for the ``batch`` arm of a matrix: ``target``'s surface
+    on the remote backend with no viewer attached.
+
+    Local windows draw immediately; this arm instead records every
+    device op into the window's command buffer and replays it onto the
+    window's own surface at flush — the path every remote frame takes.
+    Fingerprinting that surface against a local run proves recorded
+    replay byte-identical to immediate drawing.
+    """
+    from repro.remote import RemoteWindowSystem
+
+    return lambda: RemoteWindowSystem(target)
 
 
 def run_scenario(make_ws: Callable, ops: List[Tuple], width: int,
@@ -242,7 +260,8 @@ def run_scenario_server(make_ws: Callable, ops: List[Tuple], width: int,
 def run_scenario_remote(target: str, ops: List[Tuple], width: int,
                         height: int, *, delta: bool = True,
                         keyframe_interval: int = 64,
-                        chunk_size: int = None) -> List:
+                        chunk_size: int = None,
+                        replicas: List = None) -> List:
     """:func:`run_scenario`, but rendered by a wire-fed remote client.
 
     The app runs on a :class:`~repro.remote.RemoteWindowSystem`; every
@@ -254,6 +273,8 @@ def run_scenario_remote(target: str, ops: List[Tuple], width: int,
     proves the whole encode/wire/decode path byte-identical at every
     step.  The renderer attaches *after* the app's first paint — the
     late-joiner path — so step 0 also proves keyframe convergence.
+    Pass a list as ``replicas`` to also collect the sending window's
+    own surface fingerprint at every step.
     """
     from repro.remote import RemoteRenderer, RemoteWindowSystem
 
@@ -262,17 +283,24 @@ def run_scenario_remote(target: str, ops: List[Tuple], width: int,
                             keyframe_interval=keyframe_interval)
     app = build_app(ws, width, height)
     app["window"].attach_renderer(renderer, chunk_size)
-    app["window"].flush()
-    prints = [fingerprint(renderer)]
+
+    def step():
+        # fingerprint() flushes the window, shipping the frame first.
+        if replicas is not None:
+            replicas.append(fingerprint(app["window"]))
+        else:
+            app["window"].flush()
+        return fingerprint(renderer)
+
+    prints = [step()]
     for op in ops:
         apply_op(app, op)
-        app["window"].flush()
-        prints.append(fingerprint(renderer))
+        prints.append(step())
     return prints
 
 
 @contextlib.contextmanager
-def gates(batch_on: bool, compositor_on: bool, metrics_on: bool,
+def gates(compositor_on: bool, metrics_on: bool,
           quarantine: bool = None, *,
           scrollblit: bool = None) -> Iterator[None]:
     """Configure the rendering-gate set; restore the old state after.
@@ -282,12 +310,10 @@ def gates(batch_on: bool, compositor_on: bool, metrics_on: bool,
     render identically either way, which their matrices prove by
     flipping them explicitly).
     """
-    was_batch = batch.enabled
     was_comp = compositor.enabled
     was_metrics = obs.metrics_enabled()
     was_quarantine = faults.enabled
     was_scrollblit = scrollblit_mod.enabled
-    batch.configure(batch_on)
     compositor.configure(compositor_on)
     obs.configure(metrics=metrics_on, reset_data=True)
     if quarantine is not None:
@@ -297,7 +323,6 @@ def gates(batch_on: bool, compositor_on: bool, metrics_on: bool,
     try:
         yield
     finally:
-        batch.configure(was_batch)
         compositor.configure(was_comp)
         obs.configure(metrics=was_metrics, reset_data=True)
         faults.configure(was_quarantine)

@@ -37,7 +37,14 @@ from repro.wm.ascii_ws import AsciiWindowSystem
 from repro.wm.raster_ws import RasterWindowSystem
 from tests.randutil import describe_seed, seeded_rng
 
-from .driver import build_app, fingerprint, gates, inject_op, scenario_ops
+from .driver import (
+    build_app,
+    fingerprint,
+    gates,
+    inject_op,
+    recording_ws,
+    scenario_ops,
+)
 
 #: backend -> (window system, width, height, steps, seed offset).
 BACKENDS = {
@@ -45,8 +52,9 @@ BACKENDS = {
     "raster": (RasterWindowSystem, 100, 56, 40, 5000),
 }
 
-#: (batch, compositor) arms — chaos must hold with the rendering
-#: optimisations both off and both on.
+#: (batch, compositor) arms — chaos must hold on a local window with
+#: the backing stores off, and on a recording window (see
+#: :func:`~tests.conformance.driver.recording_ws`) with them on.
 ARMS = {"plain": (False, False), "batch+compositor": (True, True)}
 
 DEFAULT_SEED = 20260806
@@ -84,6 +92,8 @@ def _quarantined_views(root):
 def test_chaos_faults_are_contained_and_accounted(backend, arm):
     make_ws, width, height, steps, offset = BACKENDS[backend]
     batch_on, compositor_on = ARMS[arm]
+    if batch_on:
+        make_ws = recording_ws(backend)
     seed, rate = _fault_spec()
     ops = scenario_ops(seeded_rng(offset), steps, width, height)
     context = (
@@ -91,7 +101,7 @@ def test_chaos_faults_are_contained_and_accounted(backend, arm):
         f"{describe_seed(offset)}"
     )
 
-    with gates(batch_on, compositor_on, metrics_on=True, quarantine=True):
+    with gates(compositor_on, metrics_on=True, quarantine=True):
         # Build clean: the containment story starts from a healthy app.
         app = build_app(make_ws(), width, height)
         injector = faultinject.configure(seed, rate)
@@ -190,7 +200,7 @@ def test_salvaged_objects_round_trip_under_injection():
     table = TableData(4, 2)
     table.set_cell(1, 1, 42)
     text = write_document(table)
-    with gates(False, False, metrics_on=True, quarantine=True):
+    with gates(False, metrics_on=True, quarantine=True):
         # Rate 1.0: the very first object read fails, salvaging the lot.
         faultinject.configure(7, 1.0, seams=("datastream.read",))
         try:

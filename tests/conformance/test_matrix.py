@@ -2,15 +2,21 @@
 
 For each backend, one seeded scenario script (edits, scrolls, exposes,
 divider moves, resizes) runs once with every gate off — the baseline —
-and then once under every other combination of ``ANDREW_BATCH`` x
+and then once under every other combination of ``batch`` x
 ``ANDREW_COMPOSITOR`` x ``ANDREW_METRICS``.  After every step the
 window surface must be byte-identical to the baseline's; a divergence
 names the step, the op and the seed so it replays with
 ``ANDREW_TEST_SEED``.
+
+``batch`` is not a gate but a window-system arm: the session runs on
+:func:`~tests.conformance.driver.recording_ws`, which records every
+frame into a command buffer and replays it at flush, as the remote
+backend does.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 
 import pytest
@@ -19,7 +25,7 @@ from repro.wm.ascii_ws import AsciiWindowSystem
 from repro.wm.raster_ws import RasterWindowSystem
 from tests.randutil import describe_seed, seeded_rng
 
-from .driver import gates, run_scenario, scenario_ops
+from .driver import gates, recording_ws, run_scenario, scenario_ops
 
 #: backend -> (window system, width, height, steps, seed offset).
 #: The raster arm is smaller — every step fingerprints the whole bit
@@ -40,6 +46,15 @@ def _combo_id(combo):
     return "+".join(on)
 
 
+@contextlib.contextmanager
+def arm(backend, combo):
+    """Set ``combo``'s gates and yield its window-system factory."""
+    batch_on, compositor_on, metrics_on = combo
+    make_ws = recording_ws(backend) if batch_on else BACKENDS[backend][0]
+    with gates(compositor_on, metrics_on):
+        yield make_ws
+
+
 #: Per-backend memo of (ops, stepwise baseline fingerprints): the
 #: all-off arm renders once per backend, not once per combo.
 _baselines = {}
@@ -47,9 +62,9 @@ _baselines = {}
 
 def _baseline(backend):
     if backend not in _baselines:
-        make_ws, width, height, steps, offset = BACKENDS[backend]
+        _, width, height, steps, offset = BACKENDS[backend]
         ops = scenario_ops(seeded_rng(offset), steps, width, height)
-        with gates(*ALL_OFF):
+        with arm(backend, ALL_OFF) as make_ws:
             prints = run_scenario(make_ws, ops, width, height)
         _baselines[backend] = (ops, prints)
     return _baselines[backend]
@@ -59,9 +74,9 @@ def _baseline(backend):
 def test_baseline_is_deterministic(backend):
     """Two all-off runs of the same script render identically — the
     floor under every other comparison in this matrix."""
-    make_ws, width, height, _steps, offset = BACKENDS[backend]
+    _, width, height, _steps, offset = BACKENDS[backend]
     ops, expected = _baseline(backend)
-    with gates(*ALL_OFF):
+    with arm(backend, ALL_OFF) as make_ws:
         again = run_scenario(make_ws, ops, width, height)
     assert again == expected, (
         f"nondeterministic baseline on {backend} ({describe_seed(offset)})"
@@ -76,7 +91,7 @@ def test_quarantine_off_matches_baseline(backend):
     until something actually raises."""
     make_ws, width, height, _steps, offset = BACKENDS[backend]
     ops, expected = _baseline(backend)
-    with gates(*ALL_OFF, quarantine=False):
+    with gates(False, False, quarantine=False):
         actual = run_scenario(make_ws, ops, width, height)
     assert len(actual) == len(expected)
     for step, (got, want) in enumerate(zip(actual, expected)):
@@ -90,9 +105,9 @@ def test_quarantine_off_matches_baseline(backend):
 @pytest.mark.parametrize("combo", COMBOS, ids=_combo_id)
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_gate_combo_matches_baseline(backend, combo):
-    make_ws, width, height, _steps, offset = BACKENDS[backend]
+    _, width, height, _steps, offset = BACKENDS[backend]
     ops, expected = _baseline(backend)
-    with gates(*combo):
+    with arm(backend, combo) as make_ws:
         actual = run_scenario(make_ws, ops, width, height)
     assert len(actual) == len(expected)
     for step, (got, want) in enumerate(zip(actual, expected)):

@@ -7,15 +7,19 @@ encoded, shipped through the in-process pipe and decoded by a dumb
 *renderer's* replica must be byte-identical to a plain local backend
 run of the same script.  Axes:
 
-* ``ANDREW_BATCH`` x ``ANDREW_COMPOSITOR`` x ``ANDREW_SCROLLBLIT`` —
-  all eight combinations, on both render targets (the compositor's
-  direct surface writes and scroll shift-blits are exactly what the
-  encoder's shadow-diff repair must absorb);
+* ``batch`` x ``ANDREW_COMPOSITOR`` x ``ANDREW_SCROLLBLIT`` — all
+  eight combinations, on both render targets (the compositor's direct
+  surface writes and scroll shift-blits are exactly what the encoder's
+  shadow-diff repair must absorb).  A remote window always records;
+  the ``batch`` arm also holds the *sender's* replayed surface to the
+  local baseline at every step, not only the renderer's;
 * delta-encoding off vs on (identity must not depend on compression);
 * a short keyframe interval + chunked 13-byte writes (periodic
   keyframes and partial-frame buffering must be invisible);
 * a chaos arm: seeded ``remote.send`` faults drop/truncate frames and
-  the renderer must resynchronize at the next keyframe.
+  the renderer must resynchronize at the next keyframe;
+* a glyph client — one device request per character — whose recorded
+  frames must hold exactly one op per request the local run issued.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ import itertools
 import pytest
 
 from repro import obs
+from repro.components.text.textdata import TextData
+from repro.components.text.textview import TextView
+from repro.core import InteractionManager
 from repro.testing import faultinject
 from repro.wm.ascii_ws import AsciiWindowSystem
 from repro.wm.raster_ws import RasterWindowSystem
@@ -63,7 +70,7 @@ def _baseline(target):
     if target not in _baselines:
         make_ws, width, height, steps, offset = BACKENDS[target]
         ops = scenario_ops(seeded_rng(offset), steps, width, height)
-        with gates(False, False, metrics_on=False):
+        with gates(False, metrics_on=False):
             prints = run_scenario(make_ws, ops, width, height)
         _baselines[target] = (ops, prints)
     return _baselines[target]
@@ -86,10 +93,14 @@ def test_remote_matches_local_across_gates(target, combo):
     _, width, height, _steps, _offset = BACKENDS[target]
     ops, expected = _baseline(target)
     batch_on, compositor_on, scrollblit_on = combo
-    with gates(batch_on, compositor_on, metrics_on=False,
-               scrollblit=scrollblit_on):
-        actual = run_scenario_remote(target, ops, width, height)
+    replicas = [] if batch_on else None
+    with gates(compositor_on, metrics_on=False, scrollblit=scrollblit_on):
+        actual = run_scenario_remote(target, ops, width, height,
+                                     replicas=replicas)
     _compare(target, actual, ops, expected, f"gates={_combo_id(combo)}")
+    if batch_on:
+        _compare(target, replicas, ops, expected,
+                 f"gates={_combo_id(combo)}, sender replica")
 
 
 @pytest.mark.parametrize("target", sorted(BACKENDS))
@@ -97,7 +108,7 @@ def test_remote_delta_off_matches_local(target):
     """Identity must not depend on the compression arm."""
     _, width, height, _steps, _offset = BACKENDS[target]
     ops, expected = _baseline(target)
-    with gates(True, True, metrics_on=False):
+    with gates(True, metrics_on=False):
         actual = run_scenario_remote(target, ops, width, height,
                                      delta=False)
     _compare(target, actual, ops, expected, "delta=off")
@@ -109,7 +120,7 @@ def test_remote_keyframes_and_chunked_feed_match_local(target):
     partial-frame buffering exercised on every step, same bytes out."""
     _, width, height, _steps, _offset = BACKENDS[target]
     ops, expected = _baseline(target)
-    with gates(True, True, metrics_on=False):
+    with gates(True, metrics_on=False):
         actual = run_scenario_remote(target, ops, width, height,
                                      keyframe_interval=3, chunk_size=13)
     _compare(target, actual, ops, expected,
@@ -130,7 +141,7 @@ def test_remote_resynchronizes_after_transport_faults(target):
     _, width, height, steps, offset = BACKENDS[target]
     interval = 4
     ops = scenario_ops(seeded_rng(offset), steps, width, height)
-    with gates(True, True, metrics_on=True):
+    with gates(True, metrics_on=True):
         renderer = RemoteRenderer()
         ws = RemoteWindowSystem(target, keyframe_interval=interval)
         app = build_app(ws, width, height)
@@ -162,3 +173,84 @@ def test_remote_resynchronizes_after_transport_faults(target):
             f"{renderer.resyncs} resyncs, {renderer.frames_skipped} "
             f"skipped); {describe_seed(offset)}"
         )
+
+
+# ---------------------------------------------------------------------------
+# A glyph client: one device request per character, recorded one to one.
+# ---------------------------------------------------------------------------
+
+
+class GlyphByGlyph:
+    """A drawable that issues one ``draw_string`` request per glyph,
+    the way a character-cell client (a terminal emulator, a hand-rolled
+    editor) drives the device."""
+
+    def __init__(self, graphic) -> None:
+        self._graphic = graphic
+
+    def __getattr__(self, name):
+        return getattr(self._graphic, name)
+
+    def draw_string(self, x: int, y: int, text: str) -> None:
+        for char in text:
+            self._graphic.draw_string(x, y, char)
+            x += self._graphic.string_width(char)
+
+
+class GlyphTextView(TextView):
+    """``TextView`` painted glyph by glyph: the per-glyph client."""
+
+    def draw(self, graphic) -> None:
+        super().draw(GlyphByGlyph(graphic))
+
+
+def _glyph_session(window_system, width, height):
+    """Type, scroll and expose a glyph-client text view; yield the
+    window after every pumped step."""
+    im = InteractionManager(window_system, width=width, height=height)
+    view = GlyphTextView(TextData("\n".join(
+        f"paragraph {i:02d}: the quick brown fox jumps over the lazy dog"
+        for i in range(30)
+    )))
+    im.set_child(view)
+    im.set_focus(view)
+    im.process_events()
+    yield im.window
+    for step, char in enumerate("glyph\tby\nglyph"):
+        im.window.inject_key("Return" if char == "\n" else char)
+        if step % 4 == 3:
+            im.window.inject_expose()
+        im.process_events()
+        yield im.window
+    for pos in (3, 9, 4):
+        view.set_scroll_pos(pos)
+        im.process_events()
+        yield im.window
+
+
+@pytest.mark.parametrize("target", sorted(BACKENDS))
+def test_glyph_client_records_one_op_per_device_request(target):
+    """Remote recording merges nothing: a glyph client's renderer
+    matches the local render byte for byte at every step, and the
+    frames it was sent hold exactly one op per device request that the
+    same session issued on the local backend."""
+    from repro.remote import RemoteRenderer, RemoteWindowSystem
+
+    make_ws, width, height, _steps, _offset = BACKENDS[target]
+    with gates(False, metrics_on=True):
+        expected = [fingerprint(window)
+                    for window in _glyph_session(make_ws(), width, height)]
+        local_requests = obs.registry.counter(f"wm.{target}.requests")
+    with gates(False, metrics_on=True):
+        renderer = RemoteRenderer()
+        ws = RemoteWindowSystem(target, renderer=renderer)
+        actual = []
+        for window in _glyph_session(ws, width, height):
+            window.flush()
+            actual.append(fingerprint(renderer))
+        recorded = obs.registry.counter("wm.requests_batched")
+        replayed = obs.registry.counter("wm.batch_ops_replayed")
+    assert actual == expected
+    assert local_requests > 500  # the client really is request-heavy
+    assert recorded == local_requests
+    assert replayed == local_requests

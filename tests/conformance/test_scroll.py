@@ -3,8 +3,9 @@
 ``ANDREW_SCROLLBLIT`` turns a scroll from repaint-everything into a
 same-surface ``copy_area`` plus one exposed-strip repaint.  The
 contract is the usual one: flipping the gate must not change a single
-cell/pixel, at any step, under any combination of the other rendering
-gates, on either backend.
+cell/pixel, at any step, under any combination of the compositor gate
+and the ``batch`` arm (the session recorded and replayed at flush, see
+:func:`~tests.conformance.driver.recording_ws`), on either backend.
 
 Five scripted scenarios cover the scroll entry points — wheel-style
 relative scrolls, keyboard paging, dragging the scroll-bar thumb,
@@ -32,6 +33,7 @@ from .driver import (
     build_app,
     fingerprint,
     gates,
+    recording_ws,
     scenario_ops,
 )
 
@@ -41,8 +43,8 @@ BACKENDS = {
     "raster": (RasterWindowSystem, 100, 56),
 }
 
-#: Every ANDREW_BATCH x ANDREW_COMPOSITOR combination; the scrollblit
-#: axis is the one under test, flipped inside each combo.
+#: Every batch x ANDREW_COMPOSITOR combination; the scrollblit axis is
+#: the one under test, flipped inside each combo.
 COMBOS = list(itertools.product((False, True), repeat=2))
 
 
@@ -156,9 +158,11 @@ def test_scrollblit_identity(backend, combo, scenario):
     make_ws, width, height = BACKENDS[backend]
     ops = _scenarios(width, height)[scenario]
     batch_on, compositor_on = combo
-    with gates(batch_on, compositor_on, False, scrollblit=False):
+    if batch_on:
+        make_ws = recording_ws(backend)
+    with gates(compositor_on, False, scrollblit=False):
         expected = _run_bar_scenario(make_ws, ops, width, height)
-    with gates(batch_on, compositor_on, False, scrollblit=True):
+    with gates(compositor_on, False, scrollblit=True):
         actual = _run_bar_scenario(make_ws, ops, width, height)
     for step, (want, got) in enumerate(zip(expected, actual)):
         assert got == want, (
@@ -199,9 +203,9 @@ def test_scrollblit_fuzz_identity(backend, seed_offset):
             prints.append(fingerprint(app["window"]))
         return prints
 
-    with gates(False, True, False, scrollblit=False):
+    with gates(True, False, scrollblit=False):
         expected = run()
-    with gates(False, True, False, scrollblit=True):
+    with gates(True, False, scrollblit=True):
         actual = run()
     for step, (want, got) in enumerate(zip(expected, actual)):
         assert got == want, (

@@ -19,12 +19,18 @@ from tests.randutil import describe_seed, seeded_rng
 from .driver import (
     build_app,
     fingerprint,
-    gates,
     inject_op,
     run_scenario_server,
     scenario_ops,
 )
-from .test_matrix import ALL_OFF, BACKENDS, COMBOS, _baseline, _combo_id
+from .test_matrix import (
+    ALL_OFF,
+    BACKENDS,
+    COMBOS,
+    _baseline,
+    _combo_id,
+    arm,
+)
 
 
 @pytest.mark.parametrize("combo", [ALL_OFF] + COMBOS,
@@ -33,9 +39,9 @@ from .test_matrix import ALL_OFF, BACKENDS, COMBOS, _baseline, _combo_id
 def test_served_session_matches_standalone(backend, combo):
     """ServerLoop-hosted rendering is byte-identical to the standalone
     ``process_events`` loop, at every step, under every gate combo."""
-    make_ws, width, height, _steps, offset = BACKENDS[backend]
+    _, width, height, _steps, offset = BACKENDS[backend]
     ops, expected = _baseline(backend)
-    with gates(*combo):
+    with arm(backend, combo) as make_ws:
         actual = run_scenario_server(make_ws, ops, width, height,
                                      slice_events=1)
     assert len(actual) == len(expected)
@@ -56,10 +62,10 @@ def test_served_scenario_really_slices(backend):
     above is comparing two effectively unsliced runs."""
     from repro.server import ServerLoop
 
-    make_ws, width, height, steps, offset = BACKENDS[backend]
+    _, width, height, steps, offset = BACKENDS[backend]
     ops = scenario_ops(seeded_rng(offset), steps, width, height)
     chunk = 8
-    with gates(*ALL_OFF):
+    with arm(backend, ALL_OFF) as make_ws:
         loop = ServerLoop(slice_events=1)
         app = build_app(make_ws(), width, height)
         session = loop.add_session(im=app["im"], session_id="conformance")

@@ -50,7 +50,6 @@ class TestRasterDetails:
         graphic = window.graphic()
         graphic.fill_rect(Rect(0, 0, 4, 4), 1)
         graphic.invert_rect(Rect(0, 0, 10, 10))
-        window.flush()  # settle batched ops before reading raw pixels
         assert window.framebuffer.get(0, 0) == 0
         assert window.framebuffer.get(9, 9) == 1
 

@@ -10,7 +10,6 @@ import pytest
 from repro import obs
 from repro.config import env_flag
 from repro.core import compositor, faults, scrollblit
-from repro.graphics import batch
 from repro.remote import RemoteWindowSystem
 from repro.remote.backend import REMOTE_DELTA_ENV
 from repro.remote.reconnect import RECONNECT_ENV, reconnect_from_env
@@ -21,7 +20,6 @@ from repro.server.supervisor import SUPERVISE_ENV, supervise_from_env
 FLAGS = [
     (obs.METRICS_ENV, False, None),
     (obs.TRACE_ENV, False, None),
-    (batch.BATCH_ENV, False, None),
     (compositor.COMPOSITOR_ENV, False, None),
     (scrollblit.SCROLLBLIT_ENV, True, None),
     (faults.QUARANTINE_ENV, True, None),

@@ -247,7 +247,7 @@ class TestRemoteWindowSystem:
         window.graphic().draw_string(0, 0, "unseen")
         window.flush()
         assert window._encoder.frames_sent == 0
-        assert window._wire_stash == []
+        assert window.commands.frame == []
 
     def test_from_env_reads_target_and_delta(self, monkeypatch):
         monkeypatch.setenv(REMOTE_TARGET_ENV, "raster")

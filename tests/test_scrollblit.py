@@ -2,7 +2,7 @@
 
 Covers the layers one by one: the backend ``copy_area`` device op
 (both surfaces, both shift directions, attribute planes, containment
-within the shifted area), command-buffer record/replay, the
+within the shifted area), remote command-buffer record/replay, the
 ``want_scroll`` accept/fallback rules on the interaction manager,
 scroll composition, the telemetry counters, the sub-rect backing-store
 repair, and the two satellite regressions (scrolling must not dirty
@@ -20,7 +20,7 @@ from repro.components.text.textdata import TextData
 from repro.core import InteractionManager, compositor, scrollblit
 from repro.core.view import View
 from repro.graphics import Rect
-from repro.graphics import batch
+from repro.remote import RemoteWindowSystem
 from repro.wm import AsciiWindowSystem, RasterWindowSystem
 
 
@@ -128,23 +128,27 @@ class TestRasterCopyArea:
 
 
 def test_batch_records_and_replays_copy_area(telemetry):
-    was = batch.enabled
-    batch.configure(True)
-    try:
-        ws = AsciiWindowSystem()
-        window = ws.create_window("t", 20, 10)
+    """A remote window records the shift and replays it at flush."""
+    for target in ("ascii", "raster"):
+        obs.registry.reset()
+        window = RemoteWindowSystem(target).create_window("t", 20, 10)
         g = window.graphic()
-        g.draw_string(0, 5, "xyz")
+        g.fill_rect(Rect(0, 5, 3, 1), 1)
         window.flush()
+
+        def inked(y):
+            if target == "ascii":
+                return "".join(window.surface._chars[y * 20:y * 20 + 3])
+            return bytes(window.framebuffer._bits[y * 20:y * 20 + 3])
+
+        row = inked(5)
         g.copy_area(Rect(0, 0, 20, 10), 0, -4)
-        # Buffered: the surface must not show the shift until flush.
-        assert "".join(window.surface._chars[1 * 20:1 * 20 + 3]) == "   "
-        assert telemetry.counter("wm.ascii.copy_area") == 0
+        # Recorded: the surface must not show the shift until flush.
+        assert inked(1) != row
+        assert telemetry.counter(f"wm.{target}.copy_area") == 0
         window.flush()
-        assert telemetry.counter("wm.ascii.copy_area") == 1
-        assert "".join(window.surface._chars[1 * 20:1 * 20 + 3]) == "xyz"
-    finally:
-        batch.configure(was)
+        assert telemetry.counter(f"wm.{target}.copy_area") == 1
+        assert inked(1) == row
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,6 @@ class TestRasterBackend:
     def test_text_produces_pixels(self, raster_ws):
         window = raster_ws.create_window("t", 100, 20)
         window.graphic().draw_string(0, 0, "HELLO")
-        window.flush()  # settle batched ops before reading raw pixels
         assert window.framebuffer.ink_count() > 0
 
     def test_font_scale_grows_with_point_size(self, raster_ws):
@@ -86,7 +85,6 @@ class TestRasterBackend:
         graphic = window.graphic()
         graphic.fill_rect(Rect(0, 0, 5, 5), 1)
         graphic.draw_string(0, 0, "x")
-        window.flush()  # requests are tallied at replay when batching
         stats = raster_ws.stats()
         assert stats["fill_rect"] >= 1
         assert stats["draw_text"] >= 1
