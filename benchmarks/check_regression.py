@@ -9,6 +9,11 @@ reductions) are checked the other way: a baseline claim (e.g. "13x
 fewer requests") that *drops* by more than the threshold is also
 flagged, catching coalescer regressions that timing noise would hide.
 
+Committed baselines hold the ``summary`` block only (plus an optional
+``note`` on how it was measured).  A fresh snapshot may also carry the
+raw ``registry`` dump; it is never compared, so it is not committed,
+where it would drift from the code unread.
+
 Most flags are advisory — shared CI runners have noisy clocks — so
 they print as warnings and the exit code stays 0 (pass ``--strict``
 to turn every warning into a failure for local A/B runs).  The

@@ -102,24 +102,31 @@ def delta_compress(ops: List[tuple],
 def diff_cells(old, new, max_gap: int = 4) -> Tuple[List[tuple], int]:
     """Changed-cell runs between two equally sized ``CellSurface``s.
 
-    Per row, changed cells group into runs; gaps of up to ``max_gap``
-    unchanged cells merge into the surrounding run (re-sending a few
-    identical cells is cheaper than another op header).  Returns
-    ``(cells_ops, changed_cell_count)``.
+    Rows whose chars and attributes compare equal as slices (one C-level
+    compare each) are skipped; only the rows that differ get the
+    per-cell scan.  Per row, changed cells group into runs; gaps of up
+    to ``max_gap`` unchanged cells merge into the surrounding run
+    (re-sending a few identical cells is cheaper than another op
+    header).  Returns ``(cells_ops, changed_cell_count)``.
     """
     ops: List[tuple] = []
     changed = 0
     width = new.width
+    old_chars, old_inverse, old_bold = old._chars, old._inverse, old._bold
+    new_chars, new_inverse, new_bold = new._chars, new._inverse, new._bold
     for y in range(new.height):
         base = y * width
+        end = base + width
+        if (old_chars[base:end] == new_chars[base:end]
+                and old_inverse[base:end] == new_inverse[base:end]
+                and old_bold[base:end] == new_bold[base:end]):
+            continue
         row_changed = [
             x for x in range(width)
-            if (old._chars[base + x] != new._chars[base + x]
-                or old._inverse[base + x] != new._inverse[base + x]
-                or old._bold[base + x] != new._bold[base + x])
+            if (old_chars[base + x] != new_chars[base + x]
+                or old_inverse[base + x] != new_inverse[base + x]
+                or old_bold[base + x] != new_bold[base + x])
         ]
-        if not row_changed:
-            continue
         changed += len(row_changed)
         run_start = prev = row_changed[0]
         runs = []
@@ -130,10 +137,9 @@ def diff_cells(old, new, max_gap: int = 4) -> Tuple[List[tuple], int]:
             prev = x
         runs.append((run_start, prev))
         for x0, x1 in runs:
-            count = x1 - x0 + 1
-            chars = "".join(new._chars[base + x0:base + x1 + 1])
-            inverse = wire.pack_bits(new._inverse[base + x0:base + x1 + 1])
-            bold = wire.pack_bits(new._bold[base + x0:base + x1 + 1])
+            chars = "".join(new_chars[base + x0:base + x1 + 1])
+            inverse = wire.pack_bits(new_inverse[base + x0:base + x1 + 1])
+            bold = wire.pack_bits(new_bold[base + x0:base + x1 + 1])
             ops.append(("cells", y, x0, chars, inverse, bold))
     return ops, changed
 
@@ -265,7 +271,7 @@ class FrameEncoder:
     def _sync_shadow(self, surface) -> None:
         shadow = self._shadow
         if self.target == "ascii":
-            shadow._chars[:] = list(surface._chars)
+            shadow._chars[:] = surface._chars
             shadow._inverse[:] = surface._inverse
             shadow._bold[:] = surface._bold
         else:

@@ -28,6 +28,9 @@ _V = "|"
 _X = "+"
 _INK = "#"
 
+#: ``bytes.translate`` table that flips a cell's inverse attribute.
+_FLIP = bytes(b ^ 1 for b in range(256))
+
 #: Cell-device metrics memo, shared by the graphic (per draw_string)
 #: and the window system (per layout query): every font is one cell.
 _CELL_METRICS: Dict[FontDesc, FontMetrics] = {}
@@ -126,14 +129,27 @@ class AsciiGraphic(Graphic):
     def device_fill_rect(self, rect: Rect, value: int) -> None:
         self._tally("fill_rect")
         surface = self._surface
-        for y in range(rect.top, rect.bottom):
-            for x in range(rect.left, rect.right):
-                if value < 0:
-                    surface.toggle_inverse(x, y)
-                elif value:
-                    surface.put(x, y, _INK, inverse=0)
-                else:
-                    surface.put(x, y, " ", inverse=0, bold=0)
+        width = surface.width
+        left, right = max(rect.left, 0), min(rect.right, width)
+        top, bottom = max(rect.top, 0), min(rect.bottom, surface.height)
+        if left >= right or top >= bottom:
+            return
+        span = right - left
+        inverse = surface._inverse
+        if value < 0:
+            for y in range(top, bottom):
+                i = y * width + left
+                inverse[i:i + span] = inverse[i:i + span].translate(_FLIP)
+            return
+        chars, bold = surface._chars, surface._bold
+        ink = [_INK if value else " "] * span
+        zeros = bytes(span)
+        for y in range(top, bottom):
+            i = y * width + left
+            chars[i:i + span] = ink
+            inverse[i:i + span] = zeros
+            if not value:
+                bold[i:i + span] = zeros
 
     def device_set_pixel(self, x: int, y: int, value: int) -> None:
         self._tally("set_pixel")
@@ -189,22 +205,22 @@ class AsciiGraphic(Graphic):
 
     def device_draw_text(self, x: int, y: int, text: str, font: FontDesc) -> None:
         self._tally("draw_text")
+        surface = self._surface
         clip = self.clip
-        if y < clip.top or y >= clip.bottom:
+        if not (max(clip.top, 0) <= y < min(clip.bottom, surface.height)):
             return
-        bold = 1 if font.bold else 0
-        col = x
-        for char in text:
-            if char == "\t":
-                # A tab spans four cells, so a clip edge can split it.
-                for _ in range(4):
-                    if clip.left <= col < clip.right:
-                        self._surface.put(col, y, " ", inverse=0, bold=bold)
-                    col += 1
-                continue
-            if clip.left <= col < clip.right:
-                self._surface.put(col, y, char, inverse=0, bold=bold)
-            col += 1
+        # A tab spans four blank cells, so a clip edge can split it.
+        if "\t" in text:
+            text = text.replace("\t", "    ")
+        left = max(x, clip.left, 0)
+        right = min(x + len(text), clip.right, surface.width)
+        if left >= right:
+            return
+        span = right - left
+        i = y * surface.width + left
+        surface._chars[i:i + span] = text[left - x:right - x]
+        surface._inverse[i:i + span] = bytes(span)
+        surface._bold[i:i + span] = b"\x01" * span if font.bold else bytes(span)
 
     def device_blit(self, bitmap: Bitmap, x: int, y: int) -> None:
         self._tally("blit")
@@ -250,18 +266,20 @@ class AsciiOffscreen(OffscreenWindow):
             # cached backing store lands pixel-identical.
             target._tally("blit")
             src, dst = self.surface, target._surface
-            sx0 = visible.left - device.left
-            sy0 = visible.top - device.top
+            # Clamp to the destination surface too: a clip may run past
+            # it, and a negative slice index would silently wrap.
+            visible = visible.intersection(Rect(0, 0, dst.width, dst.height))
+            if visible.is_empty():
+                return
+            span = visible.width
+            sx = visible.left - device.left
+            sy = visible.top - device.top
             for row in range(visible.height):
-                sy = sy0 + row
-                dy = visible.top + row
-                for col in range(visible.width):
-                    sx = sx0 + col
-                    dst.put(
-                        visible.left + col, dy, src.char_at(sx, sy),
-                        inverse=1 if src.inverse_at(sx, sy) else 0,
-                        bold=1 if src.bold_at(sx, sy) else 0,
-                    )
+                s = (sy + row) * src.width + sx
+                d = (visible.top + row) * dst.width + visible.left
+                dst._chars[d:d + span] = src._chars[s:s + span]
+                dst._inverse[d:d + span] = src._inverse[s:s + span]
+                dst._bold[d:d + span] = src._bold[s:s + span]
         else:
             # Cross-medium fallback (e.g. a printer drawable): rows as
             # text, which the target clips at glyph granularity.
