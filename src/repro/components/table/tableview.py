@@ -274,8 +274,8 @@ class TableView(View, Scrollable):
         # char_width columns wide, spilling past the 1-unit row/column
         # pitch.  Skipping a string whose anchor is outside the clip but
         # whose ink reaches into it would make a clipped repaint diverge
-        # from the full render — the idempotence the damage system (and
-        # the compositor's sub-rect store repair) relies on.
+        # from the full render — the idempotence the damage system
+        # relies on.
         ink_h = graphic.line_height()
         ink_w = graphic.string_width("0")
         # Column headers and the full-height separators.  Separators are

@@ -66,10 +66,6 @@ class InteractionManager:
         #: flush, *before* any damage repaint touches the surface.
         self._pending_scrolls: dict = {}
         self._shift_capable: Optional[bool] = None
-        #: True only inside a window-targeted repaint pass; the view
-        #: tree consults it so backing stores are used for (and filled
-        #: from) live window rendering, never for printer drawables.
-        self.compositing = False
 
     # ------------------------------------------------------------------
     # Tree root management
@@ -80,9 +76,9 @@ class InteractionManager:
 
         Replacing an existing child unlinks the *whole* outgoing
         subtree through :meth:`view_unlinked` first: queued damage is
-        discarded, backing-store surfaces go back to the pool, and any
-        grab, focus or timer subscription held by a detached view dies
-        with the tree instead of leaking into the new one.
+        discarded, and any grab, focus or timer subscription held by a
+        detached view dies with the tree instead of leaking into the new
+        one.
         """
         previous = self.child
         if previous is not None and previous is not view:
@@ -523,20 +519,17 @@ class InteractionManager:
         return False
 
     def _run_scrolls(self) -> None:
-        """Execute queued shifts against the window and backing stores.
+        """Execute queued shifts against the window surface.
 
         Runs at the head of every repaint pass, so shifts always move
         *pre-repaint* pixels; the exposed-strip damage queued alongside
-        then repaints on the shifted surface.  Backing stores along the
-        scrolled view's ancestor chain shift too — that is what keeps a
-        scrolled clean pane satisfiable by a single blit.
+        then repaints on the shifted surface.
         """
         if not self._pending_scrolls:
             return
         records = list(self._pending_scrolls.values())
         self._pending_scrolls.clear()
         root = self.window.graphic()
-        metered = obs.metrics_on
         for view, area, dy, _strip in records:
             if view.interaction_manager() is not self:
                 continue
@@ -544,24 +537,12 @@ class InteractionManager:
             with faultinject.suspended():
                 # Toolkit ink: shifts are the IM's own surface surgery.
                 root.copy_area(area.offset(origin.x, origin.y), 0, dy)
-                if metered:
+                if obs.metrics_on:
                     obs.registry.inc("view.scroll_blits")
                     obs.registry.inc(
                         "im.scroll_area_saved",
                         (area.height - abs(dy)) * area.width,
                     )
-                node, off_x, off_y = view, 0, 0
-                while node is not None:
-                    surface = node._backing
-                    if surface is not None and node._backing_valid:
-                        surface.graphic().copy_area(
-                            area.offset(off_x, off_y), 0, dy
-                        )
-                        if metered:
-                            obs.registry.inc("view.scroll_blits")
-                    off_x += node.bounds.left
-                    off_y += node.bounds.top
-                    node = node.parent
 
     def flush_updates(self) -> int:
         """Send queued damage back down as clipped full-update passes.
@@ -647,7 +628,6 @@ class InteractionManager:
         if obs.metrics_on:
             obs.registry.inc("im.repaints")
             obs.registry.inc("im.repaint_area", damage.area)
-        self.compositing = True
         try:
             with obs.span("im.repaint", area=damage.area):
                 with faultinject.suspended():
@@ -656,7 +636,6 @@ class InteractionManager:
                     root.fill_rect(damage, 0)  # background under the damage
                 self.child.full_update(root.child(self.child.bounds))
         finally:
-            self.compositing = False
             # Restore the root drawable's clip: one merged-damage pass
             # must never leak its shrunken clip into the next (even on
             # a backend that hands out a shared root graphic).
@@ -678,10 +657,6 @@ class InteractionManager:
         """A view left the tree: forget grabs/focus/damage it owned."""
         self.updates.discard(view)
         self._pending_scrolls.pop(id(view), None)
-        self.window_system.surfaces.release(view)
-        view._backing = None
-        view._backing_valid = False
-        view._backing_dirty = None
         if self._grab is view:
             self._grab = None
         if self.focus is view:

@@ -5,8 +5,7 @@ full-view damage and the repaint pass redrew every visible line.  With
 this gate open, a scrollable view that moves its viewport origin
 instead *shifts* the still-valid region of the window surface in place
 (a same-surface ``copy_area`` on the backend) and posts damage only
-for the newly exposed strip.  Backing stores participate in the shift,
-so a compositor-backed clean pane stays a single blit after scrolling.
+for the newly exposed strip.
 
 The shift is a pure optimisation: :meth:`repro.core.view.View.
 want_scroll` returns ``False`` (and posts nothing) whenever the shift

@@ -55,12 +55,6 @@ class UpdateQueue:
         self.enqueue_count += 1
         if obs.metrics_on:
             obs.registry.inc("update.enqueued")
-        # Clean/dirty bookkeeping for the compositor: any damage record
-        # stales the cached images up the ancestor chain, including
-        # requests posted straight to the IM (bypassing want_update).
-        stale = getattr(view, "invalidate_backing_chain", None)
-        if stale is not None:
-            stale(rect)
         local = Rect(0, 0, view.bounds.width, view.bounds.height)
         if rect is None:
             rect = local

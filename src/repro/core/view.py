@@ -20,16 +20,6 @@ synchronously; it calls :meth:`want_update`, the request lands in the
 interaction manager's queue, and repaint arrives later as a top-down
 :meth:`full_update` pass whose drawable is clipped to the damage — so
 parents composite themselves and their children in the right order.
-
-**Clean subtrees blit instead of redrawing.**  A view that opted in via
-:meth:`set_backing_store` keeps its last rendered image in an offscreen
-surface (the paper's OffScreenWindow porting class).  Every damage
-request invalidates the backing stores along its ancestor chain, so at
-repaint time a view whose store is still valid is *clean* — its portion
-of the damage is satisfied by one ``copy_to`` blit; everything else
-re-renders (into the store first, when compositing).  Gated globally by
-``ANDREW_COMPOSITOR`` (see :mod:`repro.core.compositor`) and bounded by
-the window system's byte-budget LRU surface pool.
 """
 
 from __future__ import annotations
@@ -44,7 +34,6 @@ from ..graphics.graphic import Graphic
 from ..testing import faultinject
 from ..wm.base import Cursor
 from ..wm.events import KeyEvent, MenuEvent, MouseEvent
-from . import compositor
 from . import faults
 from . import scrollblit
 from .dataobject import DataObject
@@ -76,10 +65,6 @@ class View(ATKObject, Observer):
         self._im = None                     # set on the root child by the IM
         self._needs_layout = True
         self.draw_count = 0                 # repaints (benches read this)
-        self.backing_store = False          # compositor opt-in (see below)
-        self._backing = None                # cached OffscreenWindow, if any
-        self._backing_valid = False
-        self._backing_dirty: Optional[Rect] = None  # sub-rect to repair
         #: Containment record (None = healthy); see repro.core.faults.
         self._quarantine: Optional[faults.Quarantine] = None
         if dataobject is not None:
@@ -96,7 +81,6 @@ class View(ATKObject, Observer):
         self.dataobject = dataobject
         if dataobject is not None:
             dataobject.add_observer(self)
-        self.invalidate_backing_chain()
 
     def observed_changed(self, change: ChangeRecord) -> None:
         """Observer callback: the data object announced a change.
@@ -133,7 +117,6 @@ class View(ATKObject, Observer):
             child.parent.remove_child(child)
         child.parent = self
         self.children.append(child)
-        child.invalidate_backing_chain()
         if bounds is not None:
             child.set_bounds(bounds)
         return child
@@ -142,7 +125,6 @@ class View(ATKObject, Observer):
         if child in self.children:
             self.children.remove(child)
             child.parent = None
-            self.invalidate_backing_chain()
             im = self.interaction_manager()
             if im is not None:
                 im.view_unlinked(child)
@@ -157,10 +139,6 @@ class View(ATKObject, Observer):
             bounds.width != self.bounds.width
             or bounds.height != self.bounds.height
         )
-        if bounds != self.bounds:
-            # Even a position-only move stales every ancestor's cached
-            # image (it shows this view at the old spot).
-            self.invalidate_backing_chain()
         self.bounds = bounds
         if size_changed:
             self._needs_layout = True
@@ -245,10 +223,7 @@ class View(ATKObject, Observer):
         The request is posted *up* to the interaction manager; if the
         view is not yet in a window the request is simply dropped (there
         is nothing to repair and attachment triggers a full update).
-        Either way the backing stores up the ancestor chain go stale —
-        their cached images no longer match this view's content.
         """
-        self.invalidate_backing_chain(rect)
         im = self.interaction_manager()
         if im is not None:
             im.post_update(self, rect)
@@ -271,156 +246,17 @@ class View(ATKObject, Observer):
             return False
         return im.post_scroll(self, area.intersection(self.local_bounds), dy)
 
-    # -- backing store (the compositor's per-view cache) -----------------
-
     def set_backing_store(self, on: bool = True) -> None:
-        """Opt this view in (or out) of per-view surface caching.
+        """Accepted and ignored: views keep no cached image.
 
-        Opting in asserts the subtree's image is *self-contained*: its
-        pixels are fully determined by the subtree's own draw code over
-        a background-cleared rectangle, never by ink an ancestor
-        painted underneath.  Compositing additionally requires the
-        global ``ANDREW_COMPOSITOR`` switch (`repro.core.compositor`).
+        Every repaint renders the subtree live; components that want to
+        pre-compose an image draw into an offscreen window themselves
+        (see :class:`~repro.wm.base.OffscreenWindow`).  Kept so callers
+        written against the old per-view cache still run.
         """
-        self.backing_store = bool(on)
-        self._backing_valid = False
-        self._backing_dirty = None
-        if not on:
-            self._release_backing()
-
-    def invalidate_backing_chain(self, rect: Optional[Rect] = None) -> None:
-        """Stale this view's cached image and every ancestor's.
-
-        Called on every damage post (`core.update` calls it again for
-        requests that bypass :meth:`want_update`), on reparenting and on
-        bounds changes.  Surfaces are kept for reuse; only their
-        *validity* is dropped.
-
-        When the damage is a known sub-rect, a still-valid store is not
-        invalidated outright: the rect (translated into each ancestor's
-        coordinates on the way up) accumulates in ``_backing_dirty`` and
-        :meth:`_composite` repairs just that region — the sub-rect
-        store-repair half of the scroll work.  ``rect=None`` keeps the
-        old everything-stales contract.
-        """
-        node: Optional["View"] = self
-        while node is not None:
-            if rect is None:
-                node._backing_valid = False
-                node._backing_dirty = None
-            elif node._backing_valid:
-                dirty = node._backing_dirty
-                dirty = rect if dirty is None else dirty.union(rect)
-                if dirty.contains_rect(node.local_bounds):
-                    node._backing_valid = False
-                    node._backing_dirty = None
-                else:
-                    node._backing_dirty = dirty
-            if rect is not None:
-                rect = rect.offset(node.bounds.left, node.bounds.top)
-            node = node.parent
-
-    def _backing_evicted(self) -> None:
-        """Pool callback: the LRU let this view's surface go."""
-        self._backing = None
-        self._backing_valid = False
-        self._backing_dirty = None
-
-    def _release_backing(self) -> None:
-        """Hand the surface back to the pool (destroy/unlink/opt-out)."""
-        self._backing = None
-        self._backing_valid = False
-        self._backing_dirty = None
-        im = self.interaction_manager()
-        if im is not None:
-            im.window_system.surfaces.release(self)
-
-    def _composite(self, graphic: Graphic) -> bool:
-        """Satisfy this repaint from the backing store if possible.
-
-        Returns True when ``graphic``'s clip was filled by a blit —
-        either of the still-valid cached image (a *clean* subtree) or
-        of a freshly re-rendered one.  Returns False when the view must
-        be drawn live (no interaction manager, zero-sized, or the
-        surface pool refused the allocation).
-        """
-        im = self.interaction_manager()
-        if im is None or not im.compositing:
-            return False
-        width, height = self.bounds.width, self.bounds.height
-        if width <= 0 or height <= 0:
-            return False
-        surface = self._backing
-        clean = (
-            self._backing_valid
-            and not self._needs_layout
-            and surface is not None
-            and surface.width == width
-            and surface.height == height
-        )
-        pool = im.window_system.surfaces
-        if clean and self._backing_dirty is None:
-            pool.touch(self)
-            if obs.metrics_on:
-                obs.registry.inc("view.cache_hits")
-                obs.registry.inc("im.repaint_area_saved", graphic.clip.area)
-        elif clean:
-            # Sub-rect repair: the store is valid except for the
-            # accumulated dirty region — re-render only that, under a
-            # clip restricted to it, instead of repainting the whole
-            # offscreen surface.  After the repair the store is fully
-            # valid again whatever the incoming damage clip was.
-            dirty = self._backing_dirty.intersection(self.local_bounds)
-            # Drop validity across the repair: a render that raises
-            # (containment) must not leave a half-repaired store
-            # masquerading as clean.
-            self._backing_dirty = None
-            self._backing_valid = False
-            pool.touch(self)
-            off = surface.graphic()
-            off.state = graphic.state.clone()
-            off.clip = off.clip.intersection(dirty)
-            off.clear()
-            self._render_subtree(off)
-            self._backing_valid = True
-            if obs.metrics_on:
-                obs.registry.inc("view.store_subrect_repairs")
-                saved = self.local_bounds.area - dirty.area
-                if saved > 0:
-                    obs.registry.inc("im.repaint_area_saved", saved)
-        else:
-            surface = pool.acquire(self, width, height)
-            if surface is None:
-                return False
-            off = surface.graphic()
-            # Inherit the incoming graphics state (a parent may have
-            # set a font/color before descending), then render over a
-            # cleared background — exactly what the live path sees
-            # under the interaction manager's damage prefill.
-            off.state = graphic.state.clone()
-            off.clear()
-            self._render_subtree(off)
-            self._backing_dirty = None
-            if pool.get(self) is surface:
-                self._backing = surface
-                self._backing_valid = True
-            else:
-                # A descendant's acquire evicted us mid-render.  The
-                # local surface still blits correctly below, but it is
-                # no longer budget-tracked, so do not retain it.
-                self._backing = None
-                self._backing_valid = False
-            if obs.metrics_on:
-                obs.registry.inc("view.cache_misses")
-        surface.copy_to(graphic, 0, 0)
-        return True
 
     def full_update(self, graphic: Graphic) -> None:
         """Draw self and children into ``graphic`` (the top-down pass).
-
-        With the compositor on, an opted-in view first tries to satisfy
-        the pass from its backing store (blitting a clean subtree in
-        one `copy_to`); otherwise the subtree renders live.
 
         With containment on (``ANDREW_QUARANTINE``, the default), any
         exception escaping the subtree's render is caught *here*: the
@@ -431,7 +267,7 @@ class View(ATKObject, Observer):
         moment a render succeeds.
         """
         if not faults.enabled:
-            self._update_subtree(graphic)
+            self._render_subtree(graphic)
             return
         quarantined = self._quarantine
         if quarantined is not None and not quarantined.should_retry():
@@ -439,7 +275,7 @@ class View(ATKObject, Observer):
             self._draw_quarantined(graphic)
             return
         try:
-            self._update_subtree(graphic)
+            self._render_subtree(graphic)
         except Exception as exc:
             im = self.interaction_manager()
             if im is not None:
@@ -454,16 +290,6 @@ class View(ATKObject, Observer):
                 self._quarantine = None
                 if obs.metrics_on:
                     obs.registry.inc("view.recovered")
-
-    def _update_subtree(self, graphic: Graphic) -> None:
-        """Composite from the backing store, or render live."""
-        if (
-            self.backing_store
-            and compositor.enabled
-            and self._composite(graphic)
-        ):
-            return
-        self._render_subtree(graphic)
 
     # -- quarantine (see repro.core.faults) ------------------------------
 
@@ -521,7 +347,7 @@ class View(ATKObject, Observer):
                 pass
 
     def _render_subtree(self, graphic: Graphic) -> None:
-        """The unconditional render pass (live window or backing store).
+        """The unconditional render pass.
 
         Order per the paper: the parent paints, then each child in its
         sub-drawable, then :meth:`draw_over` so parents may overlay

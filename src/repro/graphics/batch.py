@@ -19,7 +19,7 @@ immediate drawing — proven by ``tests/conformance/test_remote.py``.
 
 Ordering rules the rest of the stack honours:
 
-* offscreen/compositor surfaces are exempt (their graphics never carry
+* offscreen surfaces are exempt (their graphics never carry
   a buffer), and ``OffscreenWindow.copy_to`` settles the target before
   blitting, so blits always see settled pixels;
 * the window's ``flush``/``snapshot_lines``/``pending_events`` drain
@@ -113,8 +113,8 @@ class CommandBuffer:
     ``flush`` replays the pending ops against the window's replica and
     appends them to :attr:`frame`; the window ships ``frame`` to its
     viewers at the end of the frame.  A flush can also run mid-frame
-    (the compositor settles the window before blitting a backing store
-    into it), so ``frame`` holds every op the frame executed, in order.
+    (an offscreen ``copy_to`` settles the window before writing into
+    it), so ``frame`` holds every op the frame executed, in order.
     """
 
     def __init__(self, window) -> None:

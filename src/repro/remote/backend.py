@@ -11,9 +11,10 @@ FrameEncoder` and out every attached sink to dumb renderers.
 One deviation from a plain local backend: drawables carry the
 window's :class:`~repro.graphics.batch.CommandBuffer`, so device ops
 are recorded instead of executed.  Any flush of that buffer —
-including the compositor's mid-frame ``settle()`` before an offscreen
-blit — replays its ops onto the replica and keeps them, so the wire
-sees every op the frame executed, in order.  The recorded ops already
+including the mid-frame ``settle()`` before an offscreen blit (how
+``AnimationView`` shows its pre-composed frames) — replays its ops
+onto the replica and keeps them, so the wire sees every op the frame
+executed, in order.  The recorded ops already
 are wire ops (:data:`repro.graphics.batch.SCHEMA`), so nothing is
 copied or translated.
 
@@ -28,7 +29,7 @@ heartbeat pings, making the connection self-healing).
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import Optional, Tuple
 
 from .. import obs
 from ..config import env_flag
@@ -53,6 +54,17 @@ __all__ = ["RemoteWindowSystem", "RemoteAsciiWindow", "RemoteRasterWindow",
 REMOTE_TARGET_ENV = "ANDREW_REMOTE_TARGET"
 REMOTE_DELTA_ENV = "ANDREW_REMOTE_DELTA"
 REMOTE_ADDR_ENV = "ANDREW_REMOTE_ADDR"
+
+
+def _parse_addr(addr: str) -> Tuple[str, int]:
+    """Split ``ANDREW_REMOTE_ADDR`` into (host, port); the host defaults
+    to the loopback address.  Anything else raises ``ValueError``."""
+    host, sep, port = addr.rpartition(":")
+    if not sep or not port.isdecimal() or not 1 <= int(port) <= 65535:
+        raise ValueError(
+            f"{REMOTE_ADDR_ENV}={addr!r}: expected host:port with a port "
+            f"from 1 to 65535")
+    return host or "127.0.0.1", int(port)
 
 
 class _RemoteWindowMixin:
@@ -231,15 +243,14 @@ class RemoteWindowSystem(WindowSystem):
         ping_every = None
         addr = os.environ.get(REMOTE_ADDR_ENV, "").strip()
         if addr:
-            host, _, port = addr.rpartition(":")
-            host = host or "127.0.0.1"
+            host, port = _parse_addr(addr)
             if reconnect_from_env():
                 sink = ReconnectingSink(
-                    lambda h=host, p=int(port): SocketSink(h, p),
+                    lambda h=host, p=port: SocketSink(h, p),
                     name=f"{host}:{port}")
                 ping_every = cls.DEFAULT_PING_EVERY
             else:
-                sink = SocketSink(host, int(port))
+                sink = SocketSink(host, port)
         return cls(target, delta=delta, sink=sink, ping_every=ping_every)
 
     def _make_window(self, title: str, width: int, height: int):

@@ -9,9 +9,10 @@ the renderer's surface, maintained by applying every emitted frame's
 ops through the *same* :func:`repro.graphics.batch.apply_op` the
 client's :class:`~repro.remote.renderer.Applier` uses.  After
 predicting, the encoder diffs shadow vs the window's actual settled
-surface and appends repair ops for anything the op list missed — the
-compositor's ``OffscreenWindow.copy_to`` writes window surfaces
-directly without recording, so prediction alone can't be complete.
+surface and appends repair ops for anything the op list missed — an
+``OffscreenWindow.copy_to`` (how ``AnimationView`` shows its
+pre-composed frames) writes window surfaces directly without
+recording, so prediction alone can't be complete.
 With repairs, byte-identity is unconditional.
 
 Frame shapes per mode:

@@ -263,7 +263,7 @@ class AsciiOffscreen(OffscreenWindow):
         if isinstance(target, AsciiGraphic):
             # Same-device blit: copy cells verbatim (char + inverse +
             # bold), clipped to the target — true copy semantics, so a
-            # cached backing store lands pixel-identical.
+            # pre-composed image lands pixel-identical.
             target._tally("blit")
             src, dst = self.surface, target._surface
             # Clamp to the destination surface too: a clip may run past

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import collections
 import inspect
-import os
 from typing import Deque, Dict, List, Optional, Type
 
 from .. import obs
@@ -51,13 +50,10 @@ __all__ = [
     "Cursor",
     "CursorShape",
     "OffscreenWindow",
-    "SurfacePool",
     "BackendWindow",
     "WindowSystem",
     "porting_surface",
     "PORTING_CLASSES",
-    "BUDGET_ENV",
-    "DEFAULT_SURFACE_BUDGET",
 ]
 
 PORTING_CLASSES = (
@@ -107,8 +103,7 @@ class OffscreenWindow:
     Provides a :class:`Graphic` onto a hidden surface plus
     :meth:`copy_to`, which transfers the pixels into another graphic —
     how components pre-compose images (the animation component uses it
-    for flicker-free frames, and the per-view backing-store compositor
-    uses one per opted-in view).  ``copy_to`` has *copy* semantics —
+    for flicker-free frames).  ``copy_to`` has *copy* semantics —
     the surface's pixels replace the target's, background included —
     and must never write outside the target's clip.
     """
@@ -136,7 +131,7 @@ class OffscreenWindow:
         raise NotImplementedError
 
     def surface_bytes(self) -> int:
-        """Approximate footprint, for the pool's byte budget."""
+        """Approximate footprint of the hidden surface, in bytes."""
         return self.width * self.height
 
     @staticmethod
@@ -144,115 +139,6 @@ class OffscreenWindow:
         """Tally one surface-to-drawable transfer (``wm.blits``)."""
         if obs.metrics_on:
             obs.registry.inc("wm.blits")
-
-
-#: Environment override for the compositor pool budget, in bytes.
-BUDGET_ENV = "ANDREW_COMPOSITOR_BUDGET"
-DEFAULT_SURFACE_BUDGET = 8 << 20
-
-
-def _env_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV, "").strip()
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_SURFACE_BUDGET
-
-
-class SurfacePool:
-    """A byte-budgeted LRU of per-view backing stores.
-
-    One pool per :class:`WindowSystem`.  Each owner (a view) holds at
-    most one surface; acquiring again with a new size resizes the
-    existing surface in place rather than reallocating.  When the
-    summed ``surface_bytes`` exceed the budget, least-recently-used
-    surfaces are evicted and their owners told via ``_backing_evicted``
-    — so a 1000-view tree cannot pin 1000 full-size surfaces.
-    """
-
-    def __init__(self, window_system: "WindowSystem",
-                 budget: Optional[int] = None) -> None:
-        self._ws = window_system
-        self.budget = _env_budget() if budget is None else budget
-        # id(owner) -> (owner, surface); insertion order is LRU order.
-        self._entries: "collections.OrderedDict[int, tuple]" = (
-            collections.OrderedDict()
-        )
-        self.bytes_used = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def acquire(self, owner, width: int, height: int) -> Optional[OffscreenWindow]:
-        """A surface of exactly ``width`` x ``height`` for ``owner``.
-
-        Reuses/resizes the owner's existing surface when present.
-        Returns ``None`` when a single surface of this size would bust
-        the whole budget — the caller must fall back to live drawing.
-        """
-        key = id(owner)
-        entry = self._entries.pop(key, None)
-        if entry is not None:
-            surface = entry[1]
-            self.bytes_used -= surface.surface_bytes()
-            surface.resize(width, height)
-        else:
-            surface = self._ws.create_offscreen(width, height)
-        cost = surface.surface_bytes()
-        if cost > self.budget:
-            self._notify_evicted(owner)
-            return None
-        self._entries[key] = (owner, surface)
-        self.bytes_used += cost
-        self._evict_over_budget(keep=key)
-        return surface
-
-    def touch(self, owner) -> None:
-        """Mark ``owner``'s surface most-recently-used."""
-        key = id(owner)
-        if key in self._entries:
-            self._entries.move_to_end(key)
-
-    def get(self, owner) -> Optional[OffscreenWindow]:
-        entry = self._entries.get(id(owner))
-        return entry[1] if entry is not None else None
-
-    def release(self, owner) -> None:
-        """Drop ``owner``'s surface (view destroyed/unlinked); silent."""
-        entry = self._entries.pop(id(owner), None)
-        if entry is not None:
-            self.bytes_used -= entry[1].surface_bytes()
-
-    def flush(self) -> None:
-        """Evict every surface (e.g. the backend window was resized)."""
-        while self._entries:
-            self._evict_one()
-
-    def _evict_over_budget(self, keep: int) -> None:
-        while self.bytes_used > self.budget and len(self._entries) > 1:
-            oldest = next(iter(self._entries))
-            if oldest == keep:
-                # Never evict the surface being acquired; try the next.
-                self._entries.move_to_end(oldest)
-                oldest = next(iter(self._entries))
-                if oldest == keep:
-                    break
-            self._evict_one(oldest)
-
-    def _evict_one(self, key: Optional[int] = None) -> None:
-        if key is None:
-            key = next(iter(self._entries))
-        owner, surface = self._entries.pop(key)
-        self.bytes_used -= surface.surface_bytes()
-        self._notify_evicted(owner)
-        if obs.metrics_on:
-            obs.registry.inc("view.cache_evictions")
-
-    @staticmethod
-    def _notify_evicted(owner) -> None:
-        callback = getattr(owner, "_backing_evicted", None)
-        if callback is not None:
-            callback()
 
 
 class BackendWindow:
@@ -297,17 +183,10 @@ class BackendWindow:
         self.title = title
 
     def resize(self, width: int, height: int) -> None:
-        """Resize the window surface and queue the resize + full expose.
-
-        The old surface is gone, so every cached backing store rendered
-        for it is suspect: the owning window system's offscreen pool is
-        flushed, forcing the next repaint to come from live draw code.
-        """
+        """Resize the window surface and queue the resize + full expose."""
         self.width = width
         self.height = height
         self._resize_surface(width, height)
-        if self._window_system is not None:
-            self._window_system.surfaces.flush()
         self.post_event(ResizeEvent(width, height))
         self.post_event(UpdateEvent(self.bounds, full=True))
 
@@ -423,8 +302,6 @@ class WindowSystem(ATKObject):
         # mutable state, so realized metrics are memoized per desc —
         # text layout asks for metrics once per style run, per line.
         self._metrics_cache: Dict[FontDesc, FontMetrics] = {}
-        #: Byte-budgeted LRU of per-view backing stores (the compositor).
-        self.surfaces = SurfacePool(self)
 
     def create_window(self, title: str, width: int, height: int) -> BackendWindow:
         window = self._make_window(title, width, height)

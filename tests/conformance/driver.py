@@ -5,7 +5,7 @@ must not change a single cell/pixel of output.  This module provides
 the pieces the matrix test (and any future gate's tests) composes:
 
 * :func:`build_app` — a three-pane window (text | table / drawing)
-  with focus and backing-store opt-in, on any backend;
+  with focus, on any backend;
 * :func:`scenario_ops` — a seeded script of edit / scroll / expose /
   divider / resize operations;
 * :func:`apply_op` — apply one script entry and pump the event loop;
@@ -26,7 +26,6 @@ from typing import Callable, Iterator, List, Tuple
 
 from repro import obs
 from repro.core import InteractionManager
-from repro.core import compositor
 from repro.core import faults
 from repro.core import scrollblit as scrollblit_mod
 from repro.graphics import Rect
@@ -52,14 +51,8 @@ OP_KINDS = (
 )
 
 
-def build_app(window_system, width: int, height: int,
-              backing: bool = True) -> dict:
-    """A text | (table / drawing) split window, every pane focusable.
-
-    ``backing=True`` opts every pane into the compositor's backing
-    store, so the ``ANDREW_COMPOSITOR`` axis of the matrix actually
-    exercises the blit path.
-    """
+def build_app(window_system, width: int, height: int) -> dict:
+    """A text | (table / drawing) split window, every pane focusable."""
     from repro.components.drawing.drawdata import DrawingData
     from repro.components.drawing.drawview import DrawView
     from repro.components.split import SplitView
@@ -81,9 +74,6 @@ def build_app(window_system, width: int, height: int,
     split = SplitView(text_view,
                       SplitView(table_view, draw_view, vertical=False),
                       vertical=True)
-    if backing:
-        for pane in (text_view, table_view, draw_view):
-            pane.set_backing_store(True)
     im.set_child(split)
     im.set_focus(text_view)
     im.process_events()
@@ -300,8 +290,7 @@ def run_scenario_remote(target: str, ops: List[Tuple], width: int,
 
 
 @contextlib.contextmanager
-def gates(compositor_on: bool, metrics_on: bool,
-          quarantine: bool = None, *,
+def gates(metrics_on: bool, quarantine: bool = None, *,
           scrollblit: bool = None) -> Iterator[None]:
     """Configure the rendering-gate set; restore the old state after.
 
@@ -310,11 +299,9 @@ def gates(compositor_on: bool, metrics_on: bool,
     render identically either way, which their matrices prove by
     flipping them explicitly).
     """
-    was_comp = compositor.enabled
     was_metrics = obs.metrics_enabled()
     was_quarantine = faults.enabled
     was_scrollblit = scrollblit_mod.enabled
-    compositor.configure(compositor_on)
     obs.configure(metrics=metrics_on, reset_data=True)
     if quarantine is not None:
         faults.configure(quarantine)
@@ -323,7 +310,6 @@ def gates(compositor_on: bool, metrics_on: bool,
     try:
         yield
     finally:
-        compositor.configure(was_comp)
         obs.configure(metrics=was_metrics, reset_data=True)
         faults.configure(was_quarantine)
         scrollblit_mod.configure(was_scrollblit)

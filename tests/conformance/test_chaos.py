@@ -52,10 +52,9 @@ BACKENDS = {
     "raster": (RasterWindowSystem, 100, 56, 40, 5000),
 }
 
-#: (batch, compositor) arms — chaos must hold on a local window with
-#: the backing stores off, and on a recording window (see
-#: :func:`~tests.conformance.driver.recording_ws`) with them on.
-ARMS = {"plain": (False, False), "batch+compositor": (True, True)}
+#: arm -> batch: chaos must hold on a local window and on a recording
+#: window (see :func:`~tests.conformance.driver.recording_ws`).
+ARMS = {"plain": False, "batch": True}
 
 DEFAULT_SEED = 20260806
 DEFAULT_RATE = 0.05
@@ -91,8 +90,7 @@ def _quarantined_views(root):
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_chaos_faults_are_contained_and_accounted(backend, arm):
     make_ws, width, height, steps, offset = BACKENDS[backend]
-    batch_on, compositor_on = ARMS[arm]
-    if batch_on:
+    if ARMS[arm]:
         make_ws = recording_ws(backend)
     seed, rate = _fault_spec()
     ops = scenario_ops(seeded_rng(offset), steps, width, height)
@@ -101,7 +99,7 @@ def test_chaos_faults_are_contained_and_accounted(backend, arm):
         f"{describe_seed(offset)}"
     )
 
-    with gates(compositor_on, metrics_on=True, quarantine=True):
+    with gates(metrics_on=True, quarantine=True):
         # Build clean: the containment story starts from a healthy app.
         app = build_app(make_ws(), width, height)
         injector = faultinject.configure(seed, rate)
@@ -200,7 +198,7 @@ def test_salvaged_objects_round_trip_under_injection():
     table = TableData(4, 2)
     table.set_cell(1, 1, 42)
     text = write_document(table)
-    with gates(False, metrics_on=True, quarantine=True):
+    with gates(metrics_on=True, quarantine=True):
         # Rate 1.0: the very first object read fails, salvaging the lot.
         faultinject.configure(7, 1.0, seams=("datastream.read",))
         try:

@@ -3,7 +3,7 @@
 For each backend, one seeded scenario script (edits, scrolls, exposes,
 divider moves, resizes) runs once with every gate off — the baseline —
 and then once under every other combination of ``batch`` x
-``ANDREW_COMPOSITOR`` x ``ANDREW_METRICS``.  After every step the
+``ANDREW_METRICS``.  After every step the
 window surface must be byte-identical to the baseline's; a divergence
 names the step, the op and the seed so it replays with
 ``ANDREW_TEST_SEED``.
@@ -35,9 +35,9 @@ BACKENDS = {
     "raster": (RasterWindowSystem, 100, 56, 80, 5000),
 }
 
-GATE_NAMES = ("batch", "compositor", "metrics")
-ALL_OFF = (False, False, False)
-COMBOS = [combo for combo in itertools.product((False, True), repeat=3)
+GATE_NAMES = ("batch", "metrics")
+ALL_OFF = (False, False)
+COMBOS = [combo for combo in itertools.product((False, True), repeat=2)
           if combo != ALL_OFF]
 
 
@@ -49,9 +49,9 @@ def _combo_id(combo):
 @contextlib.contextmanager
 def arm(backend, combo):
     """Set ``combo``'s gates and yield its window-system factory."""
-    batch_on, compositor_on, metrics_on = combo
+    batch_on, metrics_on = combo
     make_ws = recording_ws(backend) if batch_on else BACKENDS[backend][0]
-    with gates(compositor_on, metrics_on):
+    with gates(metrics_on):
         yield make_ws
 
 
@@ -91,7 +91,7 @@ def test_quarantine_off_matches_baseline(backend):
     until something actually raises."""
     make_ws, width, height, _steps, offset = BACKENDS[backend]
     ops, expected = _baseline(backend)
-    with gates(False, False, quarantine=False):
+    with gates(False, quarantine=False):
         actual = run_scenario(make_ws, ops, width, height)
     assert len(actual) == len(expected)
     for step, (got, want) in enumerate(zip(actual, expected)):

@@ -7,9 +7,8 @@ encoded, shipped through the in-process pipe and decoded by a dumb
 *renderer's* replica must be byte-identical to a plain local backend
 run of the same script.  Axes:
 
-* ``batch`` x ``ANDREW_COMPOSITOR`` x ``ANDREW_SCROLLBLIT`` — all
-  eight combinations, on both render targets (the compositor's direct
-  surface writes and scroll shift-blits are exactly what the encoder's
+* ``batch`` x ``ANDREW_SCROLLBLIT`` — all four combinations, on both
+  render targets (scroll shift-blits are exactly what the encoder's
   shadow-diff repair must absorb).  A remote window always records;
   the ``batch`` arm also holds the *sender's* replayed surface to the
   local baseline at every step, not only the renderer's;
@@ -53,8 +52,8 @@ BACKENDS = {
     "raster": (RasterWindowSystem, 100, 56, 36, 5000),
 }
 
-GATE_NAMES = ("batch", "compositor", "scrollblit")
-COMBOS = list(itertools.product((False, True), repeat=3))
+GATE_NAMES = ("batch", "scrollblit")
+COMBOS = list(itertools.product((False, True), repeat=2))
 
 
 def _combo_id(combo):
@@ -70,7 +69,7 @@ def _baseline(target):
     if target not in _baselines:
         make_ws, width, height, steps, offset = BACKENDS[target]
         ops = scenario_ops(seeded_rng(offset), steps, width, height)
-        with gates(False, metrics_on=False):
+        with gates(metrics_on=False):
             prints = run_scenario(make_ws, ops, width, height)
         _baselines[target] = (ops, prints)
     return _baselines[target]
@@ -92,9 +91,9 @@ def _compare(target, actual, ops, expected, context):
 def test_remote_matches_local_across_gates(target, combo):
     _, width, height, _steps, _offset = BACKENDS[target]
     ops, expected = _baseline(target)
-    batch_on, compositor_on, scrollblit_on = combo
+    batch_on, scrollblit_on = combo
     replicas = [] if batch_on else None
-    with gates(compositor_on, metrics_on=False, scrollblit=scrollblit_on):
+    with gates(metrics_on=False, scrollblit=scrollblit_on):
         actual = run_scenario_remote(target, ops, width, height,
                                      replicas=replicas)
     _compare(target, actual, ops, expected, f"gates={_combo_id(combo)}")
@@ -108,7 +107,7 @@ def test_remote_delta_off_matches_local(target):
     """Identity must not depend on the compression arm."""
     _, width, height, _steps, _offset = BACKENDS[target]
     ops, expected = _baseline(target)
-    with gates(True, metrics_on=False):
+    with gates(metrics_on=False):
         actual = run_scenario_remote(target, ops, width, height,
                                      delta=False)
     _compare(target, actual, ops, expected, "delta=off")
@@ -120,7 +119,7 @@ def test_remote_keyframes_and_chunked_feed_match_local(target):
     partial-frame buffering exercised on every step, same bytes out."""
     _, width, height, _steps, _offset = BACKENDS[target]
     ops, expected = _baseline(target)
-    with gates(True, metrics_on=False):
+    with gates(metrics_on=False):
         actual = run_scenario_remote(target, ops, width, height,
                                      keyframe_interval=3, chunk_size=13)
     _compare(target, actual, ops, expected,
@@ -141,7 +140,7 @@ def test_remote_resynchronizes_after_transport_faults(target):
     _, width, height, steps, offset = BACKENDS[target]
     interval = 4
     ops = scenario_ops(seeded_rng(offset), steps, width, height)
-    with gates(True, metrics_on=True):
+    with gates(metrics_on=True):
         renderer = RemoteRenderer()
         ws = RemoteWindowSystem(target, keyframe_interval=interval)
         app = build_app(ws, width, height)
@@ -237,11 +236,11 @@ def test_glyph_client_records_one_op_per_device_request(target):
     from repro.remote import RemoteRenderer, RemoteWindowSystem
 
     make_ws, width, height, _steps, _offset = BACKENDS[target]
-    with gates(False, metrics_on=True):
+    with gates(metrics_on=True):
         expected = [fingerprint(window)
                     for window in _glyph_session(make_ws(), width, height)]
         local_requests = obs.registry.counter(f"wm.{target}.requests")
-    with gates(False, metrics_on=True):
+    with gates(metrics_on=True):
         renderer = RemoteRenderer()
         ws = RemoteWindowSystem(target, renderer=renderer)
         actual = []

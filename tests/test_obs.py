@@ -475,81 +475,3 @@ class TestTelemetryParity:
         assert snap["counters"] == {}
         assert snap["timers"] == {}
         assert len(obs.tracer) == 0
-
-
-# ---------------------------------------------------------------------------
-# Parity: the compositor's counters, with the compositor on
-# ---------------------------------------------------------------------------
-
-
-def _run_compositor_scenario(budget=None):
-    """A composited session: edits, exposes, and (optionally) eviction
-    pressure.  Returns observable outcomes for on/off comparison."""
-    from repro.components import TextView
-    from repro.components.text import TextData
-    from repro.core import compositor
-    from repro.wm import AsciiWindowSystem
-
-    was = compositor.enabled
-    compositor.configure(True)
-    try:
-        ws = AsciiWindowSystem()
-        if budget is not None:
-            ws.surfaces.budget = budget
-        im = InteractionManager(ws, width=40, height=8)
-        root = View()
-        panes = []
-        for i in range(3):
-            pane = TextView(TextData(f"pane {i}"))
-            pane.set_backing_store(True)
-            panes.append(pane)
-        im.set_child(root)
-        for i, pane in enumerate(panes):
-            root.add_child(pane, Rect(0, i * 2, 40, 2))
-        im.process_events()
-        for _ in range(3):
-            panes[0].insert_text("x")
-            im.window.inject_expose()     # panes 1-2 stay clean: blits
-            im.process_events()
-        return (im.snapshot_lines(),
-                [pane.draw_count for pane in panes])
-    finally:
-        compositor.configure(was)
-
-
-class TestCompositorTelemetry:
-    def test_counters_recorded_when_metrics_on(self):
-        was = obs.metrics_enabled()
-        try:
-            obs.configure(metrics=True, reset_data=True)
-            _run_compositor_scenario()
-            counters = obs.registry.snapshot()["counters"]
-            assert counters["view.cache_misses"] > 0
-            assert counters["view.cache_hits"] > 0
-            assert counters["wm.blits"] > 0
-            assert counters["im.repaint_area_saved"] > 0
-        finally:
-            obs.configure(metrics=was, reset_data=True)
-
-    def test_evictions_recorded_under_budget_pressure(self):
-        was = obs.metrics_enabled()
-        try:
-            obs.configure(metrics=True, reset_data=True)
-            # One 40x2 ascii surface costs 240 bytes; three don't fit.
-            _run_compositor_scenario(budget=500)
-            counters = obs.registry.snapshot()["counters"]
-            assert counters["view.cache_evictions"] > 0
-        finally:
-            obs.configure(metrics=was, reset_data=True)
-
-    def test_metrics_do_not_change_composited_behaviour(self):
-        was = obs.metrics_enabled()
-        try:
-            obs.configure(metrics=False, reset_data=True)
-            off = _run_compositor_scenario()
-            assert obs.registry.snapshot()["counters"] == {}
-            obs.configure(metrics=True, reset_data=True)
-            on = _run_compositor_scenario()
-            assert on == off
-        finally:
-            obs.configure(metrics=was, reset_data=True)

@@ -18,6 +18,7 @@ from repro.remote import (
     diff_cells,
 )
 from repro.remote.backend import (
+    REMOTE_ADDR_ENV,
     REMOTE_DELTA_ENV,
     REMOTE_TARGET_ENV,
     RemoteAsciiWindow,
@@ -109,7 +110,7 @@ class TestFrameEncoder:
         assert encoder.encode([], surface) is None
         assert encoder.frames_sent == 1
 
-    def test_compositor_style_direct_write_is_repaired(self):
+    def test_offscreen_style_direct_write_is_repaired(self):
         # Surface mutates with NO recorded ops (what an offscreen blit
         # does): the shadow diff must still ship the change.
         encoder, surface = _ascii_encoder()
@@ -255,6 +256,15 @@ class TestRemoteWindowSystem:
         ws = RemoteWindowSystem.from_env()
         assert ws.target == "raster" and ws.delta is False
 
+    @pytest.mark.parametrize("addr", ["localhost", "host:", "h:abc",
+                                      ":70000"])
+    def test_from_env_rejects_malformed_addr(self, monkeypatch, addr):
+        monkeypatch.setenv(REMOTE_ADDR_ENV, addr)
+        with pytest.raises(ValueError) as info:
+            RemoteWindowSystem.from_env()
+        assert REMOTE_ADDR_ENV in str(info.value)
+        assert repr(addr) in str(info.value)
+
     def test_switch_selects_remote(self, monkeypatch):
         from repro.wm.switch import get_window_system
 
@@ -286,6 +296,44 @@ class TestRemoteWindowSystem:
         assert stats["frames_sent"] == 1
         assert stats["keyframes_sent"] == 1
         assert stats["bytes_sent"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Direct surface writes: an offscreen blit records no ops
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("target", ["ascii", "raster"])
+def test_animation_frames_reach_renderer(target, telemetry):
+    """``AnimationView`` pre-composes each frame off screen and
+    ``copy_to``s it into the window, writing the surface without
+    recording an op; the encoder's shadow diff must still ship every
+    frame, so the renderer matches the window after each one."""
+    from repro.components import (
+        AnimationData,
+        AnimationView,
+        pascal_triangle_frames,
+    )
+    from repro.core import InteractionManager
+    from tests.conformance.driver import fingerprint
+
+    renderer = RemoteRenderer()
+    ws = RemoteWindowSystem(target, renderer=renderer)
+    im = InteractionManager(ws, width=30, height=8)
+    view = AnimationView(AnimationData(pascal_triangle_frames(), period=1))
+    im.set_child(view)
+    im.process_events()
+    assert fingerprint(renderer) == fingerprint(im.window)
+    view.start()
+    shown = []
+    for _ in range(view.data.frame_count):   # the last tick wraps to 0
+        im.tick(1)
+        im.process_events()
+        shown.append(view.current)
+        assert fingerprint(renderer) == fingerprint(im.window), shown
+    assert shown == [1, 2, 3, 4, 0]
+    assert renderer.resyncs == 0
+    assert telemetry.counter("wm.blits") == view.draw_count
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ Covers the layers one by one: the backend ``copy_area`` device op
 (both surfaces, both shift directions, attribute planes, containment
 within the shifted area), remote command-buffer record/replay, the
 ``want_scroll`` accept/fallback rules on the interaction manager,
-scroll composition, the telemetry counters, the sub-rect backing-store
-repair, and the two satellite regressions (scrolling must not dirty
-text layout; the scroll-bar thumb must reach the bottom exactly).
+scroll composition, the telemetry counters, and the two satellite
+regressions (scrolling must not dirty text layout; the scroll-bar thumb
+must reach the bottom exactly).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro import obs
 from repro.components import ListView, ScrollBar, TextView
 from repro.components.scrollbar import Scrollable
 from repro.components.text.textdata import TextData
-from repro.core import InteractionManager, compositor, scrollblit
+from repro.core import InteractionManager, scrollblit
 from repro.core.view import View
 from repro.graphics import Rect
 from repro.remote import RemoteWindowSystem
@@ -40,11 +40,9 @@ def telemetry():
     obs.configure(metrics=was, reset_data=True)
 
 
-def _build_text_app(ws, width=60, height=18, lines=60, backing=False):
+def _build_text_app(ws, width=60, height=18, lines=60):
     im = InteractionManager(ws, title="scroll", width=width, height=height)
     view = TextView(TextData("\n".join(f"line {i}" for i in range(lines))))
-    if backing:
-        view.set_backing_store(True)
     im.set_child(view)
     im.process_events()
     return im, view
@@ -258,55 +256,6 @@ def test_fallback_counts_full_area_rows(ascii_ws, telemetry):
     im.process_events()
     assert telemetry.counter("view.scroll_blits") == 0
     assert telemetry.counter("view.rows_repainted") == view.height
-
-
-# ---------------------------------------------------------------------------
-# Backing stores: the store shifts too, and repairs sub-rects
-# ---------------------------------------------------------------------------
-
-
-def test_scrolled_clean_pane_stays_one_blit(ascii_ws, telemetry):
-    was = compositor.enabled
-    compositor.configure(True)
-    try:
-        im, view = _build_text_app(ascii_ws, backing=True)
-        im.process_events()
-        obs.registry.reset()
-        view.set_scroll_pos(4)
-        im.process_events()
-        repairs = obs.registry.counter("view.store_subrect_repairs")
-        assert repairs == 1          # only the exposed strip re-rendered
-        # The store was shifted alongside the window...
-        assert obs.registry.counter("view.scroll_blits") == 2
-        obs.registry.reset()
-        # ...so a full expose now is a pure cache hit: zero draws.
-        draws = view.draw_count
-        im.window.inject_expose()
-        im.process_events()
-        assert view.draw_count == draws
-        assert obs.registry.counter("view.cache_hits") == 1
-    finally:
-        compositor.configure(was)
-
-
-def test_subrect_repair_renders_only_dirty_band(ascii_ws, telemetry):
-    was = compositor.enabled
-    compositor.configure(True)
-    try:
-        im, view = _build_text_app(ascii_ws, backing=True)
-        im.process_events()
-        obs.registry.reset()
-        view.want_update(Rect(0, 2, view.width, 1))
-        im.flush_updates()
-        assert obs.registry.counter("view.store_subrect_repairs") == 1
-        assert obs.registry.counter("view.cache_misses") == 0
-        # The repaired store still matches a full fresh render.
-        before = list(im.window.surface._chars)
-        view.want_update()
-        im.flush_updates()
-        assert list(im.window.surface._chars) == before
-    finally:
-        compositor.configure(was)
 
 
 # ---------------------------------------------------------------------------

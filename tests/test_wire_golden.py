@@ -102,7 +102,7 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_wire_frames(name, snapshot_update):
     # Pin the gate set: the op stream (hence the bytes) depends on it.
-    with gates(False, metrics_on=False):
+    with gates(metrics_on=False):
         frames, local_snapshot = CASES[name]()
     assert frames, f"{name} shipped no frames"
 

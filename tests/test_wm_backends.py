@@ -104,6 +104,65 @@ class TestRasterBackend:
         assert window.framebuffer.get(3, 3) == 1
 
 
+class TestClippedBlit:
+    """``OffscreenWindow.copy_to``: copy semantics, clipped to the
+    target, on both backends."""
+
+    def test_ascii_copy_to_respects_clip(self, ascii_ws):
+        off = ascii_ws.create_offscreen(4, 3)
+        graphic = off.graphic()
+        for y in range(3):
+            graphic.draw_string(0, y, "XXXX")
+        window = ascii_ws.create_window("t", 10, 5)
+        target = window.graphic()
+        target.clip = Rect(1, 1, 2, 2)
+        off.copy_to(target, 0, 0)
+        for y in range(5):
+            for x in range(10):
+                inside = 1 <= x < 3 and 1 <= y < 3
+                assert (window.surface.char_at(x, y) == "X") is inside
+
+    def test_ascii_copy_is_faithful(self, ascii_ws):
+        """Copy semantics: chars, inverse and bold all transfer."""
+        off = ascii_ws.create_offscreen(3, 1)
+        off.surface.put(0, 0, "a", inverse=1, bold=0)
+        off.surface.put(1, 0, " ", inverse=0, bold=0)
+        off.surface.put(2, 0, "c", inverse=0, bold=1)
+        window = ascii_ws.create_window("t", 5, 2)
+        window.graphic().fill_rect(Rect(0, 0, 5, 2), 1)  # pre-ink
+        off.copy_to(window.graphic(), 1, 0)
+        surface = window.surface
+        assert surface.char_at(1, 0) == "a" and surface.inverse_at(1, 0)
+        assert surface.char_at(2, 0) == " "  # background copied over ink
+        assert not surface.inverse_at(2, 0)
+        assert surface.char_at(3, 0) == "c" and surface.bold_at(3, 0)
+
+    def test_raster_copy_to_respects_clip(self, raster_ws):
+        off = raster_ws.create_offscreen(4, 4)
+        off.bitmap.fill_rect(Rect(0, 0, 4, 4), 1)
+        window = raster_ws.create_window("t", 8, 8)
+        target = window.graphic()
+        target.clip = Rect(2, 2, 2, 2)
+        off.copy_to(target, 1, 1)
+        fb = window.framebuffer
+        for y in range(8):
+            for x in range(8):
+                inside = 2 <= x < 4 and 2 <= y < 4
+                assert fb.get(x, y) == (1 if inside else 0)
+
+    def test_raster_copy_clears_background(self, raster_ws):
+        """Copy semantics: the surface's 0 pixels land too (not OR)."""
+        off = raster_ws.create_offscreen(4, 4)  # all zero
+        window = raster_ws.create_window("t", 8, 8)
+        window.framebuffer.fill_rect(Rect(0, 0, 8, 8), 1)
+        off.copy_to(window.graphic(), 2, 2)
+        fb = window.framebuffer
+        for y in range(8):
+            for x in range(8):
+                inside = 2 <= x < 6 and 2 <= y < 6
+                assert fb.get(x, y) == (0 if inside else 1)
+
+
 class TestEventQueue:
     def test_inject_click_produces_down_up(self, ascii_ws):
         window = ascii_ws.create_window("t", 10, 4)
