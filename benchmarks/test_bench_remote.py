@@ -3,16 +3,17 @@
 The remote port's whole value proposition is that a frame costs a few
 hundred bytes, not a full screen.  This bench drives the E16 editing
 session — typing, scrolling, full exposes on the three-pane workspace
-— through a :class:`~repro.remote.RemoteWindowSystem` twice, with
-frame delta-encoding off and on, and reports bytes shipped per frame.
-Delta-on elides unchanged ops, ships scroll copies verbatim plus a
-cell-level repair diff, and skips flushes that changed nothing at all,
-so both the per-frame and the whole-session byte counts must collapse.
+— through a :class:`~repro.remote.RemoteWindowSystem` and reports
+bytes shipped per frame.  The reference is the full-screen keyframe
+the same run ships first: after it the encoder ships scroll copies
+verbatim plus a cell-level repair diff and skips flushes that changed
+nothing at all, so both the mean frame and the whole session must
+cost a fraction of shipping that keyframe at every step.
 
-Outputs ``BENCH_remote.json`` (byte counts per arm, encoder counters,
-the reduction ratio) in the working directory; CI uploads it as an
+Outputs ``BENCH_remote.json`` (byte counts, encoder counters, the
+reduction ratios) in the working directory; CI uploads it as an
 artifact and compares it against the committed copy, with a hard
-bytes/frame budget on the delta arm in ``check_regression.py``.
+bytes/frame budget in ``check_regression.py``.
 """
 
 import json
@@ -29,11 +30,18 @@ from repro.components.text.textdata import TextData
 from repro.components.text.textview import TextView
 from repro.core import InteractionManager
 from repro.graphics import Rect
-from repro.remote import CaptureSink, RemoteRenderer, RemoteWindowSystem
+from repro.remote import (
+    CaptureSink,
+    RemoteRenderer,
+    RemoteWindowSystem,
+    decode_frame,
+)
 
 KEYSTROKES = 30
 SCROLLS = 12
 EXPOSES = 20
+#: Event pumps in one run: the first paint plus one per session step.
+STEPS = 1 + KEYSTROKES + SCROLLS + EXPOSES
 
 
 def build_workspace(ws):
@@ -78,9 +86,9 @@ def session(im, text_view, registry, timer_name):
         im.process_events()
 
 
-def run_arm(metrics, delta, timer_name):
+def run_session(metrics, timer_name):
     sink = CaptureSink()
-    ws = RemoteWindowSystem("ascii", delta=delta, sink=sink)
+    ws = RemoteWindowSystem("ascii", sink=sink)
     im, text_view = build_workspace(ws)
     metrics.reset()
     session(im, text_view, metrics, timer_name)
@@ -92,13 +100,16 @@ def run_arm(metrics, delta, timer_name):
     renderer.feed(sink.stream())
     window = ws.windows[0]
     assert renderer.surface.lines() == window.surface.lines(), (
-        f"delta={delta}: decoded replica diverged from the sender"
+        "decoded replica diverged from the sender"
     )
     assert renderer.resyncs == 0 and renderer.frames_skipped == 0
 
     encoder = window._encoder
     frames = len(sink.frames)
+    first, _ = decode_frame(sink.frames[0])
+    assert first.keyframe and encoder.keyframes_sent == 1
     counters = {
+        "keyframe_bytes": len(sink.frames[0]),
         "frames_sent_frames": frames,
         "keyframes_sent_frames": encoder.keyframes_sent,
         "total_bytes": sink.total_bytes,
@@ -112,25 +123,24 @@ def run_arm(metrics, delta, timer_name):
 
 
 def test_bench_remote_bytes_per_frame(metrics):
-    off = run_arm(metrics, delta=False, timer_name="bench.nodelta_ns")
-    metrics.reset()
-    on = run_arm(metrics, delta=True, timer_name="bench.delta_ns")
+    on = run_session(metrics, timer_name="bench.delta_ns")
     registry_snapshot = metrics.snapshot()
 
-    # The headline claim: delta-encoding cuts wire traffic >= 5x, both
-    # per shipped frame and over the whole session (delta additionally
-    # skips flushes that changed nothing, so session bytes fall even
-    # further than frame size alone).
-    frame_ratio = off["per_frame_bytes"] / max(1.0, on["per_frame_bytes"])
-    session_ratio = off["total_bytes"] / max(1, on["total_bytes"])
-    assert off["total_bytes"] > 50_000, off  # the workload ships real data
-    assert frame_ratio >= 5.0, (off, on)
-    assert session_ratio >= 5.0, (off, on)
+    # The headline claim: delta frames cut wire traffic >= 5x against
+    # the full screen, both per shipped frame and over the whole
+    # session (which also skips flushes that changed nothing, so it
+    # is measured against a keyframe at every step).
+    keyframe = on["keyframe_bytes"]
+    frame_ratio = keyframe / max(1.0, on["per_frame_bytes"])
+    session_ratio = keyframe * STEPS / max(1, on["total_bytes"])
+    assert keyframe * STEPS > 50_000, on  # the workload ships real data
+    assert frame_ratio >= 5.0, on
+    assert session_ratio >= 5.0, on
     # The compression actually engaged, in both of its modes.
     assert on["ops_elided"] > 0, on
     assert on["cell_diff_cells"] > 0, on
-    # Delta never ships *more* frames than the literal arm.
-    assert on["frames_sent_frames"] <= off["frames_sent_frames"], (off, on)
+    # Flushes that changed nothing ship nothing.
+    assert on["frames_sent_frames"] < STEPS, on
 
     summary = {
         "workload": {
@@ -138,9 +148,8 @@ def test_bench_remote_bytes_per_frame(metrics):
             "scrolls": SCROLLS,
             "full_exposes": EXPOSES,
         },
-        "bytes_ratio_off_over_on": round(session_ratio, 1),
-        "frame_bytes_ratio_off_over_on": round(frame_ratio, 1),
-        "nodelta": off,
+        "bytes_ratio_keyframes_over_delta": round(session_ratio, 1),
+        "frame_bytes_ratio_keyframe_over_delta": round(frame_ratio, 1),
         "delta": on,
     }
     with open("BENCH_remote.json", "w") as fh:
@@ -149,15 +158,14 @@ def test_bench_remote_bytes_per_frame(metrics):
     report("E20 remote display delta-encoding", [
         f"{KEYSTROKES} keystrokes (expose every 3rd), {SCROLLS} scrolls, "
         f"{EXPOSES} full exposes on the three-pane workspace",
-        f"session bytes: off={off['total_bytes']} on={on['total_bytes']} "
+        f"session bytes: {on['total_bytes']} against {keyframe * STEPS} "
+        f"for a keyframe at each of {STEPS} steps "
         f"({session_ratio:.1f}x fewer)",
-        f"bytes/frame: off={off['per_frame_bytes']} "
-        f"on={on['per_frame_bytes']} ({frame_ratio:.1f}x smaller)",
-        f"frames: off={off['frames_sent_frames']} "
-        f"on={on['frames_sent_frames']} "
-        f"(keyframes {off['keyframes_sent_frames']}/"
-        f"{on['keyframes_sent_frames']})",
-        f"delta arm: ops_elided={on['ops_elided']} "
+        f"bytes/frame: {on['per_frame_bytes']} against a {keyframe}-byte "
+        f"keyframe ({frame_ratio:.1f}x smaller)",
+        f"frames: {on['frames_sent_frames']} for {STEPS} steps "
+        f"(keyframes {on['keyframes_sent_frames']})",
+        f"ops_elided={on['ops_elided']} "
         f"cell_diff_cells={on['cell_diff_cells']}",
         "snapshot written to BENCH_remote.json",
     ])
@@ -166,7 +174,7 @@ def test_bench_remote_bytes_per_frame(metrics):
 def test_bench_remote_flush_timing(benchmark, metrics):
     """pytest-benchmark timing of one delta-encoded expose+ship."""
     sink = CaptureSink()
-    ws = RemoteWindowSystem("ascii", delta=True, sink=sink)
+    ws = RemoteWindowSystem("ascii", sink=sink)
     im, _ = build_workspace(ws)
     im.window.inject_expose()
     im.process_events()

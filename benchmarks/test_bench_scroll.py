@@ -3,14 +3,15 @@
 Scrolling is the other half of interactive latency (E7 covers
 keystrokes).  Without help, every one-line scroll of a reader window
 repaints the whole pane even though all but one row of the result is
-already on screen, one row higher.  The ``ANDREW_SCROLLBLIT`` gate
-turns that move into a same-surface ``copy_area`` plus a repaint of
-just the exposed strip.
+already on screen, one row higher.  On a drawable with ``copy_area``
+the toolkit turns that move into a same-surface shift plus a repaint
+of just the exposed strip.
 
 This bench drives a scroll sweep through a 2,000-paragraph document
 and a row-by-row storm over a 300-row table, through the full event
-path, with the gate off (control) and on (subject), and compares the
-rows actually repainted per tick.  It also times full-window exposes,
+path, as a port without ``copy_area`` (control: every scroll repaints
+the whole area) and with it (subject), and compares the rows actually
+repainted per tick.  It also times full-window exposes,
 so the latency budgets in ``check_regression.py`` cover all three
 interactive paths: keystroke p50 (E7), scroll p95 and expose p95
 (both here).
@@ -27,8 +28,9 @@ from conftest import report
 from repro.components.table.tabledata import TableData
 from repro.components.table.tableview import TableView
 from repro.components.text import TextData, TextView
-from repro.core import InteractionManager, scrollblit
+from repro.core import InteractionManager
 from repro.wm import AsciiWindowSystem
+from repro.wm.ascii_ws import AsciiGraphic
 
 PARAGRAPHS = 2000
 TICKS = 120
@@ -82,8 +84,8 @@ def expose_storm(im, registry, timer_name):
 
 
 def run_arm(metrics, blit_on, timer_prefix):
-    was = scrollblit.enabled
-    scrollblit.configure(blit_on)
+    # The control arm runs as a port whose drawable lacks copy_area.
+    AsciiGraphic.can_copy_area = blit_on
     try:
         im, view = build_reader()
         metrics.reset()
@@ -101,12 +103,11 @@ def run_arm(metrics, blit_on, timer_prefix):
         out["expose_p95_ns"] = expose_timer.percentile(0.95) if expose_timer else 0
         return out
     finally:
-        scrollblit.configure(was)
+        AsciiGraphic.can_copy_area = True
 
 
 def run_table_arm(metrics, blit_on):
-    was = scrollblit.enabled
-    scrollblit.configure(blit_on)
+    AsciiGraphic.can_copy_area = blit_on
     try:
         im, view = build_table()
         metrics.reset()
@@ -118,7 +119,7 @@ def run_table_arm(metrics, blit_on):
             "scroll_blits": metrics.counter("view.scroll_blits"),
         }
     finally:
-        scrollblit.configure(was)
+        AsciiGraphic.can_copy_area = True
 
 
 def test_bench_scroll_blit_vs_repaint(metrics):
@@ -173,21 +174,16 @@ def test_bench_scroll_blit_vs_repaint(metrics):
 
 
 def test_bench_scroll_tick_timing(benchmark, metrics):
-    """pytest-benchmark timing of one one-line scroll with the blit on."""
-    was = scrollblit.enabled
-    scrollblit.configure(True)
-    try:
-        im, view = build_reader()
+    """pytest-benchmark timing of one one-line scroll shift-blit."""
+    im, view = build_reader()
+    im.flush_updates()
+    metrics.reset()
+    state = {"pos": 0}
+
+    def one_tick():
+        state["pos"] += 1
+        view.set_scroll_pos(state["pos"])
         im.flush_updates()
-        metrics.reset()
-        state = {"pos": 0}
 
-        def one_tick():
-            state["pos"] += 1
-            view.set_scroll_pos(state["pos"])
-            im.flush_updates()
-
-        benchmark(one_tick)
-        assert metrics.counter("view.scroll_blits") > 0
-    finally:
-        scrollblit.configure(was)
+    benchmark(one_tick)
+    assert metrics.counter("view.scroll_blits") > 0

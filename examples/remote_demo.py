@@ -51,11 +51,7 @@ def main(argv=None) -> int:
                         help="ship frames to a renderer listening on "
                              "127.0.0.1:PORT (start one with "
                              "python -m repro.remote.renderer)")
-    parser.add_argument("--no-delta", action="store_true",
-                        help="disable frame delta-encoding (compare "
-                             "the byte counts!)")
     args = parser.parse_args(argv)
-    delta = not args.no_delta
 
     if args.connect:
         try:
@@ -66,19 +62,18 @@ def main(argv=None) -> int:
                   "PYTHONPATH=src python -m repro.remote.renderer "
                   f"--listen {args.connect}")
             return 1
-        ws = RemoteWindowSystem("ascii", delta=delta, sink=sink)
+        ws = RemoteWindowSystem("ascii", sink=sink)
         drive(ws)
         stats = ws.stats()
         print(f"shipped {stats['frames_sent']} frames, "
-              f"{stats['bytes_sent']} bytes "
-              f"(delta {'on' if delta else 'off'}) — watch terminal 1")
+              f"{stats['bytes_sent']} bytes — watch terminal 1")
         sink.close()
         return 0
 
     # Single-terminal fallback: the renderer runs in-process, fed the
     # exact same encoded bytes a socket would carry.
     renderer = RemoteRenderer()
-    ws = RemoteWindowSystem("ascii", delta=delta, renderer=renderer)
+    ws = RemoteWindowSystem("ascii", renderer=renderer)
     _, window = drive(ws)
 
     print("The renderer's replica (decoded from the wire):")
@@ -89,7 +84,7 @@ def main(argv=None) -> int:
     stats = ws.stats()
     print(f"frames={stats['frames_sent']} "
           f"(keyframes={stats['keyframes_sent']}) "
-          f"bytes={stats['bytes_sent']} delta={'on' if delta else 'off'}")
+          f"bytes={stats['bytes_sent']}")
     return 0 if match else 1
 
 

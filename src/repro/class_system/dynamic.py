@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Type
 
 from .. import obs
+from ..config import env_str
 from .errors import DynamicLoadError, PluginNotFoundError, PluginSyntaxError
 from .registry import ATKObject, is_registered, lookup
 
@@ -89,7 +90,7 @@ class ClassLoader:
 
     @staticmethod
     def _path_from_environment() -> List[Path]:
-        raw = os.environ.get(CLASS_PATH_ENV, "")
+        raw = env_str(CLASS_PATH_ENV, "")
         return [Path(p) for p in raw.split(os.pathsep) if p]
 
     # -- path management -------------------------------------------------

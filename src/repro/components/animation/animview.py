@@ -7,7 +7,9 @@ timer events advance frames every ``period`` ticks, and ``Stop`` (or
 reaching the last frame in one-shot mode) halts it.
 
 Frames are pre-composed into an off-screen window before display —
-the OffScreenWindow porting class earning its keep.
+the OffScreenWindow porting class earning its keep.  The view keeps
+one such window and allocates a new one only when the frame size (or
+the window system) changes.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ class AnimationView(View):
         self.playing = False
         self.loop = loop
         self._ticks = 0
+        self._offscreen = None
+        self._offscreen_ws = None
         self._build_menus()
 
     @property
@@ -95,11 +99,24 @@ class AnimationView(View):
         if im is not None:
             # Compose off screen, then copy — flicker-free on a real
             # display, and it exercises the OffScreenWindow port class.
-            off = im.window_system.create_offscreen(frame.width, frame.height)
-            off.graphic().draw_bitmap(frame, 0, 0)
+            off = self._compose_surface(im.window_system, frame.width,
+                                        frame.height)
+            canvas = off.graphic()
+            canvas.clear()  # a reused surface still holds the last frame
+            canvas.draw_bitmap(frame, 0, 0)
             off.copy_to(graphic, 0, 0)
         else:
             graphic.draw_bitmap(frame, 0, 0)
+
+    def _compose_surface(self, window_system, width: int, height: int):
+        """The view's offscreen window, rebuilt only when it no longer
+        fits: another size, or another window system."""
+        off = self._offscreen
+        if (off is None or self._offscreen_ws is not window_system
+                or (off.width, off.height) != (width, height)):
+            off = window_system.create_offscreen(width, height)
+            self._offscreen, self._offscreen_ws = off, window_system
+        return off
 
     # -- interaction ---------------------------------------------------------------
 

@@ -35,7 +35,6 @@ from ..testing import faultinject
 from ..wm.base import Cursor
 from ..wm.events import KeyEvent, MenuEvent, MouseEvent
 from . import faults
-from . import scrollblit
 from .dataobject import DataObject
 from .keymap import Keymap
 from .menus import MenuCard
@@ -239,8 +238,6 @@ class View(ATKObject, Observer):
         shift cannot be proven pixel-identical to a full repaint; the
         caller then falls back to ordinary area damage.
         """
-        if not scrollblit.enabled:
-            return False
         im = self.interaction_manager()
         if im is None:
             return False

@@ -33,7 +33,6 @@ Layers, bottom up:
 
 from .backend import (
     REMOTE_ADDR_ENV,
-    REMOTE_DELTA_ENV,
     REMOTE_TARGET_ENV,
     RemoteAsciiWindow,
     RemoteRasterWindow,
@@ -71,7 +70,6 @@ __all__ = [
     "WireError",
     "RECONNECT_ENV",
     "REMOTE_ADDR_ENV",
-    "REMOTE_DELTA_ENV",
     "REMOTE_TARGET_ENV",
     "decode_frame",
     "delta_compress",

@@ -19,7 +19,7 @@ are wire ops (:data:`repro.graphics.batch.SCHEMA`), so nothing is
 copied or translated.
 
 Select it like any backend: ``ANDREW_WM=remote`` builds one from the
-environment (``ANDREW_REMOTE_TARGET``, ``ANDREW_REMOTE_DELTA``,
+environment (``ANDREW_REMOTE_TARGET``,
 ``ANDREW_REMOTE_ADDR=host:port`` for a loopback socket sink;
 ``ANDREW_RECONNECT=1`` wraps that socket in a
 :class:`~repro.remote.reconnect.ReconnectingSink` and turns on
@@ -28,11 +28,10 @@ heartbeat pings, making the connection self-healing).
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 from .. import obs
-from ..config import env_flag
+from ..config import env_str
 from ..graphics import batch
 from ..graphics.fontdesc import FontDesc, FontMetrics
 from ..wm.ascii_ws import AsciiOffscreen, AsciiWindow, _cell_metrics
@@ -49,10 +48,9 @@ from .reconnect import ReconnectingSink, reconnect_from_env, resume_viewer
 from .transport import FanoutSink, RendererSink, SocketSink, faulty_send
 
 __all__ = ["RemoteWindowSystem", "RemoteAsciiWindow", "RemoteRasterWindow",
-           "REMOTE_TARGET_ENV", "REMOTE_DELTA_ENV", "REMOTE_ADDR_ENV"]
+           "REMOTE_TARGET_ENV", "REMOTE_ADDR_ENV"]
 
 REMOTE_TARGET_ENV = "ANDREW_REMOTE_TARGET"
-REMOTE_DELTA_ENV = "ANDREW_REMOTE_DELTA"
 REMOTE_ADDR_ENV = "ANDREW_REMOTE_ADDR"
 
 
@@ -197,7 +195,10 @@ class RemoteWindowSystem(WindowSystem):
     surface, graphic and offscreen classes, so everything above the
     porting interface behaves exactly as it does locally.  ``sink`` /
     ``renderer`` seed every window's fan-out list; more viewers attach
-    per window with ``attach_renderer``/``attach_sink``.
+    per window with ``attach_renderer``/``attach_sink``.  Every frame
+    after a keyframe is delta-encoded; ``delta`` is accepted only so
+    callers that still pass ``delta=True`` run, and ``delta=False``
+    raises.
     """
 
     atk_name = "remotews"
@@ -216,8 +217,10 @@ class RemoteWindowSystem(WindowSystem):
         super().__init__()
         if target not in wire.TARGETS:
             raise ValueError(f"unknown remote target {target!r}")
+        if not delta:
+            raise ValueError("delta=False is retired: every frame after "
+                             "a keyframe is delta-encoded")
         self.target = target
-        self.delta = delta
         self.keyframe_interval = keyframe_interval
         self.ping_every = ping_every
         self.resume_window = resume_window
@@ -237,11 +240,14 @@ class RemoteWindowSystem(WindowSystem):
         connect, capped backoff, automatic keyframe on reconnect) and
         heartbeat pings default on.
         """
-        target = os.environ.get(REMOTE_TARGET_ENV, "ascii").strip() or "ascii"
-        delta = env_flag(REMOTE_DELTA_ENV, True)
+        target = env_str(REMOTE_TARGET_ENV, "ascii")
+        if target not in wire.TARGETS:
+            raise ValueError(
+                f"{REMOTE_TARGET_ENV}={target!r}: expected one of "
+                f"{', '.join(wire.TARGETS)}")
         sink = None
         ping_every = None
-        addr = os.environ.get(REMOTE_ADDR_ENV, "").strip()
+        addr = env_str(REMOTE_ADDR_ENV, "")
         if addr:
             host, port = _parse_addr(addr)
             if reconnect_from_env():
@@ -251,7 +257,7 @@ class RemoteWindowSystem(WindowSystem):
                 ping_every = cls.DEFAULT_PING_EVERY
             else:
                 sink = SocketSink(host, port)
-        return cls(target, delta=delta, sink=sink, ping_every=ping_every)
+        return cls(target, sink=sink, ping_every=ping_every)
 
     def _make_window(self, title: str, width: int, height: int):
         if self.target == "ascii":
@@ -260,7 +266,7 @@ class RemoteWindowSystem(WindowSystem):
             window = RemoteRasterWindow(title, width, height, self.requests)
         window._encoder = FrameEncoder(
             self.target, width, height,
-            delta=self.delta, keyframe_interval=self.keyframe_interval,
+            keyframe_interval=self.keyframe_interval,
             resume_window=self.resume_window,
         )
         window.ping_every = self.ping_every

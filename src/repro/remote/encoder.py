@@ -22,14 +22,13 @@ Frame shapes per mode:
   :meth:`FrameEncoder.request_keyframe` (late-joining viewer), and
   every ``keyframe_interval`` sent frames so a lossy transport
   resynchronizes without a back-channel.
-* **delta on, ascii** — scroll ``copy`` ops ship verbatim (a cell diff
+* **delta, ascii** — scroll ``copy`` ops ship verbatim (a cell diff
   would re-send every shifted row), then ``cells`` runs carry exactly
   the cells that differ from the post-scroll shadow — the terminal
   emits only changed cells.
-* **delta on, raster** — :func:`delta_compress` elides runs of ops
+* **delta, raster** — :func:`delta_compress` elides runs of ops
   unchanged from the previous frame into ``("ref", start, count)``
   tuples, then ``rowbits`` spans repair prediction gaps.
-* **delta off** — the literal op list plus repair ops.
 
 Unchanged frames (surface identical to shadow, no keyframe due) encode
 to nothing at all: ``encode`` returns ``None`` and the sequence number
@@ -182,14 +181,13 @@ class FrameEncoder:
     DEFAULT_RESUME_WINDOW = 32
 
     def __init__(self, target: str, width: int, height: int, *,
-                 delta: bool = True, keyframe_interval: int = 64,
+                 keyframe_interval: int = 64,
                  resume_window: int = DEFAULT_RESUME_WINDOW) -> None:
         if target not in wire.TARGETS:
             raise ValueError(f"unknown target {target!r}")
         if keyframe_interval < 1:
             raise ValueError("keyframe_interval must be >= 1")
         self.target = target
-        self.delta = delta
         self.keyframe_interval = keyframe_interval
         self.frames_sent = 0
         self.keyframes_sent = 0
@@ -261,14 +259,6 @@ class FrameEncoder:
 
     # -- shadow plumbing -------------------------------------------------
 
-    def _surface_matches_shadow(self, surface) -> bool:
-        shadow = self._shadow
-        if self.target == "ascii":
-            return (shadow._chars == surface._chars
-                    and shadow._inverse == surface._inverse
-                    and shadow._bold == surface._bold)
-        return shadow._bits == surface._bits
-
     def _sync_shadow(self, surface) -> None:
         shadow = self._shadow
         if self.target == "ascii":
@@ -289,22 +279,15 @@ class FrameEncoder:
     # -- encoding --------------------------------------------------------
 
     def encode(self, wire_ops: List[tuple], surface) -> Optional[bytes]:
-        keyframe_due = (self._force_keyframe
-                        or self._since_keyframe >= self.keyframe_interval)
-        if keyframe_due:
+        keyframe = (self._force_keyframe
+                    or self._since_keyframe >= self.keyframe_interval)
+        if keyframe:
             out_ops = self._keyframe_ops(surface)
             elided = diffed = 0
-            keyframe = True
-        elif self.delta:
+        else:
             out_ops, elided, diffed = self._delta_ops(wire_ops, surface)
             if not out_ops:
                 return None  # nothing visible changed
-            keyframe = False
-        else:
-            if not wire_ops and self._surface_matches_shadow(surface):
-                return None
-            out_ops, elided, diffed = self._literal_ops(wire_ops, surface)
-            keyframe = False
 
         frame = Frame(keyframe=keyframe, seq=self._seq, target=self.target,
                       width=self.width, height=self.height, ops=out_ops)
@@ -362,16 +345,6 @@ class FrameEncoder:
         repairs = diff_rowbits(self._shadow, surface)
         return compressed + repairs, elided, 0
 
-    def _literal_ops(self, wire_ops, surface):
-        """The full op list plus shadow-diff repairs (delta off)."""
-        for op in wire_ops:
-            apply_op(self._shadow_graphic, op)
-        if self.target == "ascii":
-            repairs, diffed = diff_cells(self._shadow, surface)
-        else:
-            repairs, diffed = diff_rowbits(self._shadow, surface), 0
-        return list(wire_ops) + repairs, 0, diffed
-
     def __repr__(self) -> str:
         return (f"<FrameEncoder {self.target} {self.width}x{self.height} "
-                f"delta={self.delta} sent={self.frames_sent}>")
+                f"sent={self.frames_sent}>")

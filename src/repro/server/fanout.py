@@ -29,7 +29,6 @@ __all__ = ["add_remote_session", "attach_viewer", "resume_viewer",
 def add_remote_session(loop: ServerLoop, *,
                        session_id: Optional[str] = None,
                        target: str = "ascii",
-                       delta: bool = True,
                        keyframe_interval: int = 64,
                        renderer: Optional[RemoteRenderer] = None,
                        sink=None,
@@ -41,7 +40,7 @@ def add_remote_session(loop: ServerLoop, *,
     more viewers later with :func:`attach_viewer`.
     """
     window_system = RemoteWindowSystem(
-        target, delta=delta, keyframe_interval=keyframe_interval,
+        target, keyframe_interval=keyframe_interval,
         sink=sink, renderer=renderer,
     )
     return loop.add_session(

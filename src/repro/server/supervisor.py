@@ -54,13 +54,12 @@ Enable by constructing a :class:`Supervisor` around a
 
 from __future__ import annotations
 
-import os
 import zlib
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .. import obs
-from ..config import env_flag
+from ..config import env_flag, env_str
 from ..core.application import atomic_write_bytes
 from ..core.datastream import read_document, write_document
 from .session import Session
@@ -88,11 +87,8 @@ def supervise_from_env() -> bool:
 
 
 def checkpoint_interval_from_env(default: int) -> int:
-    raw = os.environ.get(CHECKPOINT_INTERVAL_ENV, "").strip()
-    if not raw:
-        return default
     try:
-        value = int(raw)
+        value = int(env_str(CHECKPOINT_INTERVAL_ENV, str(default)))
     except ValueError:
         return default
     return value if value >= 1 else default

@@ -46,11 +46,11 @@ module-attribute check per seam.
 from __future__ import annotations
 
 import contextlib
-import os
 import random
 from typing import Iterator, Optional, Tuple
 
 from .. import obs
+from ..config import env_str
 
 __all__ = [
     "FAULTS_ENV",
@@ -146,7 +146,7 @@ class FaultInjector:
 
 
 def _from_env() -> Optional[FaultInjector]:
-    spec = os.environ.get(FAULTS_ENV, "").strip()
+    spec = env_str(FAULTS_ENV, "")
     if not spec:
         return None
     parsed = parse_spec(spec)

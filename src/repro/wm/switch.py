@@ -15,11 +15,11 @@ loaded at run time."
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Optional
 
 from ..class_system.dynamic import default_loader
 from ..class_system.errors import DynamicLoadError
+from ..config import env_str
 from .ascii_ws import AsciiWindowSystem
 from .base import WindowSystem
 from .raster_ws import RasterWindowSystem
@@ -66,7 +66,7 @@ def get_window_system(name: Optional[str] = None) -> WindowSystem:
     (plugins register a WindowSystem subclass under that name).
     """
     if name is None:
-        name = os.environ.get(WM_ENV_VAR, "ascii")
+        name = env_str(WM_ENV_VAR, "ascii")
     factory = _FACTORIES.get(name)
     if factory is not None:
         return factory()

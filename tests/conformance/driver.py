@@ -15,6 +15,9 @@ the pieces the matrix test (and any future gate's tests) composes:
   step so divergence is reported at the exact step and op;
 * :func:`gates` — a context manager configuring the whole gate set and
   restoring the previous state afterwards;
+* :func:`without_copy_area` — a context manager that runs both local
+  backends as a port whose drawables lack ``copy_area``, so scrolls
+  take the full-area repaint fallback (the scroll suite's reference);
 * :func:`recording_ws` — the ``batch`` arm's window system: the same
   target, but every frame recorded and replayed.
 """
@@ -27,8 +30,9 @@ from typing import Callable, Iterator, List, Tuple
 from repro import obs
 from repro.core import InteractionManager
 from repro.core import faults
-from repro.core import scrollblit as scrollblit_mod
 from repro.graphics import Rect
+from repro.wm.ascii_ws import AsciiGraphic
+from repro.wm.raster_ws import RasterGraphic
 
 __all__ = [
     "OP_KINDS",
@@ -42,6 +46,7 @@ __all__ = [
     "run_scenario_remote",
     "run_scenario_server",
     "scenario_ops",
+    "without_copy_area",
 ]
 
 #: Script-entry kinds (weights live in :func:`scenario_ops`).
@@ -248,8 +253,7 @@ def run_scenario_server(make_ws: Callable, ops: List[Tuple], width: int,
 
 
 def run_scenario_remote(target: str, ops: List[Tuple], width: int,
-                        height: int, *, delta: bool = True,
-                        keyframe_interval: int = 64,
+                        height: int, *, keyframe_interval: int = 64,
                         chunk_size: int = None,
                         replicas: List = None) -> List:
     """:func:`run_scenario`, but rendered by a wire-fed remote client.
@@ -269,8 +273,7 @@ def run_scenario_remote(target: str, ops: List[Tuple], width: int,
     from repro.remote import RemoteRenderer, RemoteWindowSystem
 
     renderer = RemoteRenderer()
-    ws = RemoteWindowSystem(target, delta=delta,
-                            keyframe_interval=keyframe_interval)
+    ws = RemoteWindowSystem(target, keyframe_interval=keyframe_interval)
     app = build_app(ws, width, height)
     app["window"].attach_renderer(renderer, chunk_size)
 
@@ -290,26 +293,40 @@ def run_scenario_remote(target: str, ops: List[Tuple], width: int,
 
 
 @contextlib.contextmanager
-def gates(metrics_on: bool, quarantine: bool = None, *,
-          scrollblit: bool = None) -> Iterator[None]:
+def gates(metrics_on: bool, quarantine: bool = None) -> Iterator[None]:
     """Configure the rendering-gate set; restore the old state after.
 
-    ``quarantine`` and ``scrollblit`` default to ``None`` (leave those
-    gates alone — both are on by default and fault-free runs must
-    render identically either way, which their matrices prove by
-    flipping them explicitly).
+    ``quarantine`` defaults to ``None`` (leave the gate alone — it is
+    on by default and fault-free runs must render identically either
+    way, which its matrix proves by flipping it explicitly).
     """
     was_metrics = obs.metrics_enabled()
     was_quarantine = faults.enabled
-    was_scrollblit = scrollblit_mod.enabled
     obs.configure(metrics=metrics_on, reset_data=True)
     if quarantine is not None:
         faults.configure(quarantine)
-    if scrollblit is not None:
-        scrollblit_mod.configure(scrollblit)
     try:
         yield
     finally:
         obs.configure(metrics=was_metrics, reset_data=True)
         faults.configure(was_quarantine)
-        scrollblit_mod.configure(was_scrollblit)
+
+
+@contextlib.contextmanager
+def without_copy_area() -> Iterator[None]:
+    """Run the ascii and raster drawables (remote windows draw through
+    the same classes) as a port without ``copy_area``.
+
+    Interaction managers built inside the block never shift a scroll;
+    every scroll falls back to full-area damage, the path any port
+    whose drawable cannot copy within itself takes.
+    """
+    classes = (AsciiGraphic, RasterGraphic)
+    saved = [cls.can_copy_area for cls in classes]
+    for cls in classes:
+        cls.can_copy_area = False
+    try:
+        yield
+    finally:
+        for cls, was in zip(classes, saved):
+            cls.can_copy_area = was

@@ -7,12 +7,11 @@ encoded, shipped through the in-process pipe and decoded by a dumb
 *renderer's* replica must be byte-identical to a plain local backend
 run of the same script.  Axes:
 
-* ``batch`` x ``ANDREW_SCROLLBLIT`` — all four combinations, on both
-  render targets (scroll shift-blits are exactly what the encoder's
-  shadow-diff repair must absorb).  A remote window always records;
-  the ``batch`` arm also holds the *sender's* replayed surface to the
-  local baseline at every step, not only the renderer's;
-* delta-encoding off vs on (identity must not depend on compression);
+* ``batch`` off and on, on both render targets (the scripts' scroll
+  shift-blits are exactly what the encoder's shadow-diff repair must
+  absorb).  A remote window always records; the ``batch`` arm also
+  holds the *sender's* replayed surface to the local baseline at every
+  step, not only the renderer's;
 * a short keyframe interval + chunked 13-byte writes (periodic
   keyframes and partial-frame buffering must be invisible);
 * a chaos arm: seeded ``remote.send`` faults drop/truncate frames and
@@ -22,8 +21,6 @@ run of the same script.  Axes:
 """
 
 from __future__ import annotations
-
-import itertools
 
 import pytest
 
@@ -52,13 +49,7 @@ BACKENDS = {
     "raster": (RasterWindowSystem, 100, 56, 36, 5000),
 }
 
-GATE_NAMES = ("batch", "scrollblit")
-COMBOS = list(itertools.product((False, True), repeat=2))
-
-
-def _combo_id(combo):
-    on = [name for name, flag in zip(GATE_NAMES, combo) if flag]
-    return "+".join(on) or "all-off"
+COMBOS = ["all-off", "batch"]
 
 
 #: Per-target memo of (ops, stepwise local-baseline fingerprints).
@@ -86,31 +77,19 @@ def _compare(target, actual, ops, expected, context):
         )
 
 
-@pytest.mark.parametrize("combo", COMBOS, ids=_combo_id)
+@pytest.mark.parametrize("combo", COMBOS)
 @pytest.mark.parametrize("target", sorted(BACKENDS))
 def test_remote_matches_local_across_gates(target, combo):
     _, width, height, _steps, _offset = BACKENDS[target]
     ops, expected = _baseline(target)
-    batch_on, scrollblit_on = combo
-    replicas = [] if batch_on else None
-    with gates(metrics_on=False, scrollblit=scrollblit_on):
-        actual = run_scenario_remote(target, ops, width, height,
-                                     replicas=replicas)
-    _compare(target, actual, ops, expected, f"gates={_combo_id(combo)}")
-    if batch_on:
-        _compare(target, replicas, ops, expected,
-                 f"gates={_combo_id(combo)}, sender replica")
-
-
-@pytest.mark.parametrize("target", sorted(BACKENDS))
-def test_remote_delta_off_matches_local(target):
-    """Identity must not depend on the compression arm."""
-    _, width, height, _steps, _offset = BACKENDS[target]
-    ops, expected = _baseline(target)
+    replicas = [] if combo == "batch" else None
     with gates(metrics_on=False):
         actual = run_scenario_remote(target, ops, width, height,
-                                     delta=False)
-    _compare(target, actual, ops, expected, "delta=off")
+                                     replicas=replicas)
+    _compare(target, actual, ops, expected, f"gates={combo}")
+    if replicas is not None:
+        _compare(target, replicas, ops, expected,
+                 f"gates={combo}, sender replica")
 
 
 @pytest.mark.parametrize("target", sorted(BACKENDS))

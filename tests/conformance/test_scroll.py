@@ -1,9 +1,11 @@
 """Scroll conformance: the shift-blit renders byte-identical output.
 
-``ANDREW_SCROLLBLIT`` turns a scroll from repaint-everything into a
-same-surface ``copy_area`` plus one exposed-strip repaint.  The
-contract is the usual one: flipping the gate must not change a single
-cell/pixel, at any step, with or without the ``batch`` arm (the
+On a drawable with ``copy_area`` a scroll is a same-surface shift plus
+one exposed-strip repaint; on a port without it (see
+:func:`~tests.conformance.driver.without_copy_area`) the same scroll
+repaints the whole area.  The contract is the usual one: the shift
+must not change a single cell/pixel against that full-repaint
+reference, at any step, with or without the ``batch`` arm (the
 session recorded and replayed at flush, see
 :func:`~tests.conformance.driver.recording_ws`), on either backend.
 
@@ -33,6 +35,7 @@ from .driver import (
     gates,
     recording_ws,
     scenario_ops,
+    without_copy_area,
 )
 
 #: backend -> (window system, width, height).
@@ -143,15 +146,15 @@ def _run_bar_scenario(make_ws, ops, width, height):
     ["wheel", "page", "thumb", "scroll_then_edit", "scroll_during_expose"],
 )
 def test_scrollblit_identity(backend, arm, scenario):
-    """Scrollblit off vs on, drawing immediately (``plain``) and on a
-    recording window (``batch``)."""
+    """Full-area repaint (no ``copy_area``) vs shift-blit, drawing
+    immediately (``plain``) and on a recording window (``batch``)."""
     make_ws, width, height = BACKENDS[backend]
     ops = _scenarios(width, height)[scenario]
     if arm == "batch":
         make_ws = recording_ws(backend)
-    with gates(False, scrollblit=False):
-        expected = _run_bar_scenario(make_ws, ops, width, height)
-    with gates(False, scrollblit=True):
+    with gates(False):
+        with without_copy_area():
+            expected = _run_bar_scenario(make_ws, ops, width, height)
         actual = _run_bar_scenario(make_ws, ops, width, height)
     for step, (want, got) in enumerate(zip(expected, actual)):
         assert got == want, (
@@ -192,9 +195,9 @@ def test_scrollblit_fuzz_identity(backend, seed_offset):
             prints.append(fingerprint(app["window"]))
         return prints
 
-    with gates(False, scrollblit=False):
-        expected = run()
-    with gates(False, scrollblit=True):
+    with gates(False):
+        with without_copy_area():
+            expected = run()
         actual = run()
     for step, (want, got) in enumerate(zip(expected, actual)):
         assert got == want, (

@@ -1,7 +1,8 @@
-"""The ``ANDREW_*`` environment variables: the shared boolean parser
-behind every on/off switch, and the README table that documents them.
+"""The ``ANDREW_*`` environment variables: the shared readers behind
+every variable, and the README table that documents them.
 
-One rule for all switches: empty or unset gives the switch's default,
+One rule for every variable: surrounding whitespace is ignored and an
+empty or unset value gives the default.  For on/off switches,
 ``1/true/yes/on`` gives true, ``0/false/no/off`` gives false, and any
 other value gives the default.
 """
@@ -12,23 +13,29 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.config import env_flag
-from repro.core import faults, scrollblit
+from repro.config import env_flag, env_str
+from repro.core import faults
 from repro.remote import RemoteWindowSystem
-from repro.remote.backend import REMOTE_DELTA_ENV
+from repro.remote.backend import REMOTE_ADDR_ENV, REMOTE_TARGET_ENV
 from repro.remote.reconnect import RECONNECT_ENV, reconnect_from_env
-from repro.server.supervisor import SUPERVISE_ENV, supervise_from_env
+from repro.server.supervisor import (
+    CHECKPOINT_INTERVAL_ENV,
+    SUPERVISE_ENV,
+    checkpoint_interval_from_env,
+    supervise_from_env,
+)
+from repro.testing import faultinject
+from repro.wm import AsciiWindowSystem
+from repro.wm.switch import WM_ENV_VAR, get_window_system
 
 #: (variable, default, the reader that consumes it at run time or None
 #: when the module reads it once at import into a module attribute).
 FLAGS = [
     (obs.METRICS_ENV, False, None),
     (obs.TRACE_ENV, False, None),
-    (scrollblit.SCROLLBLIT_ENV, True, None),
     (faults.QUARANTINE_ENV, True, None),
     (RECONNECT_ENV, False, reconnect_from_env),
     (SUPERVISE_ENV, False, supervise_from_env),
-    (REMOTE_DELTA_ENV, True, lambda: RemoteWindowSystem.from_env().delta),
 ]
 
 SPELLINGS = [
@@ -48,6 +55,65 @@ def test_env_flag(name, default, reader, monkeypatch):
                                   ("junk", default), ("2", default)]:
         monkeypatch.setenv(name, raw)
         assert read() is want, (name, raw)
+
+
+@pytest.mark.parametrize("raw, want", [
+    (None, "dflt"), ("", "dflt"), ("   ", "dflt"), ("\t\n", "dflt"),
+    ("x", "x"), ("  x y  ", "x y"),
+])
+def test_env_str(raw, want, monkeypatch):
+    if raw is None:
+        monkeypatch.delenv("ANDREW_TEST_STR", raising=False)
+    else:
+        monkeypatch.setenv("ANDREW_TEST_STR", raw)
+    assert env_str("ANDREW_TEST_STR", "dflt") == want
+
+
+@pytest.mark.parametrize("raw", ["", "  ", " ascii", "ascii\n"])
+def test_window_system_name_is_stripped(raw, monkeypatch):
+    monkeypatch.setenv(WM_ENV_VAR, raw)
+    assert isinstance(get_window_system(), AsciiWindowSystem)
+
+
+@pytest.mark.parametrize("raw, want", [("", "ascii"), (" ", "ascii"),
+                                       (" raster ", "raster")])
+def test_remote_target_is_stripped(raw, want, monkeypatch):
+    monkeypatch.delenv(REMOTE_ADDR_ENV, raising=False)
+    monkeypatch.setenv(REMOTE_TARGET_ENV, raw)
+    assert RemoteWindowSystem.from_env().target == want
+
+
+def test_unknown_remote_target_names_the_variable(monkeypatch):
+    monkeypatch.delenv(REMOTE_ADDR_ENV, raising=False)
+    monkeypatch.setenv(REMOTE_TARGET_ENV, "vt100")
+    with pytest.raises(ValueError) as info:
+        RemoteWindowSystem.from_env()
+    assert REMOTE_TARGET_ENV in str(info.value)
+    assert "'vt100'" in str(info.value)
+
+
+def test_blank_remote_addr_means_no_socket(monkeypatch):
+    monkeypatch.delenv(REMOTE_TARGET_ENV, raising=False)
+    monkeypatch.setenv(REMOTE_ADDR_ENV, "   ")
+    assert RemoteWindowSystem.from_env()._seed_sinks == []
+
+
+@pytest.mark.parametrize("raw, want", [
+    (None, 32), ("", 32), ("  ", 32), (" 8 ", 8), ("0", 32), ("x", 32),
+])
+def test_checkpoint_interval(raw, want, monkeypatch):
+    if raw is None:
+        monkeypatch.delenv(CHECKPOINT_INTERVAL_ENV, raising=False)
+    else:
+        monkeypatch.setenv(CHECKPOINT_INTERVAL_ENV, raw)
+    assert checkpoint_interval_from_env(32) == want
+
+
+@pytest.mark.parametrize("raw, on", [("", False), ("  ", False),
+                                     (" 7:0.5 ", True)])
+def test_fault_spec_is_stripped(raw, on, monkeypatch):
+    monkeypatch.setenv(faultinject.FAULTS_ENV, raw)
+    assert (faultinject._from_env() is not None) is on
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -228,6 +228,59 @@ class TestAnimation:
         assert view.playing
         assert view.current == 0  # wrapped past the last frame
 
+    @staticmethod
+    def _shrinking_frames():
+        """Fixed-size frames whose ink thins out: a full block, one
+        pixel, nothing, a diagonal."""
+        full, dot, empty, diagonal = (Bitmap(8, 4) for _ in range(4))
+        for y in range(4):
+            for x in range(8):
+                full.set(x, y, 1)
+            diagonal.set(y * 2, y, 1)
+        dot.set(3, 1, 1)
+        return [full, dot, empty, diagonal]
+
+    def test_one_offscreen_across_draws(self, make_im):
+        im = make_im(width=30, height=8)
+        created = []
+        create = im.window_system.create_offscreen
+        im.window_system.create_offscreen = (
+            lambda w, h: created.append((w, h)) or create(w, h))
+        view = AnimationView(AnimationData(self._shrinking_frames()))
+        im.set_child(view)
+        im.process_events()
+        for index in range(8):
+            view.show_frame(index)
+            im.window.inject_expose()
+            im.process_events()
+        assert view.draw_count >= 9
+        assert created == [(8, 4)]
+
+    @pytest.mark.parametrize("backend", ["ascii", "raster"])
+    def test_reused_offscreen_draws_like_a_fresh_one(self, backend):
+        from repro.core import InteractionManager
+        from repro.wm import AsciiWindowSystem, RasterWindowSystem
+        from tests.conformance.driver import fingerprint
+
+        make_ws = {"ascii": AsciiWindowSystem,
+                   "raster": RasterWindowSystem}[backend]
+        frames = self._shrinking_frames()
+
+        def build(index):
+            im = InteractionManager(make_ws(), width=30, height=8)
+            view = AnimationView(AnimationData(frames))
+            view.current = index
+            im.set_child(view)
+            im.process_events()
+            return im, view
+
+        im, view = build(0)
+        for index in (1, 2, 3, 0, 2):
+            view.show_frame(index)
+            im.process_events()
+            fresh, _ = build(index)
+            assert fingerprint(im.window) == fingerprint(fresh.window), index
+
     def test_empty_animation_draws_placeholder(self, make_im):
         im = make_im(width=30, height=4)
         im.set_child(AnimationView(AnimationData()))

@@ -19,7 +19,6 @@ from repro.remote import (
 )
 from repro.remote.backend import (
     REMOTE_ADDR_ENV,
-    REMOTE_DELTA_ENV,
     REMOTE_TARGET_ENV,
     RemoteAsciiWindow,
     RemoteRasterWindow,
@@ -195,7 +194,7 @@ class TestRemoteWindowSystem:
         """The regression the encoder surfaced: N blits of one bitmap
         within a frame must intern to one wire bitmap."""
         sink = CaptureSink()
-        ws = RemoteWindowSystem("raster", delta=False, sink=sink)
+        ws = RemoteWindowSystem("raster", sink=sink)
         window = ws.create_window("blits", 40, 24)
         stamp = AsciiOffscreen(4, 4)  # any offscreen: we blit a Bitmap
         del stamp
@@ -250,11 +249,15 @@ class TestRemoteWindowSystem:
         assert window._encoder.frames_sent == 0
         assert window.commands.frame == []
 
-    def test_from_env_reads_target_and_delta(self, monkeypatch):
+    def test_from_env_reads_target(self, monkeypatch):
         monkeypatch.setenv(REMOTE_TARGET_ENV, "raster")
-        monkeypatch.setenv(REMOTE_DELTA_ENV, "0")
         ws = RemoteWindowSystem.from_env()
-        assert ws.target == "raster" and ws.delta is False
+        assert ws.target == "raster"
+
+    def test_delta_off_is_refused(self):
+        RemoteWindowSystem("ascii", delta=True)
+        with pytest.raises(ValueError):
+            RemoteWindowSystem("ascii", delta=False)
 
     @pytest.mark.parametrize("addr", ["localhost", "host:", "h:abc",
                                       ":70000"])

@@ -17,19 +17,12 @@ from repro import obs
 from repro.components import ListView, ScrollBar, TextView
 from repro.components.scrollbar import Scrollable
 from repro.components.text.textdata import TextData
-from repro.core import InteractionManager, scrollblit
+from repro.core import InteractionManager
 from repro.core.view import View
 from repro.graphics import Rect
 from repro.remote import RemoteWindowSystem
 from repro.wm import AsciiWindowSystem, RasterWindowSystem
-
-
-@pytest.fixture(autouse=True)
-def _scrollblit_on():
-    was = scrollblit.enabled
-    scrollblit.configure(True)
-    yield
-    scrollblit.configure(was)
+from tests.conformance.driver import without_copy_area
 
 
 @pytest.fixture
@@ -155,10 +148,10 @@ def test_batch_records_and_replays_copy_area(telemetry):
 
 
 class TestWantScroll:
-    def test_gate_off_falls_back(self, ascii_ws):
-        im, view = _build_text_app(ascii_ws)
-        scrollblit.configure(False)
-        assert view.want_scroll(view.local_bounds, 2) is False
+    def test_port_without_copy_area_falls_back(self, ascii_ws):
+        with without_copy_area():
+            im, view = _build_text_app(ascii_ws)
+            assert view.want_scroll(view.local_bounds, 2) is False
 
     def test_move_larger_than_area_falls_back(self, ascii_ws):
         im, view = _build_text_app(ascii_ws)
@@ -250,10 +243,10 @@ def test_scroll_counters(ascii_ws, telemetry):
 
 
 def test_fallback_counts_full_area_rows(ascii_ws, telemetry):
-    im, view = _build_text_app(ascii_ws)
-    scrollblit.configure(False)
-    view.set_scroll_pos(3)
-    im.process_events()
+    with without_copy_area():
+        im, view = _build_text_app(ascii_ws)
+        view.set_scroll_pos(3)
+        im.process_events()
     assert telemetry.counter("view.scroll_blits") == 0
     assert telemetry.counter("view.rows_repainted") == view.height
 
