@@ -66,6 +66,13 @@ BUDGETS = {
     "BENCH_remote.json": {
         "delta.per_frame_bytes": 600,                 # wire cost per frame
     },
+    "BENCH_sessions.json": {
+        # Median idle cycle over bare sessions: ~3 µs with the ready
+        # queue at either size; a scan of the fleet costs ~0.3 ms at 1k
+        # and ~6 ms at 10k.
+        "idle_cycle_ns_1k": 50_000,
+        "idle_cycle_ns_10k": 50_000,
+    },
     "BENCH_recalc.json": {
         # A 502-cell cone edit plus the repaint of an 80x24 view: ~30 ms
         # (mostly the 9,000-cell SUM); a per-record view walk is seconds.

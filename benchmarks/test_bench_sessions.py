@@ -11,9 +11,13 @@ queues — producers retry on backpressure, the scheduler slices fairly.
 
 Reported from the obs registry and per-session stats: p95 frame (slice)
 latency across the fleet, the fairness spread (worst session p95 over
-the fleet median), throughput, and backpressure totals.  Outputs
-``BENCH_sessions.json``; CI uploads it and gates ``*_ns`` fields
-against the committed baseline.
+the fleet median), throughput, and backpressure totals.  Alongside, the
+median cost of an *idle* cycle over 1k and 10k bare sessions
+(``idle_cycle_ns_1k`` / ``idle_cycle_ns_10k``): the ready queue makes a
+cycle cost its ready sessions, so both sit far under the 50 µs budget
+``check_regression.py`` enforces, and a scan of the fleet creeping back
+in blows it at 10k.  Outputs ``BENCH_sessions.json``; CI uploads it and
+gates ``*_ns`` fields against the committed baseline.
 
 ``ANDREW_SOAK_SESSIONS`` sets the fleet size (default 1000; the
 acceptance range is 1k–10k).
@@ -36,6 +40,7 @@ SESSIONS = int(os.environ.get("ANDREW_SOAK_SESSIONS", "1000"))
 FLEET_SEED = 2026
 QUEUE_LIMIT = 64
 SLICE_EVENTS = 8
+IDLE_CYCLES = 250
 
 
 def build_fleet(loop, count):
@@ -56,6 +61,27 @@ def build_fleet(loop, count):
         )
         fleet.append((session, view, profile, keys))
     return fleet
+
+
+def idle_cycle_ns(count):
+    """Median wall time of one cycle over ``count`` idle sessions.
+
+    Small (20x6) sessions with no view tree: nothing is ever ready, so
+    the figure is the scheduler's own per-cycle cost at that fleet size.
+    """
+    loop = ServerLoop(slice_events=SLICE_EVENTS)
+    ws = AsciiWindowSystem()
+    for _ in range(count):
+        loop.add_session(window_system=ws, width=20, height=6)
+    samples = []
+    for _ in range(IDLE_CYCLES):
+        start = time.perf_counter_ns()
+        handled = loop.run_cycle()
+        samples.append(time.perf_counter_ns() - start)
+        assert handled == 0
+    loop.close()
+    samples.sort()
+    return samples[len(samples) // 2]
 
 
 async def soak(loop, fleet):
@@ -126,6 +152,8 @@ def test_bench_session_soak(metrics):
         "session_frame_p95_ns": stats["frame_p95_ns_median"],
         "session_frame_p95_worst_ns": stats["frame_p95_ns_worst"],
         "fairness_spread": stats["frame_p95_spread"],
+        "idle_cycle_ns_1k": idle_cycle_ns(1_000),
+        "idle_cycle_ns_10k": idle_cycle_ns(10_000),
         "app_mix": app_mix,
         "runapp_context": {
             "sample_apps": len(sample),
@@ -146,6 +174,8 @@ def test_bench_session_soak(metrics):
         f"worst={stats['frame_p95_ns_worst']}ns "
         f"spread={stats['frame_p95_spread']}x",
         f"backpressure refusals (retried): {stats['events_dropped']}",
+        f"idle cycle median: {summary['idle_cycle_ns_1k']}ns at 1k "
+        f"sessions, {summary['idle_cycle_ns_10k']}ns at 10k",
         f"runapp context (n={len(sample)}): fetch "
         f"{static_world['fetch_kb']:.0f}kb static vs "
         f"{runapp_world['fetch_kb']:.0f}kb shared",

@@ -18,7 +18,7 @@ delayed-update queue (requests up, update pass back down).
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .. import obs
 from ..graphics.geometry import Point, Rect
@@ -66,6 +66,9 @@ class InteractionManager:
         #: flush, *before* any damage repaint touches the surface.
         self._pending_scrolls: dict = {}
         self._shift_capable: Optional[bool] = None
+        #: Doorbell rung on every posted update (a server loop sets it
+        #: to put this IM's session on its ready queue).
+        self.wake: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------
     # Tree root management
@@ -415,6 +418,8 @@ class InteractionManager:
     def post_update(self, view: View, rect: Optional[Rect]) -> None:
         """A view posted an update request up the tree."""
         self.updates.enqueue(view, rect)
+        if self.wake is not None:
+            self.wake()
 
     # -- scroll shift-blit (see repro.core.scrollblit) -------------------
 

@@ -19,10 +19,29 @@ Scheduling policy
   slice per cycle, the same as a session with one keystroke: busy
   neighbours cost latency proportional to fleet readiness, never
   starvation.
-* **Rotating head.**  The round-robin order rotates one position per
-  cycle, so no session is structurally first (or last) every cycle —
-  with a per-cycle repaint budget in force, the sessions deferred this
-  cycle are the first served on the next.
+* **A ready queue fed by doorbells.**  A cycle costs its ready
+  sessions, not the fleet: it never walks idle sessions.  Every way a
+  session becomes ready rings its doorbell, the ``wake`` that
+  :meth:`ServerLoop.add_session` hooks into four places —
+  :meth:`Session.submit`, ``BackendWindow.post_event`` (``im.tick``,
+  synthetic input, direct posts), ``InteractionManager.post_update``
+  (damage, including an edit made through another session's view of a
+  shared data object), and the supervisor's watchdog resume (a
+  readmitted session is checked on admission).  The wake puts the
+  session in an insertion-ordered ready set — the explicit ready list
+  of Banga, Mogul and Druschel's scalable event delivery (USENIX 1999),
+  as epoll keeps it.  :attr:`Session.ready` stays the single source of
+  truth: a cycle re-checks it only for queued sessions, drops those no
+  longer ready, and keeps those with input left for the next cycle.
+* **Rotating head.**  Each cycle serves its ready sessions in circular
+  admission order, starting from a head that advances one admitted
+  session per cycle, so no session is structurally first (or last)
+  every cycle — with a per-cycle repaint budget in force, the sessions
+  deferred this cycle stay queued and the head moves on.  Ordering
+  costs O(k log k) for k ready sessions.  A session woken mid-cycle by
+  another's slice joins the cycle if its turn is still to come, as a
+  pass over the whole fleet would have served it; otherwise it waits
+  for the next cycle.
 * **Cooperative repaint budgeting.**  ``cycle_budget_ns`` (optional)
   caps the wall-clock a single cycle may spend repainting; once
   exceeded, remaining sessions are deferred to the next cycle (counter
@@ -58,10 +77,13 @@ conformance matrix and tests drive.
 from __future__ import annotations
 
 import asyncio
+import bisect
+import collections
+import functools
+import heapq
+import operator
 import time
 from typing import Callable, Deque, Dict, List, Optional
-
-import collections
 
 from .. import obs
 from ..core.im import InteractionManager
@@ -113,7 +135,15 @@ class ServerLoop:
         self.cycle_budget_ns = cycle_budget_ns
         self.wheel = TimerWheel(wheel_slots)
         self._sessions: Dict[str, Session] = {}
-        self._rr: Deque[str] = collections.deque()
+        #: Admission serials of the fleet, ascending: the circular
+        #: round-robin order the rotating head walks.
+        self._admitted: List[int] = []
+        self._admissions = 0
+        #: Next cycle's head: the first admitted serial at or after it.
+        self._head = 0
+        #: The ready queue: sessions whose doorbell rang since their
+        #: last readiness check (a dict for its insertion order).
+        self._ready: Dict[Session, None] = {}
         self.cycles = 0
         self._serial = 0
         self.admission_limit = admission_limit
@@ -173,8 +203,14 @@ class ServerLoop:
                 obs.registry.inc("server.admission_refused")
             raise AdmissionRefused(session.id, self.admission_limit)
         session.created_cycle = self.cycles
+        session.admission = self._admissions
+        self._admissions += 1
         self._sessions[session.id] = session
-        self._rr.append(session.id)
+        self._admitted.append(session.admission)
+        session.im.wake = session.im.window.wake = functools.partial(
+            self._ready.__setitem__, session, None)
+        if session.ready:
+            self._ready[session] = None
         if obs.metrics_on:
             obs.registry.inc("server.sessions_added")
             obs.registry.gauge("server.sessions", len(self._sessions))
@@ -182,10 +218,10 @@ class ServerLoop:
 
     def remove_session(self, session_id: str, close: bool = True) -> Session:
         session = self._sessions.pop(session_id)
-        try:
-            self._rr.remove(session_id)
-        except ValueError:
-            pass
+        admitted = self._admitted
+        del admitted[bisect.bisect_left(admitted, session.admission)]
+        self._ready.pop(session, None)
+        session.im.wake = session.im.window.wake = None
         if session.last_error is not None or session.stats.errors:
             # Keep the crashed session's post-mortem: close() releases
             # the window, but the error, crash count and age must stay
@@ -213,7 +249,9 @@ class ServerLoop:
         return list(self._sessions.values())
 
     def ready_sessions(self) -> List[Session]:
-        return [s for s in self._sessions.values() if s.ready]
+        """Sessions a cycle would serve, in admission order."""
+        return sorted((s for s in self._ready if s.ready),
+                      key=operator.attrgetter("admission"))
 
     # ------------------------------------------------------------------
     # Timers (sessions share one wheel instead of per-window clocks)
@@ -245,18 +283,19 @@ class ServerLoop:
     # ------------------------------------------------------------------
 
     def run_cycle(self) -> int:
-        """One fair pass over the fleet; returns events handled.
+        """One fair pass over the ready queue; returns events handled.
 
         Timer wheel first (ticks make sessions ready in the same cycle
         their timers fire), then one bounded slice per ready session in
-        rotating round-robin order.
+        circular admission order from the rotating head.
         """
         self.cycles += 1
         self.wheel.advance(1)
         self._update_pressure()
-        order = list(self._rr)
-        if self._rr:
-            self._rr.rotate(-1)
+        head = self._advance_head()
+        ready = self._ready
+        order = [(s.admission < head, s.admission, s) for s in ready]
+        heapq.heapify(order)
         handled = 0
         deferred = 0
         budget = self.cycle_budget_ns
@@ -265,19 +304,24 @@ class ServerLoop:
             # earlier, keep the cycle short, drain queues faster.
             budget //= self.degrade_budget_divisor
         start = time.perf_counter_ns() if budget else 0
-        for session_id in order:
-            session = self._sessions.get(session_id)
-            if session is None or not session.ready:
+        while order:
+            wrapped, admission, session = heapq.heappop(order)
+            if (self._sessions.get(session.id) is not session
+                    or not session.ready):
+                # Removed mid-cycle, or its readiness is already spent:
+                # dropped until its doorbell rings again.
+                ready.pop(session, None)
                 continue
             if (
                 budget is not None
                 and time.perf_counter_ns() - start >= budget
             ):
-                # Budget exhausted: the rest wait one cycle.  Rotation
-                # puts them at the head next time, so deferral spreads
+                # Budget exhausted: the rest stay queued for the next
+                # cycle, whose head has moved on, so deferral spreads
                 # across the fleet instead of pinning the tail.
                 deferred += 1
                 continue
+            tail = next(reversed(ready), None)
             try:
                 handled += session.pump(self.slice_events)
             except Exception as exc:
@@ -294,6 +338,17 @@ class ServerLoop:
                 if self.supervisor is not None:
                     self.supervisor.note_slice(
                         session, session.stats.last_slice_ns)
+            if tail in ready and next(reversed(ready)) is not tail:
+                # The slice woke other sessions (a shared data object):
+                # those whose turn is still to come join this cycle.
+                for woken in reversed(ready):
+                    if woken is tail:
+                        break
+                    key = (woken.admission < head, woken.admission)
+                    if key > (wrapped, admission):
+                        heapq.heappush(order, (*key, woken))
+            if not session.ready:
+                ready.pop(session, None)
         if obs.metrics_on:
             obs.registry.inc("server.cycles")
             if deferred:
@@ -301,6 +356,23 @@ class ServerLoop:
             if self.degraded:
                 obs.registry.inc("server.degraded_cycles")
         return handled
+
+    def _advance_head(self) -> int:
+        """This cycle's head serial; the next cycle starts one later."""
+        admitted = self._admitted
+        if not admitted:
+            return 0
+        index = bisect.bisect_left(admitted, self._head)
+        head = admitted[index] if index < len(admitted) else admitted[0]
+        self._head = head + 1
+        return head
+
+    def _any_ready(self) -> bool:
+        """Drop queued sessions no longer ready; True if any remain."""
+        ready = self._ready
+        for session in [s for s in ready if not s.ready]:
+            del ready[session]
+        return bool(ready)
 
     # ------------------------------------------------------------------
     # Graceful degradation (load shedding that starts with fidelity)
@@ -366,8 +438,7 @@ class ServerLoop:
         """
         total = 0
         cycles = 0
-        while (any(s.ready for s in self._sessions.values())
-               or self._supervision_pending()):
+        while self._any_ready() or self._supervision_pending():
             total += self.run_cycle()
             cycles += 1
             if max_cycles is not None and cycles >= max_cycles:
@@ -396,7 +467,7 @@ class ServerLoop:
             cycles += 1
             if max_cycles is not None and cycles >= max_cycles:
                 break
-            if (handled or any(s.ready for s in self._sessions.values())
+            if (handled or self._any_ready()
                     or self._supervision_pending()):
                 idle = 0
             else:

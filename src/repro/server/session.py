@@ -109,6 +109,9 @@ class Session:
         #: The server-loop cycle this session was registered on (set by
         #: ``ServerLoop.add_session``; ages in ``fleet_stats`` health).
         self.created_cycle = 0
+        #: Admission serial (set by ``ServerLoop.add_session``): the
+        #: session's place in the loop's round-robin order.
+        self.admission = 0
         #: Last exception the server loop contained at this session's
         #: boundary (quarantine handles per-view faults below this).
         self.last_error: Optional[BaseException] = None
@@ -134,6 +137,8 @@ class Session:
             return False
         self._inbox.append(event)
         self.stats.events_in += 1
+        if self.im.wake is not None:
+            self.im.wake()
         if obs.metrics_on:
             obs.registry.inc("server.events_in")
         return True

@@ -479,6 +479,11 @@ class Supervisor:
             return
         entry.session.suspended = False
         entry.state = RUNNING
+        # Ring the session's doorbell: input that arrived while it was
+        # parked makes it ready again without a new wake of its own.
+        wake = entry.session.im.wake
+        if wake is not None:
+            wake()
         if obs.metrics_on:
             obs.registry.inc("server.watchdog_resumed")
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import collections
 import inspect
-from typing import Deque, Dict, List, Optional, Type
+from typing import Callable, Deque, Dict, List, Optional, Type
 
 from .. import obs
 from ..class_system.registry import ATKObject
@@ -159,6 +159,9 @@ class BackendWindow:
         self._queue: Deque[Event] = collections.deque()
         self._button_down: Optional[MouseButton] = None
         self._window_system: Optional["WindowSystem"] = None
+        #: Doorbell rung on every posted event (a server loop sets it
+        #: to put the window's session on its ready queue).
+        self.wake: Optional[Callable[[], None]] = None
 
     # -- porting points ---------------------------------------------------
 
@@ -204,6 +207,8 @@ class BackendWindow:
 
     def post_event(self, event: Event) -> None:
         self._queue.append(event)
+        if self.wake is not None:
+            self.wake()
 
     def next_event(self) -> Optional[Event]:
         """Pop the oldest queued event, or None if the queue is empty."""

@@ -13,14 +13,17 @@ import pytest
 
 from repro.components.text.textdata import TextData
 from repro.components.text.textview import TextView
-from repro.core import View, faults
+from repro.core import InteractionManager, View, faults
 from repro.server import (
     DEFAULT_QUEUE_LIMIT,
     ServerLoop,
     Session,
+    Supervisor,
+    SupervisorPolicy,
     TimerWheel,
 )
 from repro.wm.ascii_ws import AsciiWindowSystem
+from repro.wm.events import KeyEvent
 
 
 def make_text_session(loop, ws, doc="", **kwargs):
@@ -301,6 +304,172 @@ class TestFairness:
         assert len(loop) == 1
         assert other_view.data.text() == "alive"
         assert session.closed
+
+
+@pytest.fixture
+def pumped(monkeypatch):
+    """Every session pumped while the test runs, in order."""
+    calls = []
+    pump = Session.pump
+
+    def spy(self, budget=None):
+        calls.append(self)
+        return pump(self, budget)
+
+    monkeypatch.setattr(Session, "pump", spy)
+    return calls
+
+
+class TestReadyQueue:
+    """Every way a session becomes ready rings its doorbell, so the
+    next cycle serves it without the loop ever walking idle sessions."""
+
+    @staticmethod
+    def settled(loop, ascii_ws, **kwargs):
+        session, view = make_text_session(loop, ascii_ws, **kwargs)
+        loop.run_until_idle()
+        assert loop.ready_sessions() == []
+        return session, view
+
+    def test_submit_is_served_next_cycle(self, ascii_ws):
+        loop = ServerLoop()
+        session, view = self.settled(loop, ascii_ws)
+        session.submit_key("a")
+        assert loop.ready_sessions() == [session]
+        loop.run_cycle()
+        assert view.data.text() == "a"
+        assert loop.ready_sessions() == []
+
+    def test_direct_window_post_is_served_next_cycle(self, ascii_ws):
+        loop = ServerLoop()
+        session, view = self.settled(loop, ascii_ws)
+        session.im.window.post_event(KeyEvent("z"))
+        loop.run_cycle()
+        assert view.data.text() == "z"
+
+    def test_scheduled_tick_is_served_in_its_cycle(self, ascii_ws):
+        loop = ServerLoop()
+        session, view = self.settled(loop, ascii_ws)
+        ticks = []
+        view.handle_timer = lambda event: ticks.append(event.tick)
+        session.im.add_timer_subscriber(view)
+        loop.schedule_tick(session, every=3)
+        loop.run_cycle()
+        loop.run_cycle()
+        assert ticks == [] and session.stats.slices == 0
+        loop.run_cycle()
+        assert ticks == [1] and session.stats.slices == 1
+
+    @pytest.mark.parametrize("reader_after_writer", [True, False])
+    def test_shared_text_edit_wakes_the_other_session(
+            self, ascii_ws, reader_after_writer):
+        loop = ServerLoop()
+        data = TextData("shared line\n")
+        first, second = (
+            loop.add_session(window_system=ascii_ws, width=40, height=10)
+            for _ in range(2))
+        writer, reader = ((first, second) if reader_after_writer
+                          else (second, first))
+        writer.im.set_child(TextView(data))
+        reader.im.set_child(TextView(data))
+        loop.run_until_idle()
+        # With two sessions, odd cycles start at the first admitted one.
+        if loop.cycles % 2:
+            loop.run_cycle()
+        slices = reader.stats.slices
+        writer.submit_text("typed ")
+        loop.run_cycle()  # the writer's slice damages the reader's view
+        if reader_after_writer:
+            # Its turn is still to come: served in the same cycle, as a
+            # pass over the whole fleet would serve it.
+            assert reader.stats.slices == slices + 1
+        else:
+            assert reader.stats.slices == slices
+            assert loop.ready_sessions() == [reader]
+            loop.run_cycle()
+            assert reader.stats.slices == slices + 1
+        assert loop.ready_sessions() == []
+        fresh = InteractionManager(ascii_ws, width=40, height=10)
+        fresh.set_child(TextView(data))
+        fresh.process_events()
+        assert reader.im.snapshot_lines() == fresh.snapshot_lines()
+        assert "typed shared line" in reader.im.snapshot_lines()[0]
+
+    def test_watchdog_resume_is_served_in_its_cycle(self, ascii_ws):
+        loop = ServerLoop()
+        # watchdog_ns=0: every real slice is "over deadline".
+        sup = Supervisor(loop, policy=SupervisorPolicy(
+            watchdog_ns=0, watchdog_strikes=1, suspend_cycles=3))
+        session, view = self.settled(loop, ascii_ws)
+        sup.supervise(session)
+        session.submit_key("a")
+        loop.run_cycle()
+        assert session.suspended
+        session.submit_text("bc")
+        slices = session.stats.slices
+        for _ in range(3):
+            loop.run_cycle()
+        assert session.stats.slices == slices  # parked: never pumped
+        loop.run_cycle()  # the resume fires at the head of this cycle
+        assert session.stats.slices == slices + 1
+        assert view.data.text() == "abc"
+
+    def test_supervisor_restart_is_served_in_its_cycle(self, ascii_ws):
+        loop = ServerLoop()
+        sup = Supervisor(loop, policy=SupervisorPolicy(
+            contain_strikes=0, backoff_base=1, jitter_span=0))
+        session, _ = self.settled(loop, ascii_ws, session_id="r")
+
+        def build():
+            fresh = Session("r", window_system=ascii_ws, width=40,
+                            height=10)
+            fresh.im.set_child(TextView(TextData("")))
+            return fresh
+
+        entry = sup.supervise(session, build=build)
+        sup.on_crash(session, RuntimeError("boom"))
+        assert loop.ready_sessions() == [] and entry.state == "restarting"
+        loop.run_cycle()  # backoff
+        loop.run_cycle()  # the restart fires at the head of this cycle
+        assert entry.state == "running"
+        # The rebuilt session arrives with its first paint pending and
+        # no input: admission alone must queue it.
+        assert entry.session.stats.slices == 1
+        assert not entry.session.ready
+
+    def test_suspended_and_closed_sessions_are_never_pumped(
+            self, ascii_ws, pumped):
+        loop = ServerLoop()
+        parked, _ = self.settled(loop, ascii_ws)
+        closed, _ = self.settled(loop, ascii_ws)
+        parked.suspended = True
+        parked.submit_text("ab")
+        closed.im.window.post_event(KeyEvent("x"))
+        closed.close()
+        closed.im.window.post_event(KeyEvent("y"))
+        for _ in range(4):
+            loop.run_cycle()
+        assert pumped == []
+        assert loop.ready_sessions() == []
+
+    @pytest.mark.parametrize("count", [1000, 10000])
+    def test_idle_cycle_probes_no_session(self, ascii_ws, monkeypatch,
+                                          pumped, count):
+        """Cycle cost is the ready set's, not the fleet's: an idle cycle
+        over N small sessions asks none of them whether it is ready."""
+        loop = ServerLoop()
+        for _ in range(count):
+            loop.add_session(window_system=ascii_ws, width=20, height=6)
+        probes = []
+        ready = Session.ready.fget
+        monkeypatch.setattr(Session, "ready", property(
+            lambda self: probes.append(self) or ready(self)))
+        for _ in range(3):
+            assert loop.run_cycle() == 0
+        assert loop.run_until_idle() == 0
+        assert probes == [] and pumped == []
+        assert loop.queued_events() == 0
+        loop.close()
 
 
 class TestTimersAndAsync:
