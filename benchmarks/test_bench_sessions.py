@@ -13,7 +13,7 @@ Reported from the obs registry and per-session stats: p95 frame (slice)
 latency across the fleet, the fairness spread (worst session p95 over
 the fleet median), throughput, and backpressure totals.  Alongside, the
 median cost of an *idle* cycle over 1k and 10k bare sessions
-(``idle_cycle_ns_1k`` / ``idle_cycle_ns_10k``): the ready queue makes a
+(``idle_cycle_1k_ns`` / ``idle_cycle_10k_ns``): the ready queue makes a
 cycle cost its ready sessions, so both sit far under the 50 µs budget
 ``check_regression.py`` enforces, and a scan of the fleet creeping back
 in blows it at 10k.  Outputs ``BENCH_sessions.json``; CI uploads it and
@@ -152,8 +152,8 @@ def test_bench_session_soak(metrics):
         "session_frame_p95_ns": stats["frame_p95_ns_median"],
         "session_frame_p95_worst_ns": stats["frame_p95_ns_worst"],
         "fairness_spread": stats["frame_p95_spread"],
-        "idle_cycle_ns_1k": idle_cycle_ns(1_000),
-        "idle_cycle_ns_10k": idle_cycle_ns(10_000),
+        "idle_cycle_1k_ns": idle_cycle_ns(1_000),
+        "idle_cycle_10k_ns": idle_cycle_ns(10_000),
         "app_mix": app_mix,
         "runapp_context": {
             "sample_apps": len(sample),
@@ -174,8 +174,8 @@ def test_bench_session_soak(metrics):
         f"worst={stats['frame_p95_ns_worst']}ns "
         f"spread={stats['frame_p95_spread']}x",
         f"backpressure refusals (retried): {stats['events_dropped']}",
-        f"idle cycle median: {summary['idle_cycle_ns_1k']}ns at 1k "
-        f"sessions, {summary['idle_cycle_ns_10k']}ns at 10k",
+        f"idle cycle median: {summary['idle_cycle_1k_ns']}ns at 1k "
+        f"sessions, {summary['idle_cycle_10k_ns']}ns at 10k",
         f"runapp context (n={len(sample)}): fetch "
         f"{static_world['fetch_kb']:.0f}kb static vs "
         f"{runapp_world['fetch_kb']:.0f}kb shared",

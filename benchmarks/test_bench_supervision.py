@@ -22,6 +22,7 @@ deterministic fields against ``benchmarks/baselines/``.
 
 import collections
 import json
+import statistics
 import time
 
 from conftest import report
@@ -45,6 +46,7 @@ KILL_CYCLES = 240
 KILL_RATE = 0.05
 KILL_SEED = 20260807
 DROP_STEPS = 120
+CHECKPOINT_ROUNDS = 9
 
 
 def _counters(registry):
@@ -119,11 +121,16 @@ def run_kill_arm(metrics, checkpoint_dir):
         chars_lost += sum((typed[sid] - final).values())
     assert chars_lost == 0
 
-    # One clean checkpoint round for the byte + latency figures.
-    checkpoint_start = time.perf_counter_ns()
-    for sid in entries:
-        sup.checkpoint(sid)
-    checkpoint_ns = (time.perf_counter_ns() - checkpoint_start) // FLEET
+    # Clean checkpoint rounds for the byte + latency figures: each
+    # round is FLEET fsync'd writes, so one round is mostly disk noise;
+    # the median per-session time over several rounds is comparable.
+    round_ns = []
+    for _ in range(CHECKPOINT_ROUNDS):
+        checkpoint_start = time.perf_counter_ns()
+        for sid in entries:
+            sup.checkpoint(sid)
+        round_ns.append((time.perf_counter_ns() - checkpoint_start) // FLEET)
+    checkpoint_ns = statistics.median_low(round_ns)
     checkpoint_bytes = sum(
         (checkpoint_dir / f"{sid}.doc.ad").stat().st_size
         for sid in entries
@@ -139,7 +146,7 @@ def run_kill_arm(metrics, checkpoint_dir):
         "chars_lost": chars_lost,
         "checkpoints": counters.get("server.checkpoints", 0),
         "checkpoint_state_bytes": checkpoint_bytes,
-        "checkpoint_mean_ns": checkpoint_ns,
+        "checkpoint_p50_ns": checkpoint_ns,
         "soak_ns": soak_ns,
     }
     loop.close()
@@ -231,7 +238,7 @@ def test_bench_supervision_soak(metrics, tmp_path):
         f"chars_lost={kill['chars_lost']}",
         f"checkpoints={kill['checkpoints']} "
         f"state={kill['checkpoint_state_bytes']}b "
-        f"mean={kill['checkpoint_mean_ns']}ns",
+        f"p50={kill['checkpoint_p50_ns']}ns",
         f"drop arm: resumes={drop['resumes']} "
         f"(replay={drop['resume_replays']} "
         f"keyframe={drop['resume_keyframes']}, "

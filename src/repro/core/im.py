@@ -561,7 +561,7 @@ class InteractionManager:
         if self.child is None or self.updates.is_empty():
             # Even with no queued damage, flush the window: a direct
             # repaint (e.g. an UpdateEvent dispatched straight from the
-            # queue) may have recorded remote ops without going through
+            # queue) may have logged remote ops without going through
             # the damage path.
             self.window.flush()
             return 0

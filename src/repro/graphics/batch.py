@@ -1,42 +1,34 @@
-"""Recorded drawable command buffers (remote recording).
+"""The remote port's op log (remote recording).
 
 The paper's drawable (§4) hides the window system behind device
-primitives.  A local window executes each primitive at once; only the
-remote port (paper §8, :mod:`repro.remote`) needs the primitives as
-data.  Its windows attach a :class:`CommandBuffer` to every drawable
-they hand out: device operations are *recorded* instead of executed,
-and :meth:`CommandBuffer.flush` replays them against the local replica
-in one pass and keeps them for the wire encoder.
+primitives.  Every window executes each primitive at once; only the
+remote port (paper §8, :mod:`repro.remote`) also needs the primitives
+as data.  Its windows attach a :class:`CommandBuffer` to every drawable
+they hand out, and each device op is *logged* there right after it
+runs, so the local replica is always current and
+:attr:`CommandBuffer.frame` is the list of ops executed since the
+window last shipped.
 
 Ops are immutable tuples laid out by :data:`SCHEMA`, one tuple per
-device request, nothing merged.  The recorded op list *is* the wire op
+device request, nothing merged.  The logged op list *is* the wire op
 list: :mod:`repro.remote.wire` serializes it as is, with no
 translation step.  :func:`apply_op` is the one executor of the seven
-device op kinds; this module's flush replay, the remote encoder's
-shadow and the remote renderer all go through it.  Replay preserves
-recording order, so a recorded frame is cell/pixel-identical to
-immediate drawing — proven by ``tests/conformance/test_remote.py``.
+device op kinds on the receiving side: the remote encoder's shadow and
+the remote renderer both go through it.  Logging preserves drawing
+order, so a shipped frame is cell/pixel-identical to the local replica
+— proven by ``tests/conformance/test_remote.py``.
 
-Ordering rules the rest of the stack honours:
+Offscreen surfaces never log (their graphics carry no buffer), and a
+remote window's ``resize`` empties the log: the surface its ops drew
+on is gone and a full expose is queued.
 
-* offscreen surfaces are exempt (their graphics never carry
-  a buffer), and ``OffscreenWindow.copy_to`` settles the target before
-  blitting, so blits always see settled pixels;
-* the window's ``flush``/``snapshot_lines``/``pending_events`` drain
-  the buffer before anything observes the surface;
-* a remote window's ``resize`` discards pending ops — the surface they
-  were recorded against is gone and a full expose is queued.
-
-Telemetry (gated on ``ANDREW_METRICS``): ``wm.requests_batched`` ops
-recorded instead of issued, ``wm.batch_flushes`` /
-``wm.batch_ops_replayed`` replay passes and the ``wm.batch_flush_ns``
-flush-latency timer.
+Telemetry (gated on ``ANDREW_METRICS``): ``wm.requests_batched`` counts
+ops logged for the wire.
 """
 
 from __future__ import annotations
 
 import functools
-import time
 from typing import List
 
 from .. import obs
@@ -46,14 +38,14 @@ from .image import Bitmap
 
 __all__ = ["enabled", "CommandBuffer", "SCHEMA", "apply_op"]
 
-#: Local windows never record: they draw immediately.  Kept as a
-#: constant for callers that report the drawing configuration.
+#: Local windows log nothing.  Kept as a constant for callers that
+#: report the drawing configuration.
 enabled = False
 
 
 #: The op schema: kind -> operand names.  An op is the immutable tuple
 #: ``(kind, *operands)``, the same tuple :mod:`repro.remote.wire`
-#: serializes, so a recorded frame needs no translation to ship.
+#: serializes, so a logged frame needs no translation to ship.
 #: Rects flatten to ``left, top, width, height``; ``spec`` is the
 #: :meth:`FontDesc.spec` string; a blit ``bitmap`` is the content key
 #: ``(width, height, pixel_bytes)``.
@@ -73,11 +65,13 @@ _font = functools.lru_cache(maxsize=64)(FontDesc.from_spec)
 
 
 def apply_op(graphic, op: tuple) -> None:
-    """Execute one device op against ``graphic``'s device primitives.
+    """Execute one logged device op against ``graphic``'s device
+    primitives (the encoder's shadow, a renderer's surface).
 
-    Text replays under its recorded clip: the device crops clip-split
+    Text applies under its logged clip: the device crops clip-split
     glyphs (tabs on the cell device, partial glyph columns on the
-    raster), so replay must crop exactly as immediate execution would.
+    raster), so a replica must crop exactly as the sender's drawable
+    did.
     """
     kind = op[0]
     if kind == "text":
@@ -108,34 +102,22 @@ def apply_op(graphic, op: tuple) -> None:
 
 
 class CommandBuffer:
-    """A remote window's recorded op list, drained by ``flush``.
+    """A remote window's op log: the frame's ops, awaiting shipping.
 
-    ``flush`` replays the pending ops against the window's replica and
-    appends them to :attr:`frame`; the window ships ``frame`` to its
-    viewers at the end of the frame.  A flush can also run mid-frame
-    (an offscreen ``copy_to`` settles the window before writing into
-    it), so ``frame`` holds every op the frame executed, in order.
+    The drawable runs each device primitive itself and then logs the
+    op here (``record_*``), so :attr:`frame` holds every op the frame
+    executed, in order; the window ships it with :meth:`take`.
     """
 
-    def __init__(self, window) -> None:
-        self._window = window
-        self._ops: List[tuple] = []
-        #: Ops replayed since the window last shipped (see :meth:`take`).
+    def __init__(self) -> None:
+        #: Ops executed since the window last shipped (see :meth:`take`).
         self.frame: List[tuple] = []
         # Content intern of blit bitmaps for the current frame: one
         # shared (width, height, pixel bytes) key per distinct content.
-        # Cleared whenever the op list drains (flush/discard).
+        # Cleared whenever the frame is taken.
         self._blit_cache: dict = {}
 
-    def __len__(self) -> int:
-        return len(self._ops)
-
-    @property
-    def pending(self) -> int:
-        """Recorded ops not yet replayed against the device."""
-        return len(self._ops)
-
-    # -- recording -----------------------------------------------------
+    # -- logging -------------------------------------------------------
 
     def _note_recorded(self) -> None:
         if obs.metrics_on:
@@ -143,86 +125,64 @@ class CommandBuffer:
 
     def record_fill(self, rect: Rect, value: int) -> None:
         self._note_recorded()
-        self._ops.append(("fill", rect.left, rect.top, rect.width,
-                          rect.height, value))
+        self.frame.append(("fill", rect.left, rect.top, rect.width,
+                           rect.height, value))
 
     def record_hline(self, x0: int, x1: int, y: int, value: int) -> None:
         self._note_recorded()
-        self._ops.append(("hline", x0, x1, y, value))
+        self.frame.append(("hline", x0, x1, y, value))
 
     def record_vline(self, x: int, y0: int, y1: int, value: int) -> None:
         self._note_recorded()
-        self._ops.append(("vline", x, y0, y1, value))
+        self.frame.append(("vline", x, y0, y1, value))
 
     def record_text(self, x: int, y: int, text: str, font: FontDesc,
                     clip: Rect) -> None:
         self._note_recorded()
-        self._ops.append(("text", x, y, text, font.spec(), clip.left,
-                          clip.top, clip.width, clip.height))
+        self.frame.append(("text", x, y, text, font.spec(), clip.left,
+                           clip.top, clip.width, clip.height))
 
     def record_pixel(self, x: int, y: int, value: int) -> None:
         self._note_recorded()
-        self._ops.append(("pixel", x, y, value))
+        self.frame.append(("pixel", x, y, value))
 
     def record_blit(self, bitmap: Bitmap, x: int, y: int) -> None:
         self._note_recorded()
         # The op carries the pixels by value: the frame may mutate the
         # source bitmap after this draw (a later event in the same
-        # frame) but before replay.  Identical contents within one frame
-        # intern to a single key — an animation blitting the same cel N
-        # times holds (and the wire encoder ships) the pixels once.
-        # Keyed by content, so a source mutated between blits still
-        # records its new pixels.
+        # frame) but before the frame ships.  Identical contents within
+        # one frame intern to a single key — an animation blitting the
+        # same cel N times holds (and the wire encoder ships) the pixels
+        # once.  Keyed by content, so a source mutated between blits
+        # still logs its new pixels.
         key = (bitmap.width, bitmap.height, bytes(bitmap._bits))
         snapshot = self._blit_cache.setdefault(key, key)
         if snapshot is not key and obs.metrics_on:
             obs.registry.inc("wm.blit_snapshots_deduped")
-        self._ops.append(("blit", snapshot, x, y))
+        self.frame.append(("blit", snapshot, x, y))
 
     def record_copy_area(self, rect: Rect, dx: int, dy: int) -> None:
-        """A same-surface shift; replay order guarantees it reads the
-        pixels earlier ops in this buffer produce."""
+        """A same-surface shift; log order guarantees a replica applies
+        it to the pixels earlier ops in this frame produced."""
         self._note_recorded()
-        self._ops.append(("copy", rect.left, rect.top, rect.width,
-                          rect.height, dx, dy))
+        self.frame.append(("copy", rect.left, rect.top, rect.width,
+                           rect.height, dx, dy))
 
-    # -- draining ------------------------------------------------------
-
-    def discard(self) -> None:
-        """Drop pending and executed ops (their surface was discarded)."""
-        self._ops.clear()
-        self.frame = []
-        self._blit_cache.clear()
+    # -- shipping ------------------------------------------------------
 
     def take(self) -> List[tuple]:
         """The frame's executed ops, leaving :attr:`frame` empty."""
         frame, self.frame = self.frame, []
+        self._blit_cache.clear()
         return frame
 
     def flush(self) -> int:
-        """Replay every pending op against the device, in order.
+        """Nothing to drain: ops execute as they are logged.
 
-        Each op is one device request.  Returns the number of ops
-        replayed.
+        Kept in the class body, returning 0 ops replayed, because the
+        perfbench tracer wraps it by name (``batch.flush``).
         """
-        ops = self._ops
-        if not ops:
-            return 0
-        self._ops = []
-        self._blit_cache.clear()
-        self.frame.extend(ops)
-        graphic = self._window._raw_graphic()
-        metered = obs.metrics_on
-        start = time.perf_counter_ns() if metered else 0
-        for op in ops:
-            apply_op(graphic, op)
-        if metered:
-            obs.registry.inc("wm.batch_flushes")
-            obs.registry.inc("wm.batch_ops_replayed", len(ops))
-            obs.registry.observe_ns(
-                "wm.batch_flush_ns", time.perf_counter_ns() - start
-            )
-        return len(ops)
+        return 0
 
     def __repr__(self) -> str:
-        return f"<CommandBuffer {len(self._ops)} pending>"
+        return f"<CommandBuffer {len(self.frame)} logged>"

@@ -70,13 +70,13 @@ class Graphic:
 
     A drawable may carry a :class:`~repro.graphics.batch.CommandBuffer`
     (``_buffer``, attached by a remote window, which needs its frames
-    as data): the ``_emit_*`` dispatchers below then record device ops
-    instead of executing them, and the buffer replays the frame in one
-    device pass at flush.  Child drawables share the parent's buffer —
-    the whole window records into one op stream, in drawing order.
+    as data): the ``_emit_*`` dispatchers below run each device
+    primitive at once and then log the op into it.  Child drawables
+    share the parent's buffer — the whole window logs into one op
+    stream, in drawing order.
     """
 
-    #: Attached command buffer; ``None`` means execute immediately.
+    #: Attached op log; ``None`` means nothing is logged.
     _buffer = None
 
     def __init__(self, origin: Point = Point(0, 0), clip: Optional[Rect] = None):
@@ -135,61 +135,48 @@ class Graphic:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Op dispatch: record into the command buffer, or hit the device.
-    # Every drawing operation below funnels device work through these,
-    # so recording needs no cooperation from individual ops.
+    # Op dispatch: hit the device, then log the op if a buffer is
+    # attached.  Every drawing operation below funnels device work
+    # through these, so logging needs no cooperation from individual
+    # ops — and logs each request once, even where a device primitive
+    # falls back to another (``device_hline`` -> ``device_fill_rect``).
     # ------------------------------------------------------------------
-
-    def settle(self) -> None:
-        """Drain the attached command buffer, if any.
-
-        Direct surface writes (``OffscreenWindow.copy_to``) call this
-        first so the blit lands on settled pixels, in recording order.
-        """
-        if self._buffer is not None:
-            self._buffer.flush()
 
     def _emit_fill_rect(self, rect: Rect, value: int) -> None:
         if faultinject.enabled:
             faultinject.maybe_raise("wm.device")
+        self.device_fill_rect(rect, value)
         if self._buffer is not None:
             self._buffer.record_fill(rect, value)
-        else:
-            self.device_fill_rect(rect, value)
 
     def _emit_hline(self, x0: int, x1: int, y: int, value: int) -> None:
+        self.device_hline(x0, x1, y, value)
         if self._buffer is not None:
             self._buffer.record_hline(x0, x1, y, value)
-        else:
-            self.device_hline(x0, x1, y, value)
 
     def _emit_vline(self, x: int, y0: int, y1: int, value: int) -> None:
+        self.device_vline(x, y0, y1, value)
         if self._buffer is not None:
             self._buffer.record_vline(x, y0, y1, value)
-        else:
-            self.device_vline(x, y0, y1, value)
 
     def _emit_pixel(self, x: int, y: int, value: int) -> None:
+        self.device_set_pixel(x, y, value)
         if self._buffer is not None:
             self._buffer.record_pixel(x, y, value)
-        else:
-            self.device_set_pixel(x, y, value)
 
     def _emit_text(self, x: int, y: int, text: str, font: FontDesc) -> None:
         if faultinject.enabled:
             faultinject.maybe_raise("wm.device")
+        self.device_draw_text(x, y, text, font)
         if self._buffer is not None:
             # The device crops clip-split glyphs, so the op must carry
-            # the clip it was recorded under.
+            # the clip it was drawn under.
             self._buffer.record_text(x, y, text, font, self.clip)
-        else:
-            self.device_draw_text(x, y, text, font)
 
     def _emit_blit(self, bitmap: Bitmap, x: int, y: int) -> None:
+        self.device_blit(bitmap, x, y)
         if self._buffer is not None:
             self._buffer.record_blit(bitmap, x, y)
-        else:
-            self.device_blit(bitmap, x, y)
 
     def copy_area(self, rect: Rect, dx: int, dy: int) -> None:
         """Shift the pixels of ``rect`` (local coords) by ``(dx, dy)``
@@ -216,10 +203,9 @@ class Graphic:
     def _emit_copy_area(self, rect: Rect, dx: int, dy: int) -> None:
         if faultinject.enabled:
             faultinject.maybe_raise("wm.device")
+        self.device_copy_area(rect, dx, dy)
         if self._buffer is not None:
             self._buffer.record_copy_area(rect, dx, dy)
-        else:
-            self.device_copy_area(rect, dx, dy)
 
     # ------------------------------------------------------------------
     # Coordinate system & clipping

@@ -1,7 +1,7 @@
 """Remote display: the command buffer as a wire protocol.
 
-A remote window records every frame as data (:class:`~repro.graphics.
-batch.CommandBuffer`); this package serializes that op list into a
+A remote window logs every frame's device ops as data (:class:`~repro.
+graphics.batch.CommandBuffer`); this package serializes that op list into a
 versioned, delta-encoded binary stream so the toolkit can run
 server-side with dumb renderers at the edge — the thin-client split
 the paper's §8 portability story promises and the ROADMAP's
@@ -14,9 +14,9 @@ Layers, bottom up:
   (:func:`~repro.remote.wire.encode_frame` /
   :func:`~repro.remote.wire.decode_frame`, typed
   :class:`~repro.remote.wire.WireError` on any malformed input);
-* :mod:`~repro.remote.encoder` — recorded ops -> frames, with
+* :mod:`~repro.remote.encoder` — logged ops -> frames, with
   keyframes, op elision against the previous frame and the ascii
-  cell-diff pass.  The command buffer records wire ops
+  cell-diff pass.  The command buffer logs wire ops
   (:data:`repro.graphics.batch.SCHEMA`), so the encoder ships them
   as they are;
 * :mod:`~repro.remote.renderer` — the dumb client: decode into a

@@ -5,18 +5,18 @@ display server; the remote backend is that port against a *wire*
 instead of a device.  Each window keeps a full local replica (a
 :class:`~repro.wm.ascii_ws.CellSurface` or raster framebuffer — the
 encoder's diff source and the conformance baseline), and at ``flush``
-the frame's recorded ops go through a :class:`~repro.remote.encoder.
+the frame's logged ops go through a :class:`~repro.remote.encoder.
 FrameEncoder` and out every attached sink to dumb renderers.
 
-One deviation from a plain local backend: drawables carry the
-window's :class:`~repro.graphics.batch.CommandBuffer`, so device ops
-are recorded instead of executed.  Any flush of that buffer —
-including the mid-frame ``settle()`` before an offscreen blit (how
-``AnimationView`` shows its pre-composed frames) — replays its ops
-onto the replica and keeps them, so the wire sees every op the frame
-executed, in order.  The recorded ops already
-are wire ops (:data:`repro.graphics.batch.SCHEMA`), so nothing is
-copied or translated.
+What the port adds to a plain local backend: drawables carry the
+window's :class:`~repro.graphics.batch.CommandBuffer`, so every device
+op runs on the replica at once and is also logged.  At ``flush`` the
+log — every op the frame executed, in order — goes to the encoder.
+The logged ops already are wire ops
+(:data:`repro.graphics.batch.SCHEMA`), so nothing is copied or
+translated.  Writes that bypass the drawable (an offscreen
+``copy_to``, how ``AnimationView`` shows its pre-composed frames) are
+not logged; the encoder's shadow diff repairs them.
 
 Select it like any backend: ``ANDREW_WM=remote`` builds one from the
 environment (``ANDREW_REMOTE_TARGET``,
@@ -69,8 +69,8 @@ class _RemoteWindowMixin:
     """The wire-shipping half of a remote window (both targets)."""
 
     def _init_remote(self) -> None:
-        #: The frame's recorded device ops, awaiting replay and shipping.
-        self.commands = batch.CommandBuffer(self)
+        #: The frame's executed device ops, awaiting shipping.
+        self.commands = batch.CommandBuffer()
         self._encoder: Optional[FrameEncoder] = None
         self._sink = FanoutSink()
         #: Heartbeat cadence: after this many consecutive flushes that
@@ -80,25 +80,17 @@ class _RemoteWindowMixin:
         self._quiet_flushes = 0
 
     def graphic(self):
-        """The root drawable; it records into :attr:`commands`, and its
-        child drawables inherit the buffer via ``Graphic.child``."""
+        """The root drawable; it logs into :attr:`commands`, and its
+        child drawables inherit the log via ``Graphic.child``."""
         graphic = super().graphic()
         graphic._buffer = self.commands
         return graphic
-
-    def _raw_graphic(self):
-        """A full-window drawable that always hits the replica, so
-        replay can never re-record into the buffer it is draining."""
-        return super().graphic()
 
     def _wire_surface(self):
         raise NotImplementedError
 
     def flush(self) -> None:
-        self.commands.flush()
-        self._ship()
-
-    def _ship(self) -> None:
+        """Ship the frame's logged ops to every viewer."""
         encoder = self._encoder
         ops = self.commands.take()
         if encoder is None or not self._sink.sinks:
@@ -122,9 +114,10 @@ class _RemoteWindowMixin:
                 faulty_send(self._sink, wire.encode_ping(encoder.last_seq))
 
     def resize(self, width: int, height: int) -> None:
-        # Recorded ops targeted the old surface; the queued full expose
-        # re-records everything and the encoder keyframes the new size.
-        self.commands.discard()
+        # Logged ops drew on the old surface: drop them.  The queued
+        # full expose redraws everything and the encoder keyframes the
+        # new size.
+        self.commands.take()
         super().resize(width, height)
         if self._encoder is not None:
             self._encoder.resize(width, height)

@@ -1,18 +1,19 @@
-"""Frame encoding: recorded ops -> wire frames, with delta compression.
+"""Frame encoding: logged ops -> wire frames, with delta compression.
 
-The encoder consumes the already-settled :class:`CommandBuffer` op list
-at flush (GUI Easy's render-path discipline: no encoder state inside
-stateful draw code) and emits at most one wire frame per window flush.
+The encoder consumes the :class:`CommandBuffer` op list at flush — the
+ops the frame already executed on the window's replica, in order (GUI
+Easy's render-path discipline: no encoder state inside stateful draw
+code) — and emits at most one wire frame per window flush.
 
 The correctness anchor is the **shadow surface**: an exact replica of
 the renderer's surface, maintained by applying every emitted frame's
 ops through the *same* :func:`repro.graphics.batch.apply_op` the
 client's :class:`~repro.remote.renderer.Applier` uses.  After
-predicting, the encoder diffs shadow vs the window's actual settled
-surface and appends repair ops for anything the op list missed — an
+predicting, the encoder diffs shadow vs the window's actual surface
+and appends repair ops for anything the op list missed — an
 ``OffscreenWindow.copy_to`` (how ``AnimationView`` shows its
 pre-composed frames) writes window surfaces directly without
-recording, so prediction alone can't be complete.
+logging, so prediction alone can't be complete.
 With repairs, byte-identity is unconditional.
 
 Frame shapes per mode:
@@ -171,7 +172,7 @@ class FrameEncoder:
     """Per-window frame producer with shadow-diff repair.
 
     ``encode(wire_ops, surface)`` is called once per window flush with
-    that flush's recorded op list and the settled surface; it returns
+    that flush's logged op list and the window's surface; it returns
     the encoded frame bytes, or ``None`` when nothing visible changed
     and no keyframe is due.
     """
@@ -324,7 +325,7 @@ class FrameEncoder:
         if self.target == "ascii":
             # Scrolls ship verbatim (a cell diff would re-send whole
             # shifted rows); anything after them becomes a cell diff
-            # against the post-scroll shadow.  A copy recorded *after*
+            # against the post-scroll shadow.  A copy logged *after*
             # a draw can't be split out safely, so that rare shape
             # falls back to a pure cell diff.
             copies: List[tuple] = []

@@ -168,7 +168,7 @@ class Session:
             return False
         return bool(
             self._inbox
-            or self.im.window.queued_events()
+            or self.im.window.pending_events()
             or not self.im.updates.is_empty()
         )
 

@@ -253,9 +253,6 @@ class AsciiOffscreen(OffscreenWindow):
 
     def copy_to(self, target: Graphic, x: int, y: int) -> None:
         self.count_blit()
-        # The blit writes the target surface directly, so any ops a
-        # remote window recorded before it must land first.
-        target.settle()
         device = target.rect_to_device(Rect(x, y, self.width, self.height))
         visible = device.intersection(target.clip)
         if visible.is_empty():
@@ -302,7 +299,6 @@ class AsciiWindow(BackendWindow):
         self.surface = CellSurface(width, height)
 
     def snapshot_lines(self) -> List[str]:
-        self.flush()  # settle recorded ops before observing the cells
         return self.surface.lines()
 
     def snapshot(self) -> str:

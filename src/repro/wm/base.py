@@ -172,11 +172,8 @@ class BackendWindow:
     def flush(self) -> None:
         """Push buffered output to the 'display'.
 
-        Local backends draw immediately, so there is nothing to push;
-        the remote backend replays and ships its recorded frame here.
-        Anything that *observes* the surface (``snapshot_lines``,
-        ``pending_events``) calls this first, so no backend can show a
-        half-settled display.
+        Every backend draws immediately, so a local one has nothing to
+        push; the remote backend ships the frame's logged ops here.
         """
 
     def set_cursor(self, cursor: Cursor) -> None:
@@ -215,16 +212,7 @@ class BackendWindow:
         return self._queue.popleft() if self._queue else None
 
     def pending_events(self) -> int:
-        # An observation point: callers poll this between frames, so
-        # settle the display before they act on what they see.
-        self.flush()
-        return len(self._queue)
-
-    def queued_events(self) -> int:
-        """Queue depth *without* flushing — the scheduler's readiness
-        probe.  A server loop polling thousands of idle remote windows
-        must not force a frame out of each; anything that acts on the
-        display itself still goes through ``pending_events``."""
+        """Queued input events (the server loop's readiness probe)."""
         return len(self._queue)
 
     # -- synthetic input ------------------------------------------------------

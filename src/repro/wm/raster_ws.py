@@ -179,9 +179,6 @@ class RasterOffscreen(OffscreenWindow):
 
     def copy_to(self, target: Graphic, x: int, y: int) -> None:
         self.count_blit()
-        # The blit writes the framebuffer directly, so any ops a remote
-        # window recorded before it must land first.
-        target.settle()
         device = target.rect_to_device(Rect(x, y, self.width, self.height))
         visible = device.intersection(target.clip)
         if visible.is_empty():
@@ -221,7 +218,6 @@ class RasterWindow(BackendWindow):
         character by ink density, so raster snapshots remain printable
         and comparable to ascii snapshots at the block level.
         """
-        self.flush()  # settle recorded ops before observing the pixels
         lines = []
         for cy in range(0, self.height, cell_height):
             row = []

@@ -10,7 +10,7 @@ the pieces the matrix test (and any future gate's tests) composes:
   divider / resize operations;
 * :func:`apply_op` — apply one script entry and pump the event loop;
 * :func:`fingerprint` — every cell/pixel and attribute of the window
-  surface, flushed first so recorded ops cannot hide;
+  surface, flushed first so a remote window ships what it shows;
 * :func:`run_scenario` — the full loop, returning one fingerprint per
   step so divergence is reported at the exact step and op;
 * :func:`gates` — a context manager configuring the whole gate set and
@@ -19,7 +19,7 @@ the pieces the matrix test (and any future gate's tests) composes:
   backends as a port whose drawables lack ``copy_area``, so scrolls
   take the full-area repaint fallback (the scroll suite's reference);
 * :func:`recording_ws` — the ``batch`` arm's window system: the same
-  target, but every frame recorded and replayed.
+  target, but every device op also logged for the wire.
 """
 
 from __future__ import annotations
@@ -182,9 +182,8 @@ def apply_op(app, op: Tuple) -> None:
 def fingerprint(window):
     """Every cell/pixel and attribute of a backend window's surface.
 
-    Flushes first: a remote window's pending command buffer must never
-    make two identical frames look different (or two different frames
-    alike).
+    Flushes first, so a remote window ships the frame its surface
+    shows before a renderer-side fingerprint is taken.
     """
     window.flush()
     surface = getattr(window, "surface", None)
@@ -201,11 +200,11 @@ def recording_ws(target: str) -> Callable:
     """Factory for the ``batch`` arm of a matrix: ``target``'s surface
     on the remote backend with no viewer attached.
 
-    Local windows draw immediately; this arm instead records every
-    device op into the window's command buffer and replays it onto the
-    window's own surface at flush — the path every remote frame takes.
-    Fingerprinting that surface against a local run proves recorded
-    replay byte-identical to immediate drawing.
+    Every device op draws on the window's own surface at once, as on
+    a local window, and is also logged into the window's command
+    buffer — the path every remote frame takes.  Fingerprinting that
+    surface against a local run proves the logging drawable
+    byte-identical to a plain one.
     """
     from repro.remote import RemoteWindowSystem
 

@@ -227,8 +227,6 @@ def test_glyph_client_records_one_op_per_device_request(target):
             window.flush()
             actual.append(fingerprint(renderer))
         recorded = obs.registry.counter("wm.requests_batched")
-        replayed = obs.registry.counter("wm.batch_ops_replayed")
     assert actual == expected
     assert local_requests > 500  # the client really is request-heavy
     assert recorded == local_requests
-    assert replayed == local_requests

@@ -1,23 +1,25 @@
-"""Recorded drawable command buffers on the remote backend.
+"""The remote backend's op log: draws at once, logs once.
 
-Only remote windows record: their drawables carry the window's
-:class:`~repro.graphics.batch.CommandBuffer`, and the recorded ops are
+Every window draws each device op at once; only remote windows also
+log it: their drawables carry the window's
+:class:`~repro.graphics.batch.CommandBuffer`, and the logged ops are
 the frame the wire encoder ships.  Apart from the check that local
-windows draw immediately, every test here runs on a
+windows log nothing, every test here runs on a
 :class:`~repro.remote.RemoteWindowSystem` window, ascii and raster
 targets both.
 
 Covers:
 
-* recording: local windows draw immediately; remote windows record
-  one op per device request, nothing merged; child drawables share
-  the window's buffer; the recording telemetry;
-* blit intern: one pixel snapshot per distinct bitmap content a frame;
-* flush ordering — every observation point settles the buffer first:
-  ``snapshot_lines``, ``pending_events``, ``flush_updates`` (even with
-  an empty damage queue — regression for the direct-repaint path),
-  offscreen ``copy_to``;
-* ``resize`` discarding ops recorded against the discarded surface.
+* logging: an op shows on the replica as it is logged; one op per
+  device request, nothing merged; child drawables share the window's
+  log; observing the window ships nothing;
+* blit intern: one pixel snapshot per distinct bitmap content a frame,
+  cleared when the frame is taken;
+* shipping: ``flush_updates`` ships a direct repaint even with an
+  empty damage queue; ``process_events`` always ships; an offscreen
+  ``copy_to`` between logged ops reaches the renderer byte for byte;
+  offscreen drawables never log;
+* ``resize`` emptying the log of ops drawn on the discarded surface.
 
 Byte-identity of whole frames lives in ``tests/conformance/``.
 """
@@ -28,8 +30,10 @@ from repro import obs
 from repro.components import Label
 from repro.core import InteractionManager
 from repro.graphics import Bitmap, Rect
-from repro.remote import RemoteWindowSystem
+from repro.remote import RemoteRenderer, RemoteWindowSystem
 from repro.wm.events import UpdateEvent
+
+from .conformance.driver import fingerprint
 
 TARGETS = ("ascii", "raster")
 
@@ -48,11 +52,13 @@ def _windows(width=40, height=10):
         yield RemoteWindowSystem(target).create_window("t", width, height)
 
 
-def _ims(text, width=20, height=4):
-    """One interaction manager per target, showing a ``Label(text)``."""
+def _ims(text, width=20, height=4, renderer=None):
+    """One interaction manager per target, showing a ``Label(text)``;
+    ``renderer`` (a factory) attaches a fresh viewer to each."""
     for target in TARGETS:
-        im = InteractionManager(RemoteWindowSystem(target), width=width,
-                                height=height)
+        ws = RemoteWindowSystem(
+            target, renderer=renderer() if renderer else None)
+        im = InteractionManager(ws, width=width, height=height)
         im.set_child(Label(text))
         yield im
 
@@ -65,7 +71,7 @@ def _inked(window, x, y) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Recording
+# Logging
 # ---------------------------------------------------------------------------
 
 
@@ -78,15 +84,15 @@ class TestRecording:
             graphic.fill_rect(Rect(0, 0, 4, 2), 1)
             assert _inked(window, 0, 0)
 
-    def test_records_instead_of_drawing(self):
-        for window in _windows():
-            graphic = window.graphic()
-            graphic.fill_rect(Rect(0, 0, 4, 2), 1)
-            assert window.commands.pending == 1
-            assert not _inked(window, 0, 0)  # not drawn yet
-            window.flush()
-            assert window.commands.pending == 0
-            assert _inked(window, 0, 0)
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_ops_draw_as_they_are_logged(self, target):
+        window = RemoteWindowSystem(target).create_window("t", 40, 10)
+        window.graphic().fill_rect(Rect(0, 0, 4, 2), 1)
+        assert _inked(window, 0, 0)  # no flush needed
+        assert window.commands.frame == [("fill", 0, 0, 4, 2, 1)]
+        window.flush()
+        assert window.commands.frame == []
+        assert _inked(window, 0, 0)
 
     def test_every_request_is_its_own_op(self):
         """Nothing merges: abutting fills, contiguous spans and
@@ -99,28 +105,34 @@ class TestRecording:
             graphic.draw_line(11, 5, 20, 5)
             graphic.draw_string(0, 7, "a")
             graphic.draw_string(graphic.string_width("a"), 7, "b")
-            assert [op[0] for op in window.commands._ops] == [
+            assert [op[0] for op in window.commands.frame] == [
                 "fill", "fill", "hline", "hline", "text", "text"]
 
     def test_child_graphics_share_the_window_buffer(self):
         for window in _windows():
             child = window.graphic().child(Rect(2, 2, 10, 4))
             child.fill_rect(Rect(0, 0, 2, 2), 1)
-            assert window.commands.pending == 1
+            assert window.commands.frame == [("fill", 2, 2, 2, 2, 1)]
+            assert _inked(window, 2, 2)
 
-    def test_counters_and_flush_timer(self, telemetry):
-        for window in _windows():
-            obs.registry.reset()
-            graphic = window.graphic()
-            graphic.draw_string(0, 0, "a")
-            graphic.draw_string(graphic.string_width("a"), 0, "b")
-            graphic.fill_rect(Rect(0, 2, 4, 2), 1)
+    def test_observing_ships_nothing(self):
+        """``snapshot_lines`` and ``pending_events`` read the replica
+        as it stands: the frame stays logged until the next flush."""
+        for target in TARGETS:
+            renderer = RemoteRenderer()
+            ws = RemoteWindowSystem(target, renderer=renderer)
+            window = ws.create_window("t", 30, 10)
+            window.flush()  # the join keyframe
+            frames = renderer.frames_applied
+            window.graphic().fill_rect(Rect(0, 0, 30, 10), 1)
+            lines = window.snapshot_lines()
+            assert window.pending_events() == 0
+            assert any("#" in line for line in lines)
+            assert len(window.commands.frame) == 1
+            assert renderer.frames_applied == frames
             window.flush()
-            snap = telemetry.snapshot()
-            assert snap["counters"]["wm.requests_batched"] == 3
-            assert snap["counters"]["wm.batch_flushes"] == 1
-            assert snap["counters"]["wm.batch_ops_replayed"] == 3
-            assert snap["timers"]["wm.batch_flush_ns"]["count"] == 1
+            assert renderer.frames_applied == frames + 1
+            assert fingerprint(renderer) == fingerprint(window)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +152,7 @@ class TestBlitIntern:
             graphic = window.graphic()
             for i in range(5):
                 graphic.draw_bitmap(bitmap, i * 4, 0)
-            ops = window.commands._ops
+            ops = window.commands.frame
             assert len({id(op[1]) for op in ops}) == 1
             # A mutation between blits must still snapshot fresh pixels
             # — the intern keys on content, not identity.
@@ -149,7 +161,7 @@ class TestBlitIntern:
             assert len({id(op[1]) for op in ops}) == 2
             width, _height, pixels = ops[-1][1]
             assert pixels[1 * width + 1] == 1
-            # Draining the buffer clears the intern: the source may
+            # Taking the frame clears the intern: the source may
             # mutate freely between frames.
             window.flush()
             assert window.commands._blit_cache == {}
@@ -167,79 +179,60 @@ class TestBlitIntern:
 
 
 # ---------------------------------------------------------------------------
-# Flush ordering: observation points settle the buffer
+# Shipping: every frame reaches the renderer
 # ---------------------------------------------------------------------------
 
 
 class TestFlushOrdering:
-    def test_snapshot_mid_frame_settles(self):
-        """Regression: ops recorded but not yet flushed must land before
-        the snapshot is taken, on demand."""
-        for im in _ims("hello"):
-            im.flush_updates()
-            # Dispatch an expose by hand — no flush_updates afterwards,
-            # so the repainted frame still sits in the command buffer.
-            im.window.inject_expose()
-            while True:
-                event = im.window.next_event()
-                if event is None:
-                    break
-                im.handle_event(event)
-            assert im.window.commands.pending > 0
-            lines = im.window.snapshot_lines()
-            assert im.window.commands.pending == 0
-            if hasattr(im.window, "surface"):
-                assert "hello" in "\n".join(lines)
-
-    def test_raster_snapshot_mid_frame_settles(self):
-        window = RemoteWindowSystem("raster").create_window("t", 30, 10)
-        window.graphic().fill_rect(Rect(0, 0, 30, 10), 1)
-        assert window.commands.pending == 1
-        lines = window.snapshot_lines()
-        assert window.commands.pending == 0
-        assert any("#" in line for line in lines)
-
-    def test_pending_events_settles(self):
-        for window in _windows():
-            window.graphic().fill_rect(Rect(0, 0, 4, 2), 1)
-            assert window.commands.pending == 1
-            window.pending_events()
-            assert window.commands.pending == 0
-            assert _inked(window, 0, 0)
-
     def test_flush_updates_settles_without_damage(self):
-        """Regression for the early-return path: a direct repaint leaves
-        recorded ops but no queued damage; flush_updates must still
-        drain the buffer."""
-        for im in _ims("mark"):
+        """Regression for the early-return path: a direct repaint logs
+        ops but queues no damage; flush_updates must still ship them."""
+        for im in _ims("mark", renderer=RemoteRenderer):
+            renderer = im.window._sink.sinks[0].renderer
             im.process_events()
             assert im.updates.is_empty()
+            frames = renderer.frames_applied
+            # New text without posting damage: only the direct repaint
+            # below shows it.
+            im.child._text = "mork"
             im.handle_event(UpdateEvent(im.window.bounds, full=True))
-            assert im.window.commands.pending > 0
-            im.flush_updates()  # damage queue empty; must drain anyway
-            assert im.window.commands.pending == 0
+            assert im.window.commands.frame
+            im.flush_updates()  # damage queue empty; must ship anyway
+            assert im.window.commands.frame == []
+            assert renderer.frames_applied == frames + 1
+            assert fingerprint(renderer) == fingerprint(im.window)
             if hasattr(im.window, "surface"):
-                assert "mark" in im.window.snapshot()
+                assert "mork" in im.window.snapshot()
 
     def test_process_events_always_settles(self):
         for im in _ims("mark"):
             im.process_events()
             im.window.inject_expose()
             im.process_events()
-            assert im.window.commands.pending == 0
+            assert im.window.commands.frame == []
 
     def test_offscreen_copy_to_settles_target(self):
-        for window in _windows(20, 6):
+        """An offscreen blit writes the replica directly, unlogged,
+        between two logged fills; the shipped frame must still leave
+        the renderer identical to the window."""
+        for target in TARGETS:
+            renderer = RemoteRenderer()
+            ws = RemoteWindowSystem(target, renderer=renderer)
+            window = ws.create_window("t", 20, 6)
+            window.flush()  # the join keyframe
             graphic = window.graphic()
-            graphic.fill_rect(Rect(0, 0, 20, 6), 1)    # recorded, pending
-            ws = window._window_system
+            graphic.fill_rect(Rect(0, 0, 20, 6), 1)
             off = ws.create_offscreen(4, 2)
-            off.graphic().clear()                       # offscreen: immediate
-            off.copy_to(graphic, 2, 2)                  # must settle first
+            off.graphic().clear()                       # offscreen: unlogged
+            off.copy_to(graphic, 2, 2)
+            graphic.fill_rect(Rect(3, 3, 2, 2), 1)
             window.flush()
-            # The blank offscreen landed *after* the fill — not under it.
+            # The blank offscreen landed *after* the first fill and
+            # under the second.
             assert not _inked(window, 2, 2)
             assert _inked(window, 0, 0)
+            assert _inked(window, 3, 3)
+            assert fingerprint(renderer) == fingerprint(window)
 
     def test_offscreen_graphics_never_batch(self):
         for target in TARGETS:
@@ -261,9 +254,7 @@ class TestResize:
     def test_resize_discards_pending_ops(self):
         for window in _windows():
             window.graphic().fill_rect(Rect(0, 0, 4, 2), 1)
-            assert window.commands.pending == 1
+            assert len(window.commands.frame) == 1
             window.resize(30, 8)
-            assert window.commands.pending == 0
             assert window.commands.frame == []
-            window.flush()  # nothing to replay against the fresh surface
-            assert not _inked(window, 0, 0)
+            assert not _inked(window, 0, 0)  # a fresh surface

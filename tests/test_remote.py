@@ -222,7 +222,7 @@ class TestRemoteWindowSystem:
         window = ws.create_window("r", 30, 8)
         window.flush()
         window.resize(44, 11)
-        window.pending_events()  # drains + flushes
+        window.flush()
         assert (renderer.width, renderer.height) == (44, 11)
         assert renderer.surface.lines() == [" " * 44] * 11
 

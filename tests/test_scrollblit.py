@@ -119,7 +119,8 @@ class TestRasterCopyArea:
 
 
 def test_batch_records_and_replays_copy_area(telemetry):
-    """A remote window records the shift and replays it at flush."""
+    """A remote window shifts its replica at once and logs the shift
+    once, as the frame's one copy op."""
     for target in ("ascii", "raster"):
         obs.registry.reset()
         window = RemoteWindowSystem(target).create_window("t", 20, 10)
@@ -133,13 +134,13 @@ def test_batch_records_and_replays_copy_area(telemetry):
             return bytes(window.framebuffer._bits[y * 20:y * 20 + 3])
 
         row = inked(5)
-        g.copy_area(Rect(0, 0, 20, 10), 0, -4)
-        # Recorded: the surface must not show the shift until flush.
         assert inked(1) != row
-        assert telemetry.counter(f"wm.{target}.copy_area") == 0
+        g.copy_area(Rect(0, 0, 20, 10), 0, -4)
+        assert inked(1) == row
+        assert telemetry.counter(f"wm.{target}.copy_area") == 1
+        assert window.commands.frame == [("copy", 0, 4, 20, 6, 0, -4)]
         window.flush()
         assert telemetry.counter(f"wm.{target}.copy_area") == 1
-        assert inked(1) == row
 
 
 # ---------------------------------------------------------------------------
