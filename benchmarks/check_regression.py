@@ -14,16 +14,24 @@ Committed baselines hold the ``summary`` block only (plus an optional
 raw ``registry`` dump; it is never compared, so it is not committed,
 where it would drift from the code unread.
 
-Most flags are advisory — shared CI runners have noisy clocks — so
-they print as warnings and the exit code stays 0 (pass ``--strict``
-to turn every warning into a failure for local A/B runs).  The
-**budgeted** interactive-latency metrics in :data:`BUDGETS` are the
-exception: they are the product's responsiveness contract (keystroke
-p50, scroll p95, expose p95), so for them both an absolute ceiling
-and a >``THRESHOLD`` regression against the baseline *fail the run*.
-``--budget PATTERN`` demotes budgeted metrics whose dotted path
-matches the substring ``PATTERN`` back to warnings — the escape hatch
-for runners known to blow the absolute numbers.
+Two kinds of flag *fail the run*:
+
+* growth of more than ``THRESHOLD`` in a deterministic count — a leaf
+  ending in ``_bytes`` (wire and storage costs), ``_per_keystroke``
+  (device work) or ``_per_edit`` (observer traffic).  These carry no
+  clock noise, so such growth is a real change in what the code emits;
+  a deliberate one regenerates the baseline.
+* the **budgeted** metrics in :data:`BUDGETS`, the product's
+  responsiveness contract (keystroke p50, scroll p95, expose p95):
+  both an absolute ceiling and a >``THRESHOLD`` regression against the
+  baseline.  ``--budget PATTERN`` demotes budgeted metrics whose dotted
+  path matches the substring ``PATTERN`` back to warnings — the escape
+  hatch for runners known to blow the absolute numbers.
+
+Every other flag (clock fields, ratio claims) is advisory — shared CI
+runners have noisy clocks — so it prints as a warning and the exit
+code stays 0 (pass ``--strict`` to turn every warning into a failure
+for local A/B runs).
 
 Usage::
 
@@ -152,6 +160,7 @@ def compare(fresh_path: Path, fresh: dict, baseline_path: Path,
         new = fresh[field]
         leaf = field.rsplit(".", 1)[-1]
         line = None
+        deterministic = False
         if leaf.endswith("_ns"):
             # Timings: slower is worse.
             if new > base * (1 + THRESHOLD):
@@ -162,8 +171,9 @@ def compare(fresh_path: Path, fresh: dict, baseline_path: Path,
                 )
         elif leaf.endswith(("_bytes", "_per_keystroke", "_per_edit")):
             # Wire/storage costs, device work and observer traffic:
-            # bigger is worse (and deterministic, so drift here is a
-            # real change in what the code emits, not clock noise).
+            # bigger is worse, and deterministic, so drift here is a
+            # real change in what the code emits, not clock noise.
+            deterministic = True
             if new > base * (1 + THRESHOLD):
                 line = (
                     f"{fresh_path.name}: {field} grew "
@@ -180,7 +190,7 @@ def compare(fresh_path: Path, fresh: dict, baseline_path: Path,
                 )
         if line is None:
             continue
-        if _is_budgeted(fresh_path.name, field, waivers):
+        if deterministic or _is_budgeted(fresh_path.name, field, waivers):
             errors.append(line)
         else:
             warnings.append(line)
@@ -225,7 +235,7 @@ def main(argv) -> int:
         for line in warnings:
             print(f"  WARNING: {line}")
     if errors:
-        print(f"bench budget FAILURES ({len(errors)}):")
+        print(f"bench regression FAILURES ({len(errors)}):")
         for line in errors:
             print(f"  ERROR: {line}")
     if not warnings and not errors:

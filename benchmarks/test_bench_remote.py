@@ -12,8 +12,9 @@ cost a fraction of shipping that keyframe at every step.
 
 Outputs ``BENCH_remote.json`` (byte counts, encoder counters, the
 reduction ratios) in the working directory; CI uploads it as an
-artifact and compares it against the committed copy, with a hard
-bytes/frame budget in ``check_regression.py``.
+artifact and compares it against the committed copy:
+``check_regression.py`` fails on >20% growth in any ``*_bytes`` field
+and on a bytes/frame budget.
 """
 
 import json

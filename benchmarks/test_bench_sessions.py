@@ -11,12 +11,15 @@ queues — producers retry on backpressure, the scheduler slices fairly.
 
 Reported from the obs registry and per-session stats: p95 frame (slice)
 latency across the fleet, the fairness spread (worst session p95 over
-the fleet median), throughput, and backpressure totals.  Alongside, the
-median cost of an *idle* cycle over 1k and 10k bare sessions
-(``idle_cycle_1k_ns`` / ``idle_cycle_10k_ns``): the ready queue makes a
-cycle cost its ready sessions, so both sit far under the 50 µs budget
-``check_regression.py`` enforces, and a scan of the fleet creeping back
-in blows it at 10k.  Outputs ``BENCH_sessions.json``; CI uploads it and
+the fleet median), throughput, and backpressure totals.  The soak runs
+``SOAKS`` times on a fresh fleet: the two tail figures, the worst
+session's p95 and the fairness spread, swing 2x from one soak to the
+next, so they report the median over the soaks; the rest come from
+the first soak.  Alongside, the median cost of an *idle* cycle over 1k
+and 10k bare sessions (``idle_cycle_1k_ns`` / ``idle_cycle_10k_ns``):
+the ready queue makes a cycle cost its ready sessions, so both sit far
+under the 50 µs budget ``check_regression.py`` enforces, and a scan of
+the fleet creeping back in blows it at 10k.  Outputs ``BENCH_sessions.json``; CI uploads it and
 gates ``*_ns`` fields against the committed baseline.
 
 ``ANDREW_SOAK_SESSIONS`` sets the fleet size (default 1000; the
@@ -26,6 +29,7 @@ acceptance range is 1k–10k).
 import asyncio
 import json
 import os
+import statistics
 import time
 
 from conftest import report
@@ -41,6 +45,7 @@ FLEET_SEED = 2026
 QUEUE_LIMIT = 64
 SLICE_EVENTS = 8
 IDLE_CYCLES = 250
+SOAKS = 3
 
 
 def build_fleet(loop, count):
@@ -100,7 +105,9 @@ async def soak(loop, fleet):
     return handled
 
 
-def test_bench_session_soak(metrics):
+def run_soak(metrics):
+    """One soak of a fresh fleet: the fleet, its stats, and the registry."""
+    metrics.reset()
     loop = ServerLoop(slice_events=SLICE_EVENTS)
     fleet = build_fleet(loop, SESSIONS)
     total_keys = sum(len(keys) for _s, _v, _p, keys in fleet)
@@ -110,7 +117,7 @@ def test_bench_session_soak(metrics):
     elapsed_ns = time.perf_counter_ns() - start
 
     stats = loop.fleet_stats()
-    registry_snapshot = metrics.snapshot()
+    loop.close()
 
     # Conservation: every keystroke of every stream landed exactly once
     # (refusals were retried, never lost) and nothing is still queued.
@@ -124,6 +131,20 @@ def test_bench_session_soak(metrics):
     # Fairness: no session's p95 slice latency may run away from the
     # fleet median (loose bound — shared-runner clocks are noisy).
     assert 1.0 <= stats["frame_p95_spread"] < 20.0, stats
+    return {"fleet": fleet, "stats": stats, "total_keys": total_keys,
+            "elapsed_ns": elapsed_ns, "registry": metrics.snapshot()}
+
+
+def test_bench_session_soak(metrics):
+    # The tail figures hang on one session's p95, which swings 2x from
+    # soak to soak; their median over SOAKS soaks is what gets compared.
+    first = run_soak(metrics)
+    tails = [first["stats"]]
+    tails += [run_soak(metrics)["stats"] for _ in range(SOAKS - 1)]
+    worst_p95_ns = statistics.median(st["frame_p95_ns_worst"] for st in tails)
+    spread = statistics.median(st["frame_p95_spread"] for st in tails)
+    fleet, stats = first["fleet"], first["stats"]
+    total_keys, elapsed_ns = first["total_keys"], first["elapsed_ns"]
 
     per_session = [s.stats for s, _v, _p, _k in fleet]
     p95s = sorted(st.frame_ns.percentile(0.95) for st in per_session)
@@ -150,8 +171,8 @@ def test_bench_session_soak(metrics):
             st.frame_ns.percentile(0.50) for st in per_session
         )[len(per_session) // 2] or 0,
         "session_frame_p95_ns": stats["frame_p95_ns_median"],
-        "session_frame_p95_worst_ns": stats["frame_p95_ns_worst"],
-        "fairness_spread": stats["frame_p95_spread"],
+        "session_frame_p95_worst_ns": worst_p95_ns,
+        "fairness_spread": spread,
         "idle_cycle_1k_ns": idle_cycle_ns(1_000),
         "idle_cycle_10k_ns": idle_cycle_ns(10_000),
         "app_mix": app_mix,
@@ -164,15 +185,15 @@ def test_bench_session_soak(metrics):
         },
     }
     with open("BENCH_sessions.json", "w") as fh:
-        json.dump({"summary": summary, "registry": registry_snapshot},
+        json.dump({"summary": summary, "registry": first["registry"]},
                   fh, indent=2, default=str)
     report("E17 multi-session server soak", [
         f"{SESSIONS} sessions ({', '.join(f'{k}={v}' for k, v in sorted(app_mix.items()))})",
         f"{total_keys} keystrokes in {stats['cycles']} cycles "
         f"({summary['throughput_events_per_s']:.0f} ev/s)",
-        f"frame p95: median={stats['frame_p95_ns_median']}ns "
-        f"worst={stats['frame_p95_ns_worst']}ns "
-        f"spread={stats['frame_p95_spread']}x",
+        f"frame p95: median={stats['frame_p95_ns_median']}ns; "
+        f"median of {SOAKS} soaks: worst={worst_p95_ns}ns "
+        f"spread={spread}x",
         f"backpressure refusals (retried): {stats['events_dropped']}",
         f"idle cycle median: {summary['idle_cycle_1k_ns']}ns at 1k "
         f"sessions, {summary['idle_cycle_10k_ns']}ns at 10k",
@@ -181,7 +202,6 @@ def test_bench_session_soak(metrics):
         f"{runapp_world['fetch_kb']:.0f}kb shared",
         "snapshot written to BENCH_sessions.json",
     ])
-    loop.close()
 
 
 def test_bench_server_cycle(benchmark):

@@ -46,41 +46,28 @@ string (``andy12b``), and bitmaps are interned *by content* — a frame
 blitting one cel N times ships the pixels once.  First-use-order
 interning makes encoding canonical: ``encode(decode(b)) == b``.
 
-Op vocabulary (opcode, operands, meaning):
-
-====  =========  ====================================================
- 0    fill       ``l, t, w, h, value`` — fill_rect
- 1    hline      ``x0, x1, y, value``
- 2    vline      ``x, y0, y1, value``
- 3    text       ``x, y, str, fontspec, clip l/t/w/h`` — draw_text
-                 replayed under the recorded clip
- 4    pixel      ``x, y, value``
- 5    blit       ``bitmap, x, y``
- 6    copy       ``l, t, w, h, dx, dy`` — same-surface copy_area
-                 (PR 8's scroll shifts)
- 7    ref        ``start, count`` — replay ops [start, start+count)
-                 of the *previous* frame's expanded op list (the
-                 delta-elision op; invalid in keyframes)
- 8    cells      ``y, x0, chars, inverse bits, bold bits`` — ascii
-                 cell-diff run
- 9    grid       ``chars, inverse bits, bold bits`` — full ascii
-                 surface (keyframe)
-10    rowbits    ``y, x0, count, bits`` — raster row-span repair
-11    snapshot   ``bitmap`` — full raster surface (keyframe)
-====  =========  ====================================================
+The op vocabulary is :data:`OPS`: each kind's operand codes, in the
+order of the op tuple, with the kind's position in the table as its
+opcode.  One loop over a kind's codes encodes it and one loop decodes
+it, so the table is the only place an op's layout is written down.
 
 Decoding is strictly bounds-checked: truncated, bit-flipped or garbage
 input raises :class:`WireError` — never a hang, never a foreign
 exception (every op consumes at least one byte, varints are capped at
-ten bytes, table references are range-checked).  ``tests/test_wire.py``
-fuzzes exactly that contract.
+ten bytes, table references are range-checked, runs are capped).
+Encoding refuses what decoding would: an unknown kind, a wrong
+operand count, a negative varint, a string that is not a UTF-8
+encodable ``str``, a bit run of the wrong length, a run over the cap,
+a grid that does not cover the frame, a malformed bitmap.
+``tests/test_wire.py`` fuzzes exactly that contract.
 
-Versioning rule: any change to the layout above (a new opcode, a field
-reordering, a different intern scheme) bumps :data:`VERSION`; decoders
-reject other versions with a typed error so a stale renderer fails
-loudly rather than misrendering.  The ping/hello control frames are
-exactly such a change: version 1 decoders reject a version-2 stream at
-the first envelope rather than choking on an unknown frame type.
+Versioning rule: any change to the layout above or to :data:`OPS` (a
+new opcode, a field reordering, a different intern scheme) bumps
+:data:`VERSION`; decoders reject other versions with a typed error so
+a stale renderer fails loudly rather than misrendering.  The
+ping/hello control frames are exactly such a change: version 1
+decoders reject a version-2 stream at the first envelope rather than
+choking on an unknown frame type.
 """
 
 from __future__ import annotations
@@ -94,6 +81,7 @@ __all__ = [
     "MAGIC",
     "VERSION",
     "MAX_FRAME_BYTES",
+    "OPS",
     "TARGETS",
     "Frame",
     "Hello",
@@ -128,9 +116,44 @@ _MAX_ITEMS = 1 << 20
 _MAX_DIM = 1 << 16
 _MAX_VARINT_BYTES = 10
 
-(_OP_FILL, _OP_HLINE, _OP_VLINE, _OP_TEXT, _OP_PIXEL, _OP_BLIT,
- _OP_COPY, _OP_REF, _OP_CELLS, _OP_GRID, _OP_ROWBITS,
- _OP_SNAPSHOT) = range(12)
+#: The op vocabulary: kind -> operand codes, one code per operand of
+#: the op tuple ``(kind, *operands)``.  A kind's opcode is its position
+#: here, so the seven device kinds of
+#: :data:`repro.graphics.batch.SCHEMA` come first, in its order.  Codes:
+#:
+#: ``s``  zigzag varint (coordinates; fill values, where -1 inverts)
+#: ``u``  varint (extents, ref positions)
+#: ``n``  run length: a varint of at most ``_MAX_DIM``
+#: ``S``  string-table ref; the operand is the ``str``
+#: ``G``  string-table ref to exactly ``width * height`` characters
+#: ``F``  font ref; the operand is the spec string (``andy12b``)
+#: ``B``  bitmap-table ref; the operand is ``(width, height, pixels)``
+#:        with one 0/1 byte per pixel, as ``Bitmap._bits``
+#: ``b``  packed bits, ``(run + 7) // 8`` raw bytes, where ``run`` is
+#:        the length of the preceding string or ``n`` count
+#:
+#: ``ref`` replays ops ``[start, start + count)`` of the previous
+#: frame's expanded op list (delta elision), so it is invalid in a
+#: keyframe.  ``grid`` and ``snapshot`` carry a whole surface.
+OPS = {
+    "fill": "ssuus",        # l, t, w, h, value: fill_rect
+    "hline": "ssss",        # x0, x1, y, value
+    "vline": "ssss",        # x, y0, y1, value
+    "text": "ssSFssuu",     # x, y, str, spec, clip l/t/w/h: draw_text
+    "pixel": "sss",         # x, y, value
+    "blit": "Bss",          # bitmap, x, y
+    "copy": "ssuuss",       # l, t, w, h, dx, dy: copy_area (scroll shift)
+    "ref": "uu",            # start, count
+    "cells": "ssSbb",       # y, x0, chars, inverse, bold: ascii cell run
+    "grid": "Gbb",          # chars, inverse, bold: the ascii surface
+    "rowbits": "ssnb",      # y, x0, count, bits: raster row-span repair
+    "snapshot": "B",        # bitmap: the raster surface
+}
+
+_OPCODES = {kind: (opcode, codes)
+            for opcode, (kind, codes) in enumerate(OPS.items())}
+_BY_OPCODE = tuple(OPS.items())
+_TABLE_NAMES = {"S": "string", "G": "string", "F": "font", "B": "bitmap"}
 
 
 class WireError(Exception):
@@ -141,9 +164,7 @@ class Frame:
     """One decoded (or to-be-encoded) display frame.
 
     ``ops`` is a list of tuples, each ``(kind, *operands)`` with the
-    kinds and operand orders documented in the module docstring.
-    Bitmap operands are ``(width, height, pixel_bytes)`` with one byte
-    (0/1) per pixel, matching ``Bitmap._bits``.
+    kinds and operand orders of :data:`OPS`.
     """
 
     __slots__ = ("keyframe", "seq", "target", "width", "height", "ops")
@@ -284,6 +305,11 @@ class _Cursor:
         return value
 
     def read_varint(self) -> int:
+        # Most operands are coordinates and refs under 128: one byte.
+        pos = self.pos
+        if pos < self.end and self.data[pos] < 0x80:
+            self.pos = pos + 1
+            return self.data[pos]
         value = 0
         shift = 0
         for length in range(_MAX_VARINT_BYTES):
@@ -340,115 +366,56 @@ def _check_bitmap(value) -> tuple:
     return (width, height, bytes(bits))
 
 
-def _encode_ops(ops, strings: _Interner, fonts: _Interner,
-                bitmaps: _Interner) -> bytearray:
+def _encode_ops(ops, width: int, height: int, strings: _Interner,
+                fonts: _Interner, bitmaps: _Interner) -> bytearray:
     out = bytearray()
     for op in ops:
         try:
             kind = op[0]
-            if kind == "fill":
-                _, left, top, width, height, value = op
-                out.append(_OP_FILL)
-                _write_svarint(out, left)
-                _write_svarint(out, top)
-                _write_varint(out, width)
-                _write_varint(out, height)
-                _write_svarint(out, value)
-            elif kind == "hline":
-                _, x0, x1, y, value = op
-                out.append(_OP_HLINE)
-                _write_svarint(out, x0)
-                _write_svarint(out, x1)
-                _write_svarint(out, y)
-                _write_svarint(out, value)
-            elif kind == "vline":
-                _, x, y0, y1, value = op
-                out.append(_OP_VLINE)
-                _write_svarint(out, x)
-                _write_svarint(out, y0)
-                _write_svarint(out, y1)
-                _write_svarint(out, value)
-            elif kind == "text":
-                _, x, y, text, spec, cl, ct, cw, ch = op
-                out.append(_OP_TEXT)
-                _write_svarint(out, x)
-                _write_svarint(out, y)
-                _write_varint(out, strings.intern(text))
-                _write_varint(out, fonts.intern(spec))
-                _write_svarint(out, cl)
-                _write_svarint(out, ct)
-                _write_varint(out, cw)
-                _write_varint(out, ch)
-            elif kind == "pixel":
-                _, x, y, value = op
-                out.append(_OP_PIXEL)
-                _write_svarint(out, x)
-                _write_svarint(out, y)
-                _write_svarint(out, value)
-            elif kind == "blit":
-                _, bitmap, x, y = op
-                out.append(_OP_BLIT)
-                _write_varint(out, bitmaps.intern(_check_bitmap(bitmap)))
-                _write_svarint(out, x)
-                _write_svarint(out, y)
-            elif kind == "copy":
-                _, left, top, width, height, dx, dy = op
-                out.append(_OP_COPY)
-                _write_svarint(out, left)
-                _write_svarint(out, top)
-                _write_varint(out, width)
-                _write_varint(out, height)
-                _write_svarint(out, dx)
-                _write_svarint(out, dy)
-            elif kind == "ref":
-                _, start, count = op
-                out.append(_OP_REF)
-                _write_varint(out, start)
-                _write_varint(out, count)
-            elif kind == "cells":
-                _, y, x0, chars, inverse, bold = op
-                nbytes = (len(chars) + 7) // 8
-                if len(inverse) != nbytes or len(bold) != nbytes:
-                    raise WireError(
-                        f"cells run of {len(chars)} needs {nbytes} "
-                        f"attribute bytes, got {len(inverse)}/{len(bold)}"
-                    )
-                out.append(_OP_CELLS)
-                _write_svarint(out, y)
-                _write_svarint(out, x0)
-                _write_varint(out, strings.intern(chars))
-                out += inverse
-                out += bold
-            elif kind == "grid":
-                _, chars, inverse, bold = op
-                nbytes = (len(chars) + 7) // 8
-                if len(inverse) != nbytes or len(bold) != nbytes:
-                    raise WireError(
-                        f"grid of {len(chars)} needs {nbytes} attribute "
-                        f"bytes, got {len(inverse)}/{len(bold)}"
-                    )
-                out.append(_OP_GRID)
-                _write_varint(out, strings.intern(chars))
-                out += inverse
-                out += bold
-            elif kind == "rowbits":
-                _, y, x0, count, bits = op
-                if len(bits) != (count + 7) // 8:
-                    raise WireError(
-                        f"rowbits run of {count} needs {(count + 7) // 8} "
-                        f"bytes, got {len(bits)}"
-                    )
-                out.append(_OP_ROWBITS)
-                _write_svarint(out, y)
-                _write_svarint(out, x0)
-                _write_varint(out, count)
-                out += bits
-            elif kind == "snapshot":
-                _, bitmap = op
-                out.append(_OP_SNAPSHOT)
-                _write_varint(out, bitmaps.intern(_check_bitmap(bitmap)))
-            else:
+            entry = _OPCODES.get(kind)
+            if entry is None:
                 raise WireError(f"unknown op kind {kind!r}")
+            opcode, codes = entry
+            if len(op) != len(codes) + 1:
+                raise WireError(
+                    f"malformed op {op!r}: {kind} takes {len(codes)} "
+                    f"operands, got {len(op) - 1}"
+                )
+            out.append(opcode)
+            run = 0
+            for i, code in enumerate(codes, 1):
+                value = op[i]
+                if code == "s":
+                    _write_varint(out, _zigzag(value))
+                elif code == "u":
+                    _write_varint(out, value)
+                elif code == "b":
+                    if len(value) != (run + 7) // 8:
+                        raise WireError(
+                            f"{kind} run of {run} needs {(run + 7) // 8} "
+                            f"bit bytes, got {len(value)}"
+                        )
+                    out += value
+                elif code == "B":
+                    _write_varint(out, bitmaps.intern(_check_bitmap(value)))
+                elif code == "n":
+                    if value > _MAX_DIM:
+                        raise WireError(f"{kind} run {value} exceeds cap")
+                    _write_varint(out, value)
+                    run = value
+                else:  # a string: text, cell chars or a font spec
+                    if not isinstance(value, str):
+                        raise WireError(
+                            f"{kind} operand {value!r} is not a str"
+                        )
+                    run = len(value)
+                    if code == "G" and run != width * height:
+                        raise WireError(
+                            f"{kind} of {run} chars does not cover "
+                            f"{width}x{height}"
+                        )
+                    table = fonts if code == "F" else strings
+                    _write_varint(out, table.intern(value))
         except WireError:
             raise
         except (TypeError, ValueError, IndexError) as exc:
@@ -473,7 +440,8 @@ def encode_frame(frame: Frame) -> bytes:
     strings = _Interner()
     fonts = _Interner()
     bitmaps = _Interner()
-    op_bytes = _encode_ops(frame.ops, strings, fonts, bitmaps)
+    op_bytes = _encode_ops(frame.ops, frame.width, frame.height,
+                           strings, fonts, bitmaps)
     # Font specs ride the string table (repeated fonts cost one varint
     # per use); intern them all before the table serializes.
     font_refs = [strings.intern(spec) for spec in fonts.items]
@@ -488,7 +456,10 @@ def encode_frame(frame: Frame) -> bytes:
     _write_varint(final, frame.height)
     _write_varint(final, len(strings.items))
     for text in strings.items:
-        raw = text.encode("utf-8")
+        try:
+            raw = text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise WireError(f"string {text!r} is not UTF-8: {exc}") from exc
         _write_varint(final, len(raw))
         final += raw
     _write_varint(final, len(fonts.items))
@@ -568,72 +539,40 @@ def _read_tables(cur: _Cursor) -> Tuple[List[str], List[str], List[tuple]]:
     return strings, fonts, bitmaps
 
 
-def _read_op(cur: _Cursor, strings, fonts, bitmaps, width, height) -> tuple:
-    def string_ref():
-        ref = cur.read_varint()
-        if ref >= len(strings):
-            raise WireError(f"string ref {ref} outside table")
-        return strings[ref]
-
-    def bitmap_ref():
-        ref = cur.read_varint()
-        if ref >= len(bitmaps):
-            raise WireError(f"bitmap ref {ref} outside table")
-        return bitmaps[ref]
-
+def _read_op(cur: _Cursor, tables: dict, width: int, height: int) -> tuple:
     opcode = cur.read_u8()
-    if opcode == _OP_FILL:
-        return ("fill", cur.read_svarint(), cur.read_svarint(),
-                cur.read_varint(), cur.read_varint(), cur.read_svarint())
-    if opcode == _OP_HLINE:
-        return ("hline", cur.read_svarint(), cur.read_svarint(),
-                cur.read_svarint(), cur.read_svarint())
-    if opcode == _OP_VLINE:
-        return ("vline", cur.read_svarint(), cur.read_svarint(),
-                cur.read_svarint(), cur.read_svarint())
-    if opcode == _OP_TEXT:
-        x, y = cur.read_svarint(), cur.read_svarint()
-        text = string_ref()
-        ref = cur.read_varint()
-        if ref >= len(fonts):
-            raise WireError(f"font ref {ref} outside table")
-        spec = fonts[ref]
-        return ("text", x, y, text, spec, cur.read_svarint(),
-                cur.read_svarint(), cur.read_varint(), cur.read_varint())
-    if opcode == _OP_PIXEL:
-        return ("pixel", cur.read_svarint(), cur.read_svarint(),
-                cur.read_svarint())
-    if opcode == _OP_BLIT:
-        bitmap = bitmap_ref()
-        return ("blit", bitmap, cur.read_svarint(), cur.read_svarint())
-    if opcode == _OP_COPY:
-        return ("copy", cur.read_svarint(), cur.read_svarint(),
-                cur.read_varint(), cur.read_varint(),
-                cur.read_svarint(), cur.read_svarint())
-    if opcode == _OP_REF:
-        return ("ref", cur.read_varint(), cur.read_varint())
-    if opcode == _OP_CELLS:
-        y, x0 = cur.read_svarint(), cur.read_svarint()
-        chars = string_ref()
-        nbytes = (len(chars) + 7) // 8
-        return ("cells", y, x0, chars,
-                cur.read_bytes(nbytes), cur.read_bytes(nbytes))
-    if opcode == _OP_GRID:
-        chars = string_ref()
-        if len(chars) != width * height:
-            raise WireError(
-                f"grid of {len(chars)} chars does not cover "
-                f"{width}x{height}"
-            )
-        nbytes = (len(chars) + 7) // 8
-        return ("grid", chars, cur.read_bytes(nbytes), cur.read_bytes(nbytes))
-    if opcode == _OP_ROWBITS:
-        y, x0 = cur.read_svarint(), cur.read_svarint()
-        count = cur.read_count("rowbits run", _MAX_DIM)
-        return ("rowbits", y, x0, count, cur.read_bytes((count + 7) // 8))
-    if opcode == _OP_SNAPSHOT:
-        return ("snapshot", bitmap_ref())
-    raise WireError(f"unknown opcode {opcode}")
+    if opcode >= len(_BY_OPCODE):
+        raise WireError(f"unknown opcode {opcode}")
+    kind, codes = _BY_OPCODE[opcode]
+    op = [kind]
+    run = 0
+    for code in codes:
+        if code == "s":
+            op.append(cur.read_svarint())
+        elif code == "u":
+            op.append(cur.read_varint())
+        elif code == "b":
+            op.append(cur.read_bytes((run + 7) // 8))
+        elif code == "n":
+            run = cur.read_count(f"{kind} run", _MAX_DIM)
+            op.append(run)
+        else:
+            table = tables[code]
+            ref = cur.read_varint()
+            if ref >= len(table):
+                raise WireError(
+                    f"{_TABLE_NAMES[code]} ref {ref} outside table"
+                )
+            value = table[ref]
+            if code == "G" and len(value) != width * height:
+                raise WireError(
+                    f"{kind} of {len(value)} chars does not cover "
+                    f"{width}x{height}"
+                )
+            if code in "SG":
+                run = len(value)
+            op.append(value)
+    return tuple(op)
 
 
 def decode_frame(data: bytes, offset: int = 0, *,
@@ -722,9 +661,10 @@ def decode_frame(data: bytes, offset: int = 0, *,
     if width > _MAX_DIM or height > _MAX_DIM:
         raise WireError(f"dimensions {width}x{height} exceed cap")
     strings, fonts, bitmaps = _read_tables(cur)
+    tables = {"S": strings, "G": strings, "F": fonts, "B": bitmaps}
     ops = []
     for _ in range(cur.read_count("op list")):
-        op = _read_op(cur, strings, fonts, bitmaps, width, height)
+        op = _read_op(cur, tables, width, height)
         if frame_type == _KEYFRAME and op[0] == "ref":
             raise WireError("ref op inside a keyframe")
         ops.append(op)

@@ -10,12 +10,17 @@ corruption fuzzer, ``tests/test_salvage.py``):
   garbage — raises the typed :class:`~repro.remote.wire.WireError`,
   never hangs, never leaks a foreign exception; and the stream-level
   renderer absorbs the same corruption without raising at all.
+
+``TestCodecContract`` pins each check of the op table one case at a
+time, on both sides: what encoding refuses, and the sealed frames
+that decoding refuses although their checksum holds.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.graphics import batch
 from repro.remote import wire
 from repro.remote.renderer import RemoteRenderer
 from repro.remote.wire import Frame, WireError, decode_frame, encode_frame
@@ -93,6 +98,36 @@ def _random_frame(rng, seq=0):
                              rng.randrange(1, 20)))
     return Frame(keyframe=keyframe, seq=seq, target=target,
                  width=WIDTH, height=HEIGHT, ops=ops)
+
+
+def _varint(value):
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def _sealed(op_bytes, *, keyframe=False, strings=(), fonts=(), bitmaps=(),
+            width=4, height=2):
+    """A checksum-valid ascii frame built by hand around one encoded op,
+    so the decoder sees input that :func:`encode_frame` would refuse.
+    ``fonts`` are indexes into ``strings``; ``bitmaps`` are
+    ``(width, height, packed_bytes)``."""
+    payload = bytearray([1 if keyframe else 2, 0, wire.TARGETS["ascii"]])
+    payload += _varint(width) + _varint(height) + _varint(len(strings))
+    for text in strings:
+        raw = text.encode("utf-8")
+        payload += _varint(len(raw)) + raw
+    payload += _varint(len(fonts))
+    for ref in fonts:
+        payload += _varint(ref)
+    payload += _varint(len(bitmaps))
+    for bw, bh, packed in bitmaps:
+        payload += _varint(bw) + _varint(bh) + packed
+    payload += _varint(1) + op_bytes
+    return wire._seal(payload)
 
 
 class TestRoundTrip:
@@ -229,10 +264,88 @@ class TestHostileInput:
                       width=2, height=2, ops=[("ref", 0, 1)])
         with pytest.raises(WireError):
             encode_frame(frame)
+        with pytest.raises(WireError, match="keyframe"):
+            decode_frame(_sealed(bytes([7, 0, 1]), keyframe=True))
 
     def test_expand_refs_out_of_range_raises(self):
         with pytest.raises(WireError):
             wire.expand_refs([("ref", 2, 5)], [("pixel", 0, 0, 1)])
+
+
+class TestCodecContract:
+    """Every check the codec makes, one case each: encoding refuses an op
+    the decoder could not read back, and decoding refuses a sealed frame
+    whose ops break the layout that :data:`wire.OPS` declares."""
+
+    def test_op_table_extends_the_device_schema(self):
+        # The opcode is the kind's position, so this order is the wire.
+        assert list(wire.OPS) == [
+            "fill", "hline", "vline", "text", "pixel", "blit", "copy",
+            "ref", "cells", "grid", "rowbits", "snapshot",
+        ]
+        assert tuple(wire.OPS)[:7] == tuple(batch.SCHEMA)
+        for kind, names in batch.SCHEMA.items():
+            assert len(wire.OPS[kind]) == len(names), kind
+
+    @pytest.mark.parametrize("op, reason", [
+        (("circle", 0, 0, 3), "unknown op kind"),
+        ((), "malformed"),
+        (("fill", 0, 0, 1, 1), "malformed"),
+        (("pixel", 0, 0, 1, 1), "malformed"),
+        (("fill", 0, 0, -1, 1, 1), "varint"),
+        (("ref", -1, 2), "varint"),
+        (("cells", 0, 0, "abc", b"", b"\x00"), "bytes"),
+        (("cells", 0, 0, "abc", b"\x00", b"\x00\x00"), "bytes"),
+        (("grid", "abcdefgh", b"\x00\x00", b"\x00"), "bytes"),
+        (("rowbits", 0, 0, 9, b"\x00"), "bytes"),
+        (("blit", (2, 2, bytes(3)), 0, 0), "bitmap"),
+        (("snapshot", (4, 2, "pixels!!")), "bitmap"),
+        (("grid", "abc", b"\x00", b"\x00"), "cover"),
+        (("rowbits", 0, 0, wire._MAX_DIM + 1,
+          bytes((wire._MAX_DIM + 8) // 8)), "cap"),
+        (("text", 0, 0, b"hi", "andy12", 0, 0, 4, 2), "str"),
+        (("text", 0, 0, "\ud800", "andy12", 0, 0, 4, 2), "UTF-8"),
+    ], ids=["unknown-kind", "empty", "arity-short", "arity-long",
+            "negative-width", "negative-ref", "cells-inverse",
+            "cells-bold", "grid-bits", "rowbits-bits", "blit-bitmap",
+            "snapshot-bitmap", "grid-cover", "rowbits-cap", "text-bytes",
+            "text-surrogate"])
+    def test_encode_rejects(self, op, reason):
+        frame = Frame(keyframe=False, seq=0, target="ascii", width=4,
+                      height=2, ops=[op])
+        with pytest.raises(WireError, match=reason):
+            encode_frame(frame)
+
+    def test_decode_rejects_grid_that_does_not_cover_the_frame(self):
+        data = _sealed(bytes([9, 0, 0, 0]), keyframe=True, strings=["abc"])
+        with pytest.raises(WireError, match="cover"):
+            decode_frame(data)
+
+    def test_decode_rejects_rowbits_run_over_the_dimension_cap(self):
+        count = wire._MAX_DIM + 1
+        op = bytes([10, 0, 0]) + _varint(count) + bytes((count + 7) // 8)
+        with pytest.raises(WireError, match="cap"):
+            decode_frame(_sealed(op))
+
+    @pytest.mark.parametrize("op, tables", [
+        (bytes([3, 0, 0, 2, 0, 0, 0, 4, 2]), {"strings": ["hi", "andy12"],
+                                              "fonts": [1]}),
+        (bytes([8, 0, 0, 1, 0, 0]), {"strings": ["a"]}),
+        (bytes([3, 0, 0, 0, 1, 0, 0, 4, 2]), {"strings": ["hi", "andy12"],
+                                              "fonts": [1]}),
+        (bytes([5, 0, 0, 0]), {}),
+        (bytes([11, 1]), {"bitmaps": [(1, 1, b"\x80")]}),
+    ], ids=["text-string", "cells-string", "text-font", "blit-bitmap",
+            "snapshot-bitmap"])
+    def test_decode_rejects_table_ref_out_of_range(self, op, tables):
+        with pytest.raises(WireError, match="outside"):
+            decode_frame(_sealed(op, **tables))
+
+    def test_hand_built_frame_decodes(self):
+        # The helper above builds valid frames: only the bad ref fails.
+        frame, _ = decode_frame(_sealed(bytes([3, 0, 0, 0, 0, 0, 0, 4, 2]),
+                                        strings=["hi", "andy12"], fonts=[1]))
+        assert frame.ops == [("text", 0, 0, "hi", "andy12", 0, 0, 4, 2)]
 
 
 class TestRendererRobustness:
