@@ -18,7 +18,8 @@ Two kinds of flag *fail the run*:
 
 * growth of more than ``THRESHOLD`` in a deterministic count — a leaf
   ending in ``_bytes`` (wire and storage costs), ``_per_keystroke``
-  (device work) or ``_per_edit`` (observer traffic).  These carry no
+  (device work), ``_per_edit`` (observer traffic) or
+  ``rows_repainted`` (scroll repaint work).  These carry no
   clock noise, so such growth is a real change in what the code emits;
   a deliberate one regenerates the baseline.
 * the **budgeted** metrics in :data:`BUDGETS`, the product's
@@ -122,6 +123,8 @@ def _unit(field: str) -> str:
         return "requests"
     if field.endswith("_per_edit"):
         return "records"
+    if field.endswith("rows_repainted"):
+        return "rows"
     return "ns"
 
 
@@ -169,10 +172,12 @@ def compare(fresh_path: Path, fresh: dict, baseline_path: Path,
                     f"{base:.0f} -> {new:.0f} ns "
                     f"(+{(new / base - 1) * 100:.0f}%)"
                 )
-        elif leaf.endswith(("_bytes", "_per_keystroke", "_per_edit")):
-            # Wire/storage costs, device work and observer traffic:
-            # bigger is worse, and deterministic, so drift here is a
-            # real change in what the code emits, not clock noise.
+        elif leaf.endswith(("_bytes", "_per_keystroke", "_per_edit",
+                            "rows_repainted")):
+            # Wire/storage costs, device work, observer traffic and
+            # scroll repaint rows: bigger is worse, and deterministic,
+            # so drift here is a real change in what the code emits,
+            # not clock noise.
             deterministic = True
             if new > base * (1 + THRESHOLD):
                 line = (

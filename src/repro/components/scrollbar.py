@@ -103,9 +103,9 @@ class Scrollable:
         self.scroll_moved(before - self.scroll_device_offset())
 
     def scroll_moved(self, dy: int) -> None:
-        """Post repair for a viewport move of ``dy`` device rows."""
+        """Post repair for a viewport move of ``dy`` device rows
+        (none for a move that went nowhere, e.g. paging at the end)."""
         if dy == 0:
-            self.want_update()
             return
         area = self.scroll_blit_area()
         if self.scroll_blit_ok() and self.want_scroll(area, dy):
@@ -211,8 +211,8 @@ class ScrollBar(View):
         """Repaint the bar's own column (the thumb moved).
 
         Deliberately *not* a full-view update: damage covering the body
-        would force the body's scroll to repaint everything, defeating
-        the shift-blit the body just queued.
+        would repaint the whole body over the shift it just made, and
+        refuse a further shift in the same pump.
         """
         self.want_update(Rect(0, 0, BAR_WIDTH, self.height))
 

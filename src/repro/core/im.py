@@ -61,10 +61,6 @@ class InteractionManager:
         self._timer_subscribers: List[View] = []
         self._tick = 0
         self.events_processed = 0
-        #: Queued scroll shifts: id(view) -> [view, area, dy, strip].
-        #: Executed (oldest first) at the head of the next repaint or
-        #: flush, *before* any damage repaint touches the surface.
-        self._pending_scrolls: dict = {}
         self._shift_capable: Optional[bool] = None
         #: Doorbell rung on every posted update (a server loop sets it
         #: to put this IM's session on its ready queue).
@@ -239,7 +235,13 @@ class InteractionManager:
         elif isinstance(event, MenuEvent):
             self._handle_menu(event)
         elif isinstance(event, UpdateEvent):
-            self._repaint(event.area)
+            if self.child is not None:
+                # An expose is damage like any other: it repaints at
+                # the pump's flush, merged with the rest.
+                bounds = self.child.bounds
+                self.post_update(
+                    self.child, event.area.offset(-bounds.left, -bounds.top)
+                )
         elif isinstance(event, ResizeEvent):
             if self.child is not None:
                 self.child.set_bounds(Rect(0, 0, event.width, event.height))
@@ -424,15 +426,16 @@ class InteractionManager:
     # -- scroll shift-blit (see repro.core.scrollblit) -------------------
 
     def post_scroll(self, view: View, area: Rect, dy: int) -> bool:
-        """Queue a same-surface shift of ``area`` (``view``-local) by
-        ``dy`` device rows, posting damage only for the exposed strip.
+        """Shift ``area`` (``view``-local) by ``dy`` device rows on the
+        window surface now, posting damage only for the exposed strip.
 
-        Returns False — posting nothing — when the shift cannot be
-        proven pixel-identical to repainting ``area``: the move is
-        larger than the area, the backend has no ``copy_area``, the
-        area is clipped by the window edge, or damage already queued
-        intersects the area (its stale pixels must not be moved).
-        The caller then posts ordinary area damage instead.
+        Returns False — shifting and posting nothing — when the shift
+        cannot be proven pixel-identical to repainting ``area``: the
+        move is larger than the area, the backend has no
+        ``copy_area``, the area is clipped by the window edge, or
+        queued damage overlaps the area in a way the shift cannot
+        carry (see :meth:`_scroll_blocked`).  The caller then posts
+        ordinary area damage instead.
         """
         if area.is_empty() or dy == 0 or abs(dy) >= area.height:
             return False
@@ -442,50 +445,19 @@ class InteractionManager:
         window_area = area.offset(origin.x, origin.y)
         if not self.window.bounds.contains_rect(window_area):
             return False
-        key = id(view)
-        record = self._pending_scrolls.get(key)
-        if record is not None:
-            return self._compose_scroll(record, view, area, dy)
-        if self._scroll_blocked(window_area):
+        if self._scroll_blocked(view, area, window_area):
             return False
+        with faultinject.suspended():
+            # Toolkit ink: shifts are the IM's own surface surgery.
+            self.window.graphic().copy_area(window_area, 0, dy)
+        self.updates.move(view, area, dy)
         strip = self._exposed_strip(area, dy)
-        self._pending_scrolls[key] = [view, area, dy, strip]
         if obs.metrics_on:
+            obs.registry.inc("view.scroll_blits")
+            obs.registry.inc(
+                "im.scroll_area_saved", (area.height - abs(dy)) * area.width
+            )
             obs.registry.inc("view.rows_repainted", strip.height)
-        self.post_update(view, strip)
-        return True
-
-    def _compose_scroll(self, record: list, view: View, area: Rect,
-                        dy: int) -> bool:
-        """Fold a second scroll of ``view`` into its queued record.
-
-        Two same-direction scrolls compose into one shift of the summed
-        distance with one summed exposed strip.  Anything else — a
-        direction reversal, a changed area, a summed distance at least
-        the area height, or damage that joined the view's queue entry
-        since the first scroll (whose stale pixels the bigger shift
-        would relocate) — drops the record and reports failure; the
-        caller's fallback area damage covers the already-posted strip.
-        """
-        _, old_area, old_dy, old_strip = record
-        total = old_dy + dy
-        origin = view.origin_in_window()
-        if (
-            area != old_area
-            or (old_dy > 0) != (dy > 0)
-            or abs(total) >= area.height
-            or self.updates.pending_rect(view) != old_strip
-            or self._scroll_blocked(area.offset(origin.x, origin.y),
-                                    exclude=view)
-        ):
-            del self._pending_scrolls[id(view)]
-            return False
-        strip = self._exposed_strip(area, total)
-        record[2] = total
-        record[3] = strip
-        if obs.metrics_on:
-            obs.registry.inc("view.rows_repainted",
-                             strip.height - old_strip.height)
         self.post_update(view, strip)
         return True
 
@@ -504,50 +476,29 @@ class InteractionManager:
             )
         return self._shift_capable
 
-    def _scroll_blocked(self, window_area: Rect,
-                        exclude: Optional[View] = None) -> bool:
-        """Does queued damage overlap ``window_area`` (window coords)?
+    def _scroll_blocked(self, view: View, area: Rect,
+                        window_area: Rect) -> bool:
+        """May queued damage stop a shift of ``view``'s ``area``?
 
         Pixels under queued damage are stale — their repaint is still
-        pending — so a shift must not relocate them: the repaint would
-        land at the old spot and the staleness would survive at the new
-        one.  ``exclude`` skips one view's own entry (used when
-        composing scrolls, where that entry is the already-verified
-        exposed strip).
+        pending.  ``view``'s own damage inside the area moves with the
+        shift (:meth:`UpdateQueue.move`), so it blocks only when it
+        straddles the area's edge (half of it would move) or covers
+        the whole area (nothing would be saved).  Any other view's
+        damage overlapping the area blocks: its repaint would land at
+        the old spot and the staleness would survive at the new one.
         """
-        for view, rect in self.updates.pending_damage():
-            if view is exclude:
+        for other, rect in self.updates.pending_damage():
+            if other is view:
+                if rect.intersects(area) and (
+                    not area.contains_rect(rect) or rect.contains_rect(area)
+                ):
+                    return True
                 continue
-            origin = view.origin_in_window()
+            origin = other.origin_in_window()
             if rect.offset(origin.x, origin.y).intersects(window_area):
                 return True
         return False
-
-    def _run_scrolls(self) -> None:
-        """Execute queued shifts against the window surface.
-
-        Runs at the head of every repaint pass, so shifts always move
-        *pre-repaint* pixels; the exposed-strip damage queued alongside
-        then repaints on the shifted surface.
-        """
-        if not self._pending_scrolls:
-            return
-        records = list(self._pending_scrolls.values())
-        self._pending_scrolls.clear()
-        root = self.window.graphic()
-        for view, area, dy, _strip in records:
-            if view.interaction_manager() is not self:
-                continue
-            origin = view.origin_in_window()
-            with faultinject.suspended():
-                # Toolkit ink: shifts are the IM's own surface surgery.
-                root.copy_area(area.offset(origin.x, origin.y), 0, dy)
-                if obs.metrics_on:
-                    obs.registry.inc("view.scroll_blits")
-                    obs.registry.inc(
-                        "im.scroll_area_saved",
-                        (area.height - abs(dy)) * area.width,
-                    )
 
     def flush_updates(self) -> int:
         """Send queued damage back down as clipped full-update passes.
@@ -557,12 +508,10 @@ class InteractionManager:
         several views repaints once instead of once per view.  Returns
         the number of repaint passes run.
         """
-        self._run_scrolls()
         if self.child is None or self.updates.is_empty():
-            # Even with no queued damage, flush the window: a direct
-            # repaint (e.g. an UpdateEvent dispatched straight from the
-            # queue) may have logged remote ops without going through
-            # the damage path.
+            # Even with no queued damage, flush the window: ops drawn
+            # outside the damage path (an application drawing on the
+            # window's drawable directly) must still ship.
             self.window.flush()
             return 0
         with obs.span("im.flush"):
@@ -620,10 +569,6 @@ class InteractionManager:
         """The downward update pass, clipped to ``damage``."""
         if self.child is None:
             return
-        # Shifts queued before this repaint must move *pre-repaint*
-        # pixels — a direct UpdateEvent repaint racing a queued scroll
-        # would otherwise paint fresh content and then shift it.
-        self._run_scrolls()
         root = self.window.graphic()
         base_clip = root.clip
         clipped = base_clip.intersection(damage)
@@ -661,7 +606,6 @@ class InteractionManager:
     def view_unlinked(self, view: View) -> None:
         """A view left the tree: forget grabs/focus/damage it owned."""
         self.updates.discard(view)
-        self._pending_scrolls.pop(id(view), None)
         if self._grab is view:
             self._grab = None
         if self.focus is view:

@@ -94,16 +94,29 @@ class UpdateQueue:
     def pending_damage(self) -> List[Tuple[object, Rect]]:
         """The queued (view, local-rect) pairs, without draining them.
 
-        The scroll shift-blit inspects this before committing to a
-        shift: damage already queued against the scroll area means the
-        on-screen pixels there are stale and must not be moved.
+        The scroll shift-blit inspects this before it shifts: damage
+        queued against the scroll area marks stale pixels, which only
+        the scrolling view's own damage (see :meth:`move`) may follow.
         """
         return list(self._damage.values())
 
-    def pending_rect(self, view) -> Optional[Rect]:
-        """The coalesced damage rect queued for ``view``, or None."""
-        entry = self._damage.get(id(view))
-        return entry[1] if entry is not None else None
+    def move(self, view, area: Rect, dy: int) -> None:
+        """Move ``view``'s queued damage inside ``area`` by ``dy`` rows,
+        clipped to ``area`` — the stale pixels it marks were just
+        shifted there.
+
+        Rows moved out of ``area`` left the surface with the shift, so
+        they leave the damage too.  Damage outside ``area`` stays.
+        """
+        key = id(view)
+        entry = self._damage.get(key)
+        if entry is None or not area.contains_rect(entry[1]):
+            return
+        moved = entry[1].offset(0, dy).intersection(area)
+        if moved.is_empty():
+            del self._damage[key]
+        else:
+            self._damage[key] = (view, moved)
 
     def discard(self, view) -> None:
         """Drop pending damage for ``view`` (it was destroyed/unlinked)."""

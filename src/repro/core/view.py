@@ -232,7 +232,7 @@ class View(ATKObject, Observer):
         ``dy`` device rows, and try to satisfy the scroll with a surface
         shift plus one exposed-strip repaint.
 
-        Returns True when the shift was queued (the exposed strip's
+        Returns True when the shift was made (the exposed strip's
         damage is posted here; the caller must post *nothing else*).
         Returns False — having posted nothing at all — whenever the
         shift cannot be proven pixel-identical to a full repaint; the

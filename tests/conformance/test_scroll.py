@@ -5,15 +5,17 @@ one exposed-strip repaint; on a port without it (see
 :func:`~tests.conformance.driver.without_copy_area`) the same scroll
 repaints the whole area.  The contract is the usual one: the shift
 must not change a single cell/pixel against that full-repaint
-reference, at any step, with or without the ``batch`` arm (the
-session recorded and replayed at flush, see
+reference, at any step, with or without the ``batch`` arm (a remote
+window that also logs every op for the wire, see
 :func:`~tests.conformance.driver.recording_ws`), on either backend.
 
 Five scripted scenarios cover the scroll entry points — wheel-style
 relative scrolls, keyboard paging, dragging the scroll-bar thumb,
 scroll-then-edit interleavings, and scrolls racing exposes inside one
 event pump — and a seeded fuzzer mixes scrolls into the full driver op
-vocabulary (edits, divider moves, resizes) for both backends.
+vocabulary (edits, divider moves, resizes) for both backends, one op
+per pump and in pumps of several ops (damage then scroll, scroll then
+scroll, expose then scroll).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .driver import (
     build_app,
     fingerprint,
     gates,
+    inject_op,
     recording_ws,
     scenario_ops,
     without_copy_area,
@@ -87,8 +90,8 @@ def apply_bar_op(app, op) -> None:
     elif kind == "expose_rect":
         window.inject_expose(Rect(op[1], op[2], op[3], op[4]))
     elif kind == "scroll+expose":
-        # Both land in the same pump: the queued shift must move
-        # pre-repaint pixels, never freshly exposed ones.
+        # Both land in the same pump: the expose's damage covers the
+        # pane, so the scroll must not shift the stale pixels under it.
         window.inject_expose(Rect(op[1], op[2], op[3], op[4]))
         view = app["text_view"]
         view.set_scroll_pos(view.scroll_pos() + op[5])
@@ -203,5 +206,51 @@ def test_scrollblit_fuzz_identity(backend, seed_offset):
         assert got == want, (
             f"scroll-blit fuzz diverged on {backend} at step {step} "
             f"(op {ops[step - 1] if step else 'initial'}, "
+            f"{describe_seed(offset)})"
+        )
+
+
+def _pumps(rng, ops):
+    """Cut ``ops`` into consecutive pumps of 1-4 ops each."""
+    pumps = []
+    while ops:
+        size = rng.randint(1, 4)
+        pumps.append(ops[:size])
+        ops = ops[size:]
+    return pumps
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("arm", ["plain", "batch"])
+@pytest.mark.parametrize("seed_offset", [0, 17, 31])
+def test_scrollblit_multi_op_pump_identity(backend, arm, seed_offset):
+    """Several ops land in one pump, so a scroll meets damage, another
+    scroll or an expose queued earlier in the same drain."""
+    make_ws, width, height = BACKENDS[backend]
+    if arm == "batch":
+        make_ws = recording_ws(backend)
+    steps = 70 if backend == "ascii" else 40
+    offset = 9500 + seed_offset
+    rng = seeded_rng(offset)
+    pumps = _pumps(rng, _fuzz_ops(rng, steps, width, height))
+
+    def run():
+        app = build_app(make_ws(), width, height)
+        prints = [fingerprint(app["window"])]
+        for pump in pumps:
+            for op in pump:
+                inject_op(app, op)
+            app["im"].process_events()
+            prints.append(fingerprint(app["window"]))
+        return prints
+
+    with gates(False):
+        with without_copy_area():
+            expected = run()
+        actual = run()
+    for step, (want, got) in enumerate(zip(expected, actual)):
+        assert got == want, (
+            f"scroll-blit pump fuzz diverged on {backend} [{arm}] at "
+            f"step {step} (pump {pumps[step - 1] if step else 'initial'}, "
             f"{describe_seed(offset)})"
         )

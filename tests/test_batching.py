@@ -15,8 +15,9 @@ Covers:
   log; observing the window ships nothing;
 * blit intern: one pixel snapshot per distinct bitmap content a frame,
   cleared when the frame is taken;
-* shipping: ``flush_updates`` ships a direct repaint even with an
-  empty damage queue; ``process_events`` always ships; an offscreen
+* shipping: ``flush_updates`` ships ops drawn outside the damage path
+  even with an empty damage queue; an expose is child damage, shipped
+  as one frame by the pump; ``process_events`` always ships; an offscreen
   ``copy_to`` between logged ops reaches the renderer byte for byte;
   offscreen drawables never log;
 * ``resize`` emptying the log of ops drawn on the discarded surface.
@@ -185,19 +186,34 @@ class TestBlitIntern:
 
 class TestFlushOrdering:
     def test_flush_updates_settles_without_damage(self):
-        """Regression for the early-return path: a direct repaint logs
-        ops but queues no damage; flush_updates must still ship them."""
+        """Regression for the early-return path: ops drawn on the
+        window outside the damage path queue no damage; flush_updates
+        must still ship them."""
         for im in _ims("mark", renderer=RemoteRenderer):
             renderer = im.window._sink.sinks[0].renderer
             im.process_events()
-            assert im.updates.is_empty()
             frames = renderer.frames_applied
-            # New text without posting damage: only the direct repaint
-            # below shows it.
-            im.child._text = "mork"
-            im.handle_event(UpdateEvent(im.window.bounds, full=True))
+            im.window.graphic().fill_rect(Rect(1, 1, 3, 2), 1)
+            assert im.updates.is_empty()
             assert im.window.commands.frame
             im.flush_updates()  # damage queue empty; must ship anyway
+            assert im.window.commands.frame == []
+            assert renderer.frames_applied == frames + 1
+            assert fingerprint(renderer) == fingerprint(im.window)
+
+    def test_expose_posts_child_damage_and_ships_one_frame(self):
+        for im in _ims("mark", renderer=RemoteRenderer):
+            renderer = im.window._sink.sinks[0].renderer
+            im.process_events()
+            frames = renderer.frames_applied
+            # New text without posting damage: only the expose shows it.
+            im.child._text = "mork"
+            im.handle_event(UpdateEvent(im.window.bounds, full=True))
+            assert im.updates.pending_damage() == [
+                (im.child, im.child.local_bounds)
+            ]
+            assert im.window.commands.frame == []  # nothing drawn yet
+            im.process_events()
             assert im.window.commands.frame == []
             assert renderer.frames_applied == frames + 1
             assert fingerprint(renderer) == fingerprint(im.window)

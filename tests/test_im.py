@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core import InteractionManager, View
 from repro.core.keymap import Keymap
 from repro.graphics import Point, Rect
@@ -247,6 +248,31 @@ class TestUpdates:
         # The cell outside the damage was not repainted.
         assert im.window.surface.char_at(0, 0) == "?"
         assert im.window.surface.char_at(5, 5) == "#"
+
+    def test_expose_and_keystroke_repaint_once(self, make_im):
+        """An expose is damage, not a repaint at dispatch: it merges
+        with a keystroke's damage from the same drain into one pass."""
+
+        class Echo(View):
+            atk_register = False
+
+            def handle_key(self, event):
+                self.want_update(Rect(0, 0, 5, 1))
+                return True
+
+        was = obs.metrics_enabled()
+        obs.configure(metrics=True, reset_data=True)
+        try:
+            im = make_im()
+            im.set_child(Echo())
+            im.process_events()
+            obs.registry.reset()
+            im.window.inject_expose()
+            im.window.inject_key("a")
+            im.process_events()
+            assert obs.registry.counter("im.repaints") == 1
+        finally:
+            obs.configure(metrics=was, reset_data=True)
 
     def test_resize_relays_to_child_bounds(self, make_im):
         im = make_im()

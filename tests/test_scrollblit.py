@@ -2,11 +2,12 @@
 
 Covers the layers one by one: the backend ``copy_area`` device op
 (both surfaces, both shift directions, attribute planes, containment
-within the shifted area), remote command-buffer record/replay, the
-``want_scroll`` accept/fallback rules on the interaction manager,
-scroll composition, the telemetry counters, and the two satellite
-regressions (scrolling must not dirty text layout; the scroll-bar thumb
-must reach the bottom exactly).
+within the shifted area), remote command-buffer logging, the
+``want_scroll`` accept/fallback rules on the interaction manager (the
+view's own damage moving with the shift, two scrolls in one pump),
+the telemetry counters, and the two satellite regressions (scrolling
+must not dirty text layout; the scroll-bar thumb must reach the
+bottom exactly).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.core.view import View
 from repro.graphics import Rect
 from repro.remote import RemoteWindowSystem
 from repro.wm import AsciiWindowSystem, RasterWindowSystem
-from tests.conformance.driver import without_copy_area
+from tests.conformance.driver import fingerprint, without_copy_area
 
 
 @pytest.fixture
@@ -33,10 +34,10 @@ def telemetry():
     obs.configure(metrics=was, reset_data=True)
 
 
-def _build_text_app(ws, width=60, height=18, lines=60):
+def _build_text_app(ws, width=60, height=18, lines=60, bar=False):
     im = InteractionManager(ws, title="scroll", width=width, height=height)
     view = TextView(TextData("\n".join(f"line {i}" for i in range(lines))))
-    im.set_child(view)
+    im.set_child(ScrollBar(view) if bar else view)
     im.process_events()
     return im, view
 
@@ -163,16 +164,74 @@ class TestWantScroll:
         im, view = _build_text_app(ascii_ws)
         assert view.want_scroll(view.local_bounds, 0) is False
 
-    def test_pending_damage_in_area_falls_back(self, ascii_ws):
+    def test_sibling_damage_in_area_falls_back(self, ascii_ws):
+        # Another view's stale pixels must not move: its repaint would
+        # land at the old spot.
+        im, view = _build_text_app(ascii_ws, bar=True)
+        view.parent.want_update(Rect(0, 4, 10, 2))   # the scroll bar
+        before = im.updates.pending_damage()
+        lines = im.snapshot_lines()
+        assert view.want_scroll(view.local_bounds, 2) is False
+        assert im.updates.pending_damage() == before
+        assert im.snapshot_lines() == lines
+
+    def test_own_damage_moves_with_the_shift(self, ascii_ws, telemetry):
+        def run():
+            im, view = _build_text_app(ascii_ws)
+            view.set_dot(view.data.text().index("line 10"))
+            im.process_events()
+            obs.registry.reset()
+            # The caret moves a row down (own damage on rows 10-11),
+            # then the pane scrolls up 4 rows, carrying both the stale
+            # caret and its damage to rows 6-7.
+            view.set_dot(view.data.text().index("line 11"))
+            view.set_scroll_pos(4)
+            im.process_events()
+            return fingerprint(im.window)
+
+        with without_copy_area():
+            expected = run()
+        assert telemetry.counter("view.scroll_blits") == 0
+        assert run() == expected
+        assert telemetry.counter("view.scroll_blits") == 1
+
+    def test_own_damage_is_moved_and_clipped(self, ascii_ws, telemetry):
         im, view = _build_text_app(ascii_ws)
-        view.want_update(Rect(0, 4, 10, 2))  # stale pixels must not move
+        view.want_update(Rect(0, 4, 10, 2))
+        assert view.want_scroll(view.local_bounds, -3) is True
+        assert telemetry.counter("view.scroll_blits") == 1
+        strip = Rect(0, view.height - 3, view.width, 3)
+        [(_, pending)] = im.updates.pending_damage()
+        assert pending == Rect(0, 1, 10, 2).union(strip)
+        im.flush_updates()
+        view.want_update(Rect(0, 0, 10, 2))
+        assert view.want_scroll(view.local_bounds, -1) is True
+        [(_, pending)] = im.updates.pending_damage()
+        assert pending == Rect(0, 0, 10, 1).union(
+            Rect(0, view.height - 1, view.width, 1))
+
+    def test_own_damage_outside_the_area_stays(self, ascii_ws):
+        im, view = _build_text_app(ascii_ws)
+        area = Rect(0, 4, view.width, 10)
+        view.want_update(Rect(0, 0, 10, 2))   # above the scrolled rows
+        assert view.want_scroll(area, 2) is True
+        [(_, pending)] = im.updates.pending_damage()
+        assert pending == Rect(0, 0, 10, 2).union(Rect(0, 4, view.width, 2))
+
+    def test_own_damage_straddling_the_area_falls_back(self, ascii_ws):
+        im, view = _build_text_app(ascii_ws)
+        area = Rect(0, 4, view.width, 10)
+        view.want_update(Rect(0, 2, 10, 4))   # crosses the area's top
+        assert view.want_scroll(area, 2) is False
+        view.want_update()                    # covers the whole area
         assert view.want_scroll(view.local_bounds, 2) is False
 
     def test_accepts_and_posts_only_the_strip(self, ascii_ws):
         im, view = _build_text_app(ascii_ws)
         assert view.want_scroll(view.local_bounds, -3) is True
-        pending = im.updates.pending_rect(view)
-        assert pending == Rect(0, view.height - 3, view.width, 3)
+        assert im.updates.pending_damage() == [
+            (view, Rect(0, view.height - 3, view.width, 3))
+        ]
         im.flush_updates()
 
     def test_shift_produces_correct_bytes(self, ascii_ws):
@@ -183,22 +242,46 @@ class TestWantScroll:
         assert lines[0].startswith("line 7")
         assert lines[10].startswith("line 17")
 
-    def test_composed_scrolls_in_one_flush(self, ascii_ws, telemetry):
+    def test_two_scrolls_in_one_pump_shift_twice(self, ascii_ws, telemetry):
+        with without_copy_area():
+            im, view = _build_text_app(ascii_ws)
+            view.set_scroll_pos(5)
+            im.process_events()
+            expected = im.snapshot_lines()
         im, view = _build_text_app(ascii_ws)
+        obs.registry.reset()
         view.set_scroll_pos(2)
-        view.set_scroll_pos(5)   # composes with the queued shift
+        view.set_scroll_pos(5)   # the first strip's damage moves along
         im.process_events()
-        assert telemetry.counter("view.scroll_blits") == 1
-        assert im.snapshot_lines()[0].startswith("line 5")
+        assert telemetry.counter("view.scroll_blits") == 2
+        assert telemetry.counter("view.rows_repainted") == 5
+        assert im.snapshot_lines() == expected
+        assert expected[0].startswith("line 5")
 
-    def test_direction_flip_falls_back_to_area_damage(self, ascii_ws):
+    def test_scroll_that_moves_nothing_posts_nothing(self, ascii_ws):
         im, view = _build_text_app(ascii_ws)
-        view.set_scroll_pos(6)
-        im.process_events()
-        view.set_scroll_pos(9)
-        view.set_scroll_pos(3)   # sign flip: cannot compose
-        im.process_events()
-        assert im.snapshot_lines()[0].startswith("line 3")
+        view.set_scroll_pos(view.scroll_pos())
+        assert im.updates.is_empty()
+
+    def test_direction_flip_in_one_pump_shifts_twice(self, ascii_ws,
+                                                     telemetry):
+        def run():
+            im, view = _build_text_app(ascii_ws)
+            view.set_scroll_pos(6)
+            im.process_events()
+            obs.registry.reset()
+            view.set_scroll_pos(9)
+            # Back down 6 rows: the first strip's damage moves out of
+            # the pane and leaves the queue.
+            view.set_scroll_pos(3)
+            im.process_events()
+            return fingerprint(im.window), im.snapshot_lines()
+
+        with without_copy_area():
+            expected = run()
+        assert run() == expected
+        assert telemetry.counter("view.scroll_blits") == 2
+        assert expected[1][0].startswith("line 3")
 
     def test_raster_listview_does_not_shift(self, raster_ws, telemetry):
         # List rows are 1 unit tall but raster glyphs are taller:
