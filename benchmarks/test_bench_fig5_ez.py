@@ -82,7 +82,17 @@ def test_bench_animation(benchmark, ascii_ws):
         ez.process()
 
     benchmark(one_frame)
-    assert anim_view.current > 0
+    # The timed rounds leave the looping animation at an arbitrary
+    # frame, so check the advance over a fixed number of frames: k
+    # periods of ticks hold exactly k frame steps whatever the phase,
+    # and k is not a multiple of the cycle, so a stuck animation fails.
+    frames = anim_view.data.frame_count
+    assert frames > 1
+    k = frames + 1
+    before = anim_view.current
+    for _ in range(k * anim_view.data.period):
+        one_frame()
+    assert anim_view.current == (before + k) % frames
     report("E10 animation", [
         f"animation advanced to frame {anim_view.current} of "
         f"{anim_view.data.frame_count} via menu + timer",

@@ -37,6 +37,7 @@ Change vocabulary: ``insert``, ``delete``, ``embed``, ``style`` with
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, List, Optional, Tuple, Union
 
 from ...core.dataobject import DataObject
@@ -287,23 +288,19 @@ class TextData(DataObject):
         for placements.
         """
         embeds_by_pos = {embed.pos: embed for embed in self._embeds}
+        text = self.text()
         run_start = 0
-        run: List[str] = []
-        for pos, char in enumerate(self._chars):
-            if char == OBJECT_CHAR:
-                if run:
-                    yield ("text", run_start, "".join(run))
-                    run = []
-                embed = embeds_by_pos.get(pos)
-                if embed is not None:
-                    yield ("embed", pos, embed)
-                run_start = pos + 1
-            else:
-                if not run:
-                    run_start = pos
-                run.append(char)
-        if run:
-            yield ("text", run_start, "".join(run))
+        pos = text.find(OBJECT_CHAR)
+        while pos >= 0:
+            if pos > run_start:
+                yield ("text", run_start, text[run_start:pos])
+            embed = embeds_by_pos.get(pos)
+            if embed is not None:
+                yield ("embed", pos, embed)
+            run_start = pos + 1
+            pos = text.find(OBJECT_CHAR, run_start)
+        if run_start < len(text):
+            yield ("text", run_start, text[run_start:])
 
     # ------------------------------------------------------------------
     # External representation
@@ -316,51 +313,44 @@ class TextData(DataObject):
                     f"@style {span.style.name} {span.start} {span.length}"
                 )
 
-        # Encoded units (1-2 chars each; escape pairs are never split by
-        # wrapping) accumulated for the logical line currently open.
-        open_units: List[str] = []
+        # The encoded text of the logical line currently open.
+        open_line = ""
 
         def flush(continue_line: bool) -> None:
-            """Emit the open units, wrapping at the transport width.
+            """Emit the open line, wrapping at the transport width.
 
             A trailing single backslash means "this logical line is not
             finished": used for width wraps, for interruptions by an
             embedded object, and for a document not ending in newline.
+            A wrap never splits an escape pair.
             """
-            column = 0
-            buffer: List[str] = []
-            for unit in open_units:
-                if column + len(unit) > _WRAP_WIDTH:
-                    writer.write_body_line("".join(buffer) + "\\")
-                    buffer = []
-                    column = 0
-                buffer.append(unit)
-                column += len(unit)
+            nonlocal open_line
+            start = 0
+            while len(open_line) - start > _WRAP_WIDTH:
+                stop = start + _WRAP_WIDTH
+                if _splits_pair(open_line, start, stop):
+                    stop -= 1
+                writer.write_body_line(open_line[start:stop] + "\\")
+                start = stop
             suffix = "\\" if continue_line else ""
-            writer.write_body_line("".join(buffer) + suffix)
-            open_units.clear()
+            writer.write_body_line(open_line[start:] + suffix)
+            open_line = ""
 
         wrote_anything = False
         for kind, _pos, payload in self.segments():
             if kind == "text":
-                pieces = payload.split("\n")
-                for index, piece in enumerate(pieces):
-                    for char in piece:
-                        if char == "\\":
-                            open_units.append("\\\\")
-                        elif char == "@":
-                            open_units.append("@@")
-                        else:
-                            open_units.append(char)
-                    if index < len(pieces) - 1:
-                        flush(continue_line=False)
-                        wrote_anything = True
+                *lines, last = _escape(payload).split("\n")
+                for line in lines:
+                    open_line += line
+                    flush(continue_line=False)
+                    wrote_anything = True
+                open_line += last
             else:  # embed: interrupt the open line, write data + placement
                 flush(continue_line=True)
                 wrote_anything = True
                 object_id = writer.write_object(payload.data)
                 writer.write_view_ref(payload.view_type, object_id)
-        if open_units or not wrote_anything:
+        if open_line or not wrote_anything:
             flush(continue_line=True)  # final partial line: no newline
 
     def read_body(self, reader) -> None:
@@ -422,33 +412,46 @@ class TextData(DataObject):
         )
 
 
+def _escape(text: str) -> str:
+    """Content-line encoding: backslashes and ``@`` are doubled."""
+    return text.replace("\\", "\\\\").replace("@", "@@")
+
+
+def _splits_pair(encoded: str, start: int, stop: int) -> bool:
+    """Would cutting ``encoded`` at ``stop`` split an escape pair?
+
+    ``start`` is a unit boundary.  Escape characters come only in
+    pairs, so the run of one escape character ending at ``stop`` (and
+    beginning at a unit boundary no earlier than ``start``) ends
+    mid-pair exactly when its length is odd.
+    """
+    char = encoded[stop - 1]
+    if char != "\\" and char != "@":
+        return False
+    piece = encoded[start:stop]
+    return (len(piece) - len(piece.rstrip(char))) % 2 == 1
+
+
+#: The longest well-formed prefix of a content line: plain characters
+#: and escape pairs.  Whatever stops it is a continuation backslash or
+#: an error.
+_WELL_FORMED = re.compile(r"(?:[^\\@]+|\\\\|@@)*")
+
+
 def _decode_content_line(raw: str, lineno: int) -> Tuple[str, bool]:
     """Decode one encoded content line; returns (text, continued)."""
-    out: List[str] = []
-    i = 0
+    if "\\" not in raw and "@" not in raw:
+        return (raw, False)
+    end = _WELL_FORMED.match(raw).end()
     continued = False
-    while i < len(raw):
-        char = raw[i]
-        if char == "\\":
-            if i + 1 < len(raw) and raw[i + 1] == "\\":
-                out.append("\\")
-                i += 2
-                continue
-            if i == len(raw) - 1:
-                continued = True
-                i += 1
-                continue
-            raise DataStreamError(
-                f"stray backslash in content line {raw!r}", lineno
-            )
-        if char == "@":
-            if i + 1 < len(raw) and raw[i + 1] == "@":
-                out.append("@")
-                i += 2
-                continue
+    if end < len(raw):
+        if raw[end] == "@":
             raise DataStreamError(
                 f"unknown text directive in {raw!r}", lineno
             )
-        out.append(char)
-        i += 1
-    return ("".join(out), continued)
+        if end < len(raw) - 1:
+            raise DataStreamError(
+                f"stray backslash in content line {raw!r}", lineno
+            )
+        continued = True
+    return (raw[:end].replace("\\\\", "\\").replace("@@", "@"), continued)

@@ -23,6 +23,7 @@ Responsibilities:
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
@@ -43,6 +44,10 @@ __all__ = ["TextView"]
 
 # One shared kill buffer, like the original's cut buffer.
 _clipboard: List[str] = [""]
+
+#: What the wrap loop places in one step: a stretch of glyphs of one
+#: advance (no newline, tab or embed), or a single tab.
+_STRETCH = re.compile("[^\n\t%s]+|\t" % OBJECT_CHAR)
 
 
 def _advance(text: str, runs: List[tuple], x: int, offset: int) -> int:
@@ -701,7 +706,8 @@ class TextView(View, Scrollable):
         over a paragraph range ending just after a newline with
         ``final_trailing=False``.  Fonts, metrics and paragraph
         properties are resolved once per constant-style run, not once
-        per character.
+        per character, and glyphs go onto a line a stretch at a time:
+        a whole run of plain characters, cut only where the line fills.
         """
         data = self.data
         out: List[object] = []
@@ -734,37 +740,46 @@ class TextView(View, Scrollable):
             for style in styles:
                 run_indent += style.indent
                 run_centered = run_centered or style.centered
-            for pos in range(run_start, run_end):
-                char = text[pos - start]
+            i, run_stop = run_start - start, run_end - start
+            while i < run_stop:
                 if not current:
-                    current_start = pos
+                    current_start = start + i
                     indent, centered = run_indent, run_centered
                     avail = max(1, self.width - indent - 1)
+                stretch = _STRETCH.match(text, i, run_stop)
+                if stretch is not None:
+                    # As many glyphs of the stretch as fit; an empty
+                    # line always takes its first glyph.
+                    advance = metrics.char_width
+                    if text[i] == "\t":
+                        advance *= 4
+                    room = (avail * wrap_unit - current_width) // advance
+                    if room < 1:
+                        if current:
+                            flush(start + i)
+                            continue
+                        room = 1
+                    stop = min(stretch.end(), i + room)
+                    current.append(text[i:stop])
+                    current_width += (stop - i) * advance
+                    line_height = max(line_height, metrics.height)
+                    i = stop
+                    continue
+                char, pos = text[i], start + i
+                i += 1
                 if char == "\n":
                     flush(pos + 1)
                     continue
-                if char == OBJECT_CHAR:
-                    embed = data.embedded_at(pos)
-                    if current:
-                        flush(pos + 1)
-                    if embed is not None:
-                        view = self._view_for_embed(embed)
-                        offer_w = max(1, self.width - indent - 1)
-                        offer_h = max(1, self.height - 1) if self.height else 8
-                        w, h = view.desired_size(offer_w, offer_h)
-                        out.append(
-                            _EmbedLine(embed, indent, max(1, w), max(1, h))
-                        )
-                        out_starts.append(pos)
-                    continue
-                advance = metrics.char_width * (4 if char == "\t" else 1)
-                if current and current_width + advance > avail * wrap_unit:
-                    flush(pos)
-                    indent, centered = run_indent, run_centered
-                    avail = max(1, self.width - indent - 1)
-                current.append(char)
-                current_width += advance
-                line_height = max(line_height, metrics.height)
+                embed = data.embedded_at(pos)  # char is OBJECT_CHAR
+                if current:
+                    flush(pos + 1)
+                if embed is not None:
+                    view = self._view_for_embed(embed)
+                    offer_w = max(1, self.width - indent - 1)
+                    offer_h = max(1, self.height - 1) if self.height else 8
+                    w, h = view.desired_size(offer_w, offer_h)
+                    out.append(_EmbedLine(embed, indent, max(1, w), max(1, h)))
+                    out_starts.append(pos)
         if final_trailing:
             out.append(_TextLine("".join(current), indent, centered,
                                  max(1, line_height)))

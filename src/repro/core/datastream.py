@@ -36,6 +36,7 @@ loads its code.
 from __future__ import annotations
 
 import io
+import re
 from typing import Dict, Iterator, List, Optional, TextIO, Union
 
 from .. import obs
@@ -65,6 +66,10 @@ MAX_LINE = 80
 _BEGIN = "\\begindata{"
 _END = "\\enddata{"
 _VIEW = "\\view{"
+
+#: What a body line may not hold: anything but tab and printable 7-bit
+#: ASCII.
+_UNTRANSPORTABLE = re.compile("[^\t -~]")
 
 
 class DataStreamError(Exception):
@@ -185,6 +190,8 @@ def _parse_marker(line: str, prefix: str, lineno: int):
 
 def _classify_line(line: str, lineno: int):
     """Turn one physical line into a stream event."""
+    if not line.startswith("\\"):
+        return BodyLine(line, lineno)  # every marker starts with one
     if line.startswith("\\\\"):
         return BodyLine(line[1:], lineno)  # escaped: strip one backslash
     begin = _parse_marker(line, _BEGIN, lineno)
@@ -196,11 +203,9 @@ def _classify_line(line: str, lineno: int):
     view = _parse_marker(line, _VIEW, lineno)
     if view is not None:
         return ViewRef(view[0], view[1], lineno)
-    if line.startswith("\\"):
-        raise DataStreamError(
-            f"unknown directive {line.split('{')[0]!r}", lineno
-        )
-    return BodyLine(line, lineno)
+    raise DataStreamError(
+        f"unknown directive {line.split('{')[0]!r}", lineno
+    )
 
 
 def _lenient_marker(line: str):
@@ -321,14 +326,13 @@ class DataStreamWriter:
         (including any escape prefix).  Lines starting with a backslash
         are escaped automatically.
         """
-        for char in text:
-            code = ord(char)
-            if code > 126 or (code < 32 and char != "\t"):
-                raise DataStreamError(
-                    f"non-transportable character {char!r} in body line "
-                    f"{text!r}; the external representation is printable "
-                    "7-bit ASCII"
-                )
+        bad = _UNTRANSPORTABLE.search(text)
+        if bad is not None:
+            raise DataStreamError(
+                f"non-transportable character {bad.group()!r} in body line "
+                f"{text!r}; the external representation is printable "
+                "7-bit ASCII"
+            )
         if text.startswith("\\"):
             text = "\\" + text
         if len(text) > MAX_LINE:

@@ -406,28 +406,34 @@ class Graphic:
         if not text:
             return
         metrics = self.font_metrics(self.state.font)
+        clip = self.clip
         device_y = y + self.origin.y
-        if (device_y >= self.clip.bottom
-                or device_y + metrics.height <= self.clip.top):
+        if device_y >= clip.bottom or device_y + metrics.height <= clip.top:
             return
         device_x = x + self.origin.x
-        # Drop leading glyphs wholly left of the clip.
-        while text:
-            advance = metrics.char_width * (4 if text[0] == "\t" else 1)
-            if device_x + advance > self.clip.left:
-                break
-            device_x += advance
-            text = text[1:]
-        if not text or device_x >= self.clip.right:
-            return
-        # Drop trailing glyphs wholly right of the clip.
-        fit, run_x = 0, device_x
-        while fit < len(text) and run_x < self.clip.right:
-            run_x += metrics.char_width * (4 if text[fit] == "\t" else 1)
-            fit += 1
-        text = text[:fit]
-        if text:
-            self._emit_text(device_x, device_y, text, self.state.font)
+        width = metrics.char_width
+        if width > 0 and "\t" not in text:
+            # Fixed advance: each clip edge is one division.  Glyphs
+            # wholly left of the clip are dropped; glyphs starting left
+            # of its right edge are kept.
+            start = min(len(text), max(0, (clip.left - device_x) // width))
+            device_x += start * width
+            stop = min(len(text), start - (device_x - clip.right) // width)
+        else:
+            start = 0
+            while start < len(text):
+                advance = width * (4 if text[start] == "\t" else 1)
+                if device_x + advance > clip.left:
+                    break
+                device_x += advance
+                start += 1
+            stop, run_x = start, device_x
+            while stop < len(text) and run_x < clip.right:
+                run_x += width * (4 if text[stop] == "\t" else 1)
+                stop += 1
+        if stop > start:
+            self._emit_text(device_x, device_y, text[start:stop],
+                            self.state.font)
 
     def draw_string_centered(self, rect: Rect, text: str) -> None:
         """Draw ``text`` centered inside ``rect``."""

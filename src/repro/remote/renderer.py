@@ -41,12 +41,34 @@ from .wire import WireError
 __all__ = ["Applier", "RemoteRenderer"]
 
 
+def _row_span(surface, y: int, x0: int, count: int):
+    """``(cells, start, stop)``: the part of a ``count``-long run at
+    ``(x0, y)`` that lies on ``surface``, as a slice of its row-major
+    cells and the run offsets it holds; None when no part does.
+
+    Ops come off the wire, so a run may lie anywhere: a row off the
+    surface is dropped and columns are clipped to ``[0, width)``.
+    """
+    if not 0 <= y < surface.height:
+        return None
+    start = max(0, -x0)
+    stop = min(count, surface.width - x0)
+    if stop <= start:
+        return None
+    base = y * surface.width + x0
+    return slice(base + start, base + stop), start, stop
+
+
 def _apply_cells(surface: CellSurface, op: tuple) -> None:
     _, y, x0, chars, inverse, bold = op
     inv_bits = wire.unpack_bits(inverse, len(chars))
     bold_bits = wire.unpack_bits(bold, len(chars))
-    for i, char in enumerate(chars):
-        surface.put(x0 + i, y, char, inverse=inv_bits[i], bold=bold_bits[i])
+    span = _row_span(surface, y, x0, len(chars))
+    if span is not None:
+        cells, start, stop = span
+        surface._chars[cells] = chars[start:stop]
+        surface._inverse[cells] = inv_bits[start:stop]
+        surface._bold[cells] = bold_bits[start:stop]
 
 
 def _apply_grid(surface: CellSurface, op: tuple) -> None:
@@ -62,15 +84,10 @@ def _apply_grid(surface: CellSurface, op: tuple) -> None:
 
 def _apply_rowbits(fb: Bitmap, op: tuple) -> None:
     _, y, x0, count, packed = op
-    if not 0 <= y < fb.height:
-        return
-    bits = wire.unpack_bits(packed, count)
-    start = max(0, -x0)
-    stop = min(count, fb.width - x0)
-    if stop <= start:
-        return
-    base = y * fb.width + x0
-    fb._bits[base + start:base + stop] = bits[start:stop]
+    span = _row_span(fb, y, x0, count)
+    if span is not None:
+        cells, start, stop = span
+        fb._bits[cells] = wire.unpack_bits(packed, count)[start:stop]
 
 
 def _apply_snapshot(fb: Bitmap, op: tuple) -> None:

@@ -265,12 +265,22 @@ def pack_bits(bits) -> bytes:
     return bytes(out)
 
 
+#: Each byte value expanded to its eight 0/1 bytes, MSB first.
+_BYTE_BITS = tuple(bytes((value >> (7 - bit)) & 1 for bit in range(8))
+                   for value in range(256))
+
+
 def unpack_bits(data: bytes, count: int) -> bytearray:
-    """Inverse of :func:`pack_bits`: ``count`` 0/1 bytes."""
-    out = bytearray(count)
-    for i in range(count):
-        if data[i >> 3] & (0x80 >> (i & 7)):
-            out[i] = 1
+    """Inverse of :func:`pack_bits`: ``count`` 0/1 bytes.
+
+    Raises :class:`WireError` when ``data`` holds fewer than ``count``
+    bits; bits past ``count`` are ignored.
+    """
+    need = (count + 7) // 8
+    if len(data) < need:
+        raise WireError(f"{len(data)} packed bytes for {count} bits")
+    out = bytearray().join(map(_BYTE_BITS.__getitem__, data[:need]))
+    del out[count:]
     return out
 
 
