@@ -22,6 +22,10 @@ change record, and the view must pay for the cells it shows — the
 cone's 501 rows below the viewport are rejected by row index, and only
 the visible ``SUM`` cell is repainted.
 
+Last, one mid-chain formula is re-entered to read a cell ranked level
+with it: keeping the graph's topological ranks must raise only the
+chain cells below it (``rank_raises_per_edit``), not the sheet.
+
 Outputs ``BENCH_recalc.json``; CI uploads it and gates the ``*_ns``
 timings, ``*_ratio`` claims and ``*_per_edit`` counts against the
 committed baseline and budgets via ``benchmarks/check_regression.py``.
@@ -73,13 +77,19 @@ def test_bench_incremental_recalc(metrics, ascii_ws):
     # (metrics.reset() clears gauges along with counters).
     deps_edges = metrics.gauge_value("table.deps_edges")
 
-    metrics.reset()
-    full_start = time.perf_counter_ns()
-    assert table.value_at(CHAIN - 1, 1) == chain_tail_expected(table)
-    full_ns = time.perf_counter_ns() - full_start
-    full_recomputed = metrics.counter("table.cells_recomputed")
-    assert metrics.counter("table.recalc_full") == 1
-    assert full_recomputed == cells
+    # The full recalc: the median of 3 passes, each from invalidated
+    # values, so the speedup ratio does not hang on one timing.
+    full_passes = []
+    for trial in range(3):
+        table._values_valid = False
+        metrics.reset()
+        full_start = time.perf_counter_ns()
+        assert table.value_at(CHAIN - 1, 1) == chain_tail_expected(table)
+        full_passes.append(time.perf_counter_ns() - full_start)
+        full_recomputed = metrics.counter("table.cells_recomputed")
+        assert metrics.counter("table.recalc_full") == 1
+        assert full_recomputed == cells
+    full_ns = sorted(full_passes)[1]
     assert deps_edges == 2 * (CHAIN - 1) + 1 + FANIN
 
     # Single mid-chain edits: each cone is the seed, the chain tail
@@ -135,6 +145,20 @@ def test_bench_incremental_recalc(metrics, ascii_ws):
     notifications_per_edit = max(notifications)
     assert notifications_per_edit == 1, notifications
 
+    # Formula entry keeps the graph's ranks by raising only what must
+    # rise: re-enter the mid-chain formula to read a helper ranked level
+    # with it, and the chain cell plus the tail below it rise, not the
+    # sheet.  Its value lands equal, so only the seed is evaluated.
+    graph = table._graph
+    table.set_cell(EDIT_ROW, 3, f"=B{EDIT_ROW}")  # reads the previous link
+    metrics.reset()
+    before = graph.rank_raises
+    table.set_cell(EDIT_ROW, 1, f"=D{EDIT_ROW + 1}+A{EDIT_ROW + 1}")
+    rank_raises = graph.rank_raises - before
+    assert rank_raises == CHAIN - EDIT_ROW, rank_raises
+    assert metrics.counter("table.cells_recomputed") == 1
+    assert table.value_at(CHAIN - 1, 1) == chain_tail_expected(table)
+
     summary = {
         "cells": cells,
         "formulas": formulas,
@@ -150,6 +174,7 @@ def test_bench_incremental_recalc(metrics, ascii_ws):
         "speedup_ratio": round(full_ns / max(1, edit_p50_ns), 1),
         "view_edit_p50_ns": view_edit_p50_ns,
         "notifications_per_edit": notifications_per_edit,
+        "rank_raises_per_edit": rank_raises,
     }
     registry_snapshot = metrics.snapshot()
     with open("BENCH_recalc.json", "w") as fh:
@@ -165,6 +190,8 @@ def test_bench_incremental_recalc(metrics, ascii_ws):
         f"one edit + repaint with an 80x24 view attached: "
         f"{view_edit_p50_ns / 1e6:.2f}ms (p50), "
         f"{notifications_per_edit} change record",
+        f"formula re-entry: {rank_raises} rank raises of {formulas} "
+        "formulas",
         "snapshot written to BENCH_recalc.json",
     ])
 

@@ -21,7 +21,7 @@ External representation body::
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from ...core.dataobject import DataObject
 from ...core.datastream import (
@@ -43,6 +43,17 @@ from .shapes import (
 )
 
 __all__ = ["DrawingData"]
+
+
+def _texts_in(shapes: List[Shape]) -> Iterator[TextShape]:
+    # A module-level generator, not a self-calling closure: a closure
+    # that names itself is a reference cycle left for the collector on
+    # every call, and views ask for the texts on every repaint.
+    for shape in shapes:
+        if isinstance(shape, GroupShape):
+            yield from _texts_in(shape.children)
+        elif isinstance(shape, TextShape):
+            yield shape
 
 
 class DrawingData(DataObject):
@@ -126,17 +137,7 @@ class DrawingData(DataObject):
 
     def text_shapes(self) -> List[TextShape]:
         """Embedded texts, including those inside groups, in order."""
-        out: List[TextShape] = []
-
-        def walk(shapes: List[Shape]) -> None:
-            for shape in shapes:
-                if isinstance(shape, GroupShape):
-                    walk(shape.children)
-                elif isinstance(shape, TextShape):
-                    out.append(shape)
-
-        walk(self.shapes)
-        return out
+        return list(_texts_in(self.shapes))
 
     def embedded_objects(self) -> List[DataObject]:
         return [s.data for s in self.text_shapes()]

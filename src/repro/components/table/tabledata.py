@@ -7,13 +7,15 @@ are multi-media components, in that they allow the embedding [of] other
 components within their description."
 
 Formulas recalculate **incrementally** through a dependency graph
-(:mod:`.recalc`): every cell assignment updates the graph's edges from
-:meth:`Formula.refs`, and once values have been materialised an edit
-recomputes only the edited cell's *dirty cone* — the transitive
-dependents, in topological order, with iterative-Tarjan cycle
-detection stamping exactly the members of a reference cycle
-``#CYCLE``.  Cells that merely *read* a cyclic cell display ``#VALUE``
-(the read raises the typed :class:`~.recalc.CycleError`).  Structural
+(:mod:`.recalc`): every cell assignment updates the graph's edges and
+topological ranks from :meth:`Formula.refs`, and once values have been
+materialised an edit recomputes only the cells whose inputs changed,
+popped from a heap in rank order.  While the sheet holds a reference
+cycle an edit recomputes its *dirty cone* — the transitive dependents —
+in iterative-Tarjan order instead, stamping exactly the members of a
+reference cycle ``#CYCLE``.  Cells that merely *read* a cyclic cell
+display ``#VALUE`` (the read raises the typed
+:class:`~.recalc.CycleError`).  Structural
 edits (``insert_row`` .. ``delete_col``) rebase cells, cached values,
 formula references and the graph through one coordinate mapping;
 references into a deleted row/column become ``#REF`` and evaluate to
@@ -51,6 +53,7 @@ Text cells escape backslash as ``\\`` and newline as ``\n``.
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 from typing import (
     Callable,
     Dict,
@@ -195,15 +198,21 @@ class TableData(DataObject):
 
     def _after_assign(self, key: Tuple[int, int], cell: Cell) -> None:
         """Re-index the graph for ``key`` and repair/announce values."""
+        graph = self._graph
+        live = self.incremental_enabled and self._values_valid
+        # Rank order serves the edit only if the graph holds no cycle
+        # before or after it: the edit that closes a cycle, and the one
+        # that may dissolve it, re-stamp ``#CYCLE`` in the Tarjan pass.
+        ranked = live and not graph.holds_cycle()
         if isinstance(cell.content, Formula):
-            self._graph.set_refs(
+            graph.set_refs(
                 key, ((ref.row, ref.col) for ref in cell.content.refs())
             )
         else:
-            self._graph.clear(key)
+            graph.clear(key)
         if obs.metrics_on:
-            obs.registry.gauge("table.deps_edges", self._graph.edge_count)
-        if not (self.incremental_enabled and self._values_valid):
+            obs.registry.gauge("table.deps_edges", graph.edge_count)
+        if not live:
             # Values were never materialised (sheet still being built,
             # or incremental repair disabled): stay lazy, one record.
             self._values_valid = False
@@ -212,8 +221,11 @@ class TableData(DataObject):
         self.incremental_count += 1
         if obs.metrics_on:
             obs.registry.inc("table.recalc_incremental")
-        cone = self._graph.dirty_cone((key,))
-        changed_keys = self._recompute(cone, seeds=(key,))
+        if ranked and not graph.holds_cycle():
+            changed_keys = self._propagate(key)
+        else:
+            cone = graph.dirty_cone((key,))
+            changed_keys = self._recompute(cone, seeds=(key,))
         downstream = tuple(other for other in changed_keys if other != key)
         self.changed("cell", where=key, extent=(key,) + downstream)
 
@@ -345,6 +357,47 @@ class TableData(DataObject):
             return content
         return ""  # embedded object: no scalar value
 
+    def _store(self, key: Tuple[int, int], new) -> bool:
+        """Cache ``new`` (``None``: empty) for ``key``; did it change?"""
+        values = self._values
+        old = values.get(key, _ABSENT)
+        if new is None:
+            if old is _ABSENT:
+                return False
+            del values[key]
+            return True
+        if old is _ABSENT or old != new or type(old) is not type(new):
+            values[key] = new
+            return True
+        return False
+
+    def _propagate(self, seed: Tuple[int, int]) -> List[Tuple[int, int]]:
+        """Recompute from ``seed`` in rank order; return changed keys.
+
+        A min-heap keyed by ``(rank, key)`` pops every cell after all
+        the cells it reads that could change, so each is evaluated at
+        most once.  A cell's readers are queued only when its value
+        changed: an edit whose value lands equal evaluates the seed
+        alone.  Needs an acyclic graph (valid ranks).
+        """
+        rank = self._graph.rank
+        dependents = self._graph.dependents
+        changed: List[Tuple[int, int]] = []
+        heap = [(rank.get(seed, 0), seed)]
+        queued = {seed}
+        while heap:
+            key = heappop(heap)[1]
+            if not self._store(key, self._compute_one(key)):
+                continue  # no reader of this cell needs a look
+            changed.append(key)
+            for reader in dependents.get(key, ()):
+                if reader not in queued:
+                    queued.add(reader)
+                    heappush(heap, (rank[reader], reader))
+        if obs.metrics_on:
+            obs.registry.inc("table.cells_recomputed", len(queued))
+        return changed
+
     def _recompute(
         self,
         cone: Set[Tuple[int, int]],
@@ -352,15 +405,15 @@ class TableData(DataObject):
     ) -> List[Tuple[int, int]]:
         """Re-evaluate ``cone`` in dependency order; return changed keys.
 
-        Propagation is change-driven: a strongly connected component is
-        re-evaluated only if it contains a seed, reads a cell that
-        changed earlier in the pass, or carries a ``#CYCLE`` stamp that
-        no longer matches its cycle-ness (an edit elsewhere can dissolve
-        a cycle without changing any input *value* of the remnant
-        cells).  So an edit whose value lands equal to the old one stops
-        dead instead of recomputing its whole cone.  Components that are
-        true cycles are stamped ``#CYCLE`` member-by-member, never
-        evaluated.
+        The Tarjan path: full recalculation, structural edits and edits
+        while the graph holds a cycle.  Propagation is change-driven: a
+        strongly connected component is re-evaluated only if it
+        contains a seed, reads a cell that changed earlier in the pass,
+        or carries a ``#CYCLE`` stamp that no longer matches its
+        cycle-ness (an edit elsewhere can dissolve a cycle without
+        changing any input *value* of the remnant cells).  Components
+        that are true cycles are stamped ``#CYCLE`` member-by-member,
+        never evaluated.
         """
         graph = self._graph
         seed_set = set(seeds)
@@ -386,15 +439,7 @@ class TableData(DataObject):
             for key in component:
                 recomputed += 1
                 new = _CYCLE if is_cycle else self._compute_one(key)
-                old = values.get(key, _ABSENT)
-                if new is None:
-                    if old is not _ABSENT:
-                        del values[key]
-                        changed.append(key)
-                        changed_set.add(key)
-                    continue
-                if old is _ABSENT or old != new or type(old) is not type(new):
-                    values[key] = new
+                if self._store(key, new):
                     changed.append(key)
                     changed_set.add(key)
         if obs.metrics_on:

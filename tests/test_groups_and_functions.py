@@ -1,5 +1,7 @@
 """Tests for shape groups and the extra spreadsheet functions."""
 
+import gc
+
 import pytest
 
 from repro.components.drawing import (
@@ -86,6 +88,25 @@ class TestGroupShape:
         restored = read_document(stream)
         assert write_document(restored) == stream
         assert restored.text_shapes()[0].data.text() == "grouped text"
+
+    def test_text_shapes_in_order_and_leave_no_garbage(self):
+        drawing = DrawingData()
+        first = drawing.add_text(Rect(1, 1, 10, 2), TextData("one"))
+        line = drawing.add_shape(LineShape(0, 0, 9, 0))
+        inner = drawing.add_text(Rect(1, 4, 10, 2), TextData("two"))
+        drawing.group_shapes([line, inner])
+        last = drawing.add_text(Rect(1, 8, 10, 2), TextData("three"))
+        drawing.group_shapes([drawing.shapes[1]])  # a group in a group
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            assert drawing.text_shapes() == [first, inner, last]
+            # Views ask on every repaint: no reference cycle per call.
+            assert gc.collect() == 0
+        finally:
+            if was:
+                gc.enable()
 
     def test_group_selection_in_view(self, make_im):
         im = make_im(width=42, height=14)

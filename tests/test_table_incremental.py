@@ -61,6 +61,38 @@ def assert_equivalent(subject, control, label):
     assert grid(subject) == grid(control), label
 
 
+def assert_ranks(table, label):
+    """``rank[dep] < rank[key]`` for every edge outside a cycle."""
+    graph = table._graph
+    cyclic = graph.holds_cycle()
+    components = graph.scc_order(graph.deps)
+    assert cyclic == any(graph.is_cycle(c) for c in components), label
+    component_of = {key: i for i, c in enumerate(components) for key in c}
+    for key, refs in graph.deps.items():
+        for dep in refs:
+            if component_of.get(dep) == component_of[key]:
+                continue  # an edge on a cycle
+            assert graph.rank.get(dep, 0) < graph.rank[key], (label, dep, key)
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """Which recalc path each subject-arm recalc took, in order (the
+    control arm, ``incremental_enabled = False``, is not recorded)."""
+    taken = []
+
+    def spy(name, method):
+        def wrapper(self, *args, **kwargs):
+            if self.incremental_enabled:
+                taken.append(name)
+            return method(self, *args, **kwargs)
+        monkeypatch.setattr(TableData, f"_{name}", wrapper)
+
+    spy("propagate", TableData._propagate)
+    spy("recompute", TableData._recompute)
+    return taken
+
+
 # ---------------------------------------------------------------------------
 # Directed cases: the edit shapes most likely to fool a dirty cone
 # ---------------------------------------------------------------------------
@@ -132,6 +164,138 @@ class TestDirectedEquivalence:
         for table in (subject, control):
             table.delete_col(0)  # every formula loses its inputs
         assert_equivalent(subject, control, "delete col")
+
+
+# ---------------------------------------------------------------------------
+# Rank-ordered propagation: which path an edit takes, and what it costs
+# ---------------------------------------------------------------------------
+
+
+class TestRankPropagation:
+    def test_diamond_evaluates_the_join_once(self, monkeypatch, paths):
+        # The join sits above its inputs, so key order is not
+        # evaluation order: only the ranks put it last.
+        table = TableData(4, 1)
+        table.set_cell(3, 0, 1)
+        table.set_cell(1, 0, "=A4+1")
+        table.set_cell(2, 0, "=A4*2")
+        table.set_cell(0, 0, "=A2+A3")
+        assert table.value_at(0, 0) == 4.0
+        del paths[:]  # the full recalc that materialized the values
+        evaluated = []
+        compute = TableData._compute_one
+
+        def counting(self, key):
+            evaluated.append(key)
+            return compute(self, key)
+
+        monkeypatch.setattr(TableData, "_compute_one", counting)
+        table.set_cell(3, 0, 5)
+        assert paths == ["propagate"]
+        assert sorted(evaluated) == [(0, 0), (1, 0), (2, 0), (3, 0)]
+        assert evaluated[-1] == (0, 0)  # after both of its inputs
+        assert table.value_at(0, 0) == 16.0
+        assert_ranks(table, "diamond")
+
+    def test_cycle_closed_dissolved_then_ranked_again(self, paths):
+        subject, control = make_pair(4, 1)
+        for table in (subject, control):
+            table.set_cell(0, 0, 1)
+            table.set_cell(1, 0, "=A1+A4")
+            table.set_cell(2, 0, "=A2*2")
+            table.set_cell(3, 0, 0)
+        assert_equivalent(subject, control, "build")
+        del paths[:]
+        for table in (subject, control):
+            table.set_cell(3, 0, "=A3")  # closes A2 -> A3 -> A4 -> A2
+        assert_equivalent(subject, control, "closed")
+        assert subject.value_at(1, 0) == CYCLE_ERROR
+        assert subject._graph.holds_cycle()
+        assert_ranks(subject, "closed")
+        for table in (subject, control):
+            table.set_cell(0, 0, 2)  # an edit while the cycle stands
+        assert_equivalent(subject, control, "inside")
+        for table in (subject, control):
+            table.set_cell(2, 0, 7)  # dissolves it: re-stamp the members
+        assert_equivalent(subject, control, "dissolved")
+        assert subject.value_at(1, 0) == 9.0
+        assert not subject._graph.holds_cycle()
+        assert_ranks(subject, "dissolved")
+        for table in (subject, control):
+            table.set_cell(0, 0, 3)  # upstream of A2: ranked again
+        assert_equivalent(subject, control, "upstream")
+        assert paths == ["recompute", "recompute", "recompute", "propagate"]
+
+    @pytest.mark.parametrize("op", ["insert_row", "delete_row"])
+    def test_structural_edit_then_value_edits(self, op, paths):
+        subject, control = make_pair(6, 2)
+        for table in (subject, control):
+            for row in range(6):
+                table.set_cell(row, 0, row + 1)
+            table.set_cell(0, 1, "=A1")
+            for row in range(1, 6):
+                table.set_cell(row, 1, f"=B{row}+A{row + 1}")
+        assert_equivalent(subject, control, "build")
+        del paths[:]
+        for table in (subject, control):
+            getattr(table, op)(2)
+        assert_equivalent(subject, control, op)
+        assert_ranks(subject, op)
+        for value in (10, 20):
+            for table in (subject, control):
+                table.set_cell(0, 0, value)
+            assert_equivalent(subject, control, f"{op} then {value}")
+            assert_ranks(subject, f"{op} then {value}")
+        # The structural edit itself recomputes by Tarjan; the value
+        # edits after it are ranked again.
+        assert paths == ["recompute", "propagate", "propagate"]
+
+    def test_equal_value_evaluates_only_the_seed(self, telemetry, paths):
+        table = TableData(3, 1)
+        table.set_cell(0, 0, 7)
+        table.set_cell(1, 0, "=A1*0")
+        table.set_cell(2, 0, "=A2+1")
+        table.value_at(2, 0)
+        telemetry.reset()
+        del paths[:]
+        table.set_cell(0, 0, 7)  # the same number again
+        assert telemetry.counter("table.cells_recomputed") == 1
+        table.set_cell(1, 0, "=A1-A1")  # a new formula, the same value
+        assert telemetry.counter("table.cells_recomputed") == 2
+        assert paths == ["propagate", "propagate"]
+        assert table.value_at(2, 0) == 1.0
+
+    def test_rank_raises_stay_downstream(self):
+        table = TableData(10, 3)
+        for row in range(10):
+            table.set_cell(row, 0, row)
+        table.set_cell(0, 1, "=A1")
+        for row in range(1, 10):
+            table.set_cell(row, 1, f"=B{row}+A{row + 1}")
+        table.set_cell(6, 2, "=B6")  # ranked level with B7
+        graph = table._graph
+        before = graph.rank_raises
+        table.set_cell(6, 1, "=C7+A7")  # B7 now reads a same-rank cell
+        # B7 and the three chain cells below it rise; nothing above.
+        assert graph.rank_raises - before == 4
+        assert_ranks(table, "raised")
+        assert table.value_at(9, 1) == sum(range(10))
+
+    def test_raise_through_a_diamond(self):
+        # A2 reads A1, A3 reads A1 and A2: raising A1 must lift A3
+        # above the raised A2, not merely above A1.
+        table = TableData(6, 1)
+        table.set_cell(1, 0, "=A1")
+        table.set_cell(2, 0, "=A1+A2")
+        table.set_cell(4, 0, "=A6")
+        table.set_cell(3, 0, "=A5")
+        graph = table._graph
+        before = graph.rank_raises
+        table.set_cell(0, 0, "=A4")  # A1 now reads a rank-2 cell
+        assert graph.rank_raises - before == 3  # A1, A2, A3, once each
+        assert graph.rank[(1, 0)] < graph.rank[(2, 0)]
+        assert_ranks(table, "diamond raise")
+        assert not graph.holds_cycle()
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +432,9 @@ def test_randomized_equivalence(seed):
     subject, control = make_pair(rows=rng.randint(2, 7), cols=rng.randint(2, 5))
     for step in range(60):
         _random_op(rng, subject, control, step)
-        assert_equivalent(
-            subject, control, f"{describe_seed(seed)} step {step}"
-        )
+        label = f"{describe_seed(seed)} step {step}"
+        assert_equivalent(subject, control, label)
+        assert_ranks(subject, label)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -306,6 +470,7 @@ def test_randomized_announcements_are_exact(seed):
         }
         assert set(announced) == differing | {key}, label
         assert_equivalent(subject, control, label)
+        assert_ranks(subject, label)
 
 
 @pytest.mark.parametrize("seed", range(3))
