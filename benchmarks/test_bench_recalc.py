@@ -1,4 +1,4 @@
-"""E18 — dependency-graph incremental recalc on a 100k-cell sheet.
+"""E18 — rank-ordered incremental recalc on a 100k-cell sheet.
 
 The production-spreadsheet scenario from the ROADMAP: a 10,000 x 10
 sheet of numbers carrying a 2,000-cell running-sum chain (each formula
@@ -8,10 +8,13 @@ materialised once (one full recalculation, every cell evaluated), then
 single cells are edited mid-chain.
 
 The claim under test: an edit pays for its dependency *cone*, not the
-sheet.  ``table.cells_recomputed`` after one edit must be the cone size
-(seed + downstream chain + the aggregate), at least 100x fewer
-evaluations than the full pass, with values provably identical to a
-from-scratch recalculation (the equivalence fuzzer in
+sheet.  It propagates from the edited cell in topological-rank order,
+evaluating a reader only when an input's value changed, with no search
+of the cone.  ``table.cells_recomputed`` after one edit must be the
+cone size (seed + downstream chain + the aggregate), at least 100x
+fewer evaluations than the full pass (which walks every formula in the
+same rank order, from ranks derived afresh), with values provably
+identical to it (the equivalence fuzzer in
 ``tests/test_table_incremental.py`` carries the general proof; this
 bench asserts it at scale on the chain tail and aggregate).
 
@@ -197,7 +200,7 @@ def test_bench_incremental_recalc(metrics, ascii_ws):
 
 
 def test_bench_single_edit(benchmark):
-    """pytest-benchmark timing of one mid-chain edit + cone repair."""
+    """pytest-benchmark timing of one mid-chain edit + its propagation."""
     table = TableData(1000, 4)
     for row in range(1000):
         table.set_cell(row, 0, float(row))

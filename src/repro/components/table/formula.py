@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Callable, Iterator, List, Optional, Set, Union
+from itertools import product
+from typing import Callable, Iterator, List, Optional, Set, Tuple, Union
 
 __all__ = [
     "FormulaError",
@@ -289,10 +290,12 @@ class _Parser:
 # Evaluation & analysis
 # ---------------------------------------------------------------------------
 
-def _range_cells(start: CellRef, end: CellRef) -> Iterator[CellRef]:
-    for row in range(min(start.row, end.row), max(start.row, end.row) + 1):
-        for col in range(min(start.col, end.col), max(start.col, end.col) + 1):
-            yield CellRef(row, col)
+def _range_cells(start: CellRef, end: CellRef) -> Iterator[Tuple[int, int]]:
+    """Every ``(row, col)`` of the range, row-major."""
+    return product(
+        range(min(start.row, end.row), max(start.row, end.row) + 1),
+        range(min(start.col, end.col), max(start.col, end.col) + 1),
+    )
 
 
 def _eval(node, resolve: Resolver) -> Union[float, List[float]]:
@@ -304,7 +307,8 @@ def _eval(node, resolve: Resolver) -> Union[float, List[float]]:
     if kind == "ref":
         return float(resolve(node[1].row, node[1].col))
     if kind == "range":
-        return [float(resolve(c.row, c.col)) for c in _range_cells(node[1], node[2])]
+        return [float(resolve(row, col))
+                for row, col in _range_cells(node[1], node[2])]
     if kind == "neg":
         return -_scalar(_eval(node[1], resolve))
     if kind == "bin":
@@ -457,7 +461,8 @@ def _walk_refs(node) -> Iterator[CellRef]:
     if kind == "ref":
         yield node[1]
     elif kind == "range":
-        yield from _range_cells(node[1], node[2])
+        for row, col in _range_cells(node[1], node[2]):
+            yield CellRef(row, col)
     elif kind == "neg":
         yield from _walk_refs(node[1])
     elif kind == "bin":

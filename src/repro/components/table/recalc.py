@@ -4,43 +4,37 @@ The paper's spreadsheet promise — "live formula recalculation under the
 delayed-update discipline" — only scales if an edit's cost is bounded
 by what the edit *influences*, not by the sheet.  This module provides
 the machinery :class:`~repro.components.table.tabledata.TableData`
-uses to keep recalculation proportional to the dirty cone:
+uses to recompute only the cells whose inputs changed:
 
 * :class:`DependencyGraph` — forward edges (``cell -> cells its formula
   reads``, built from :meth:`Formula.refs` at assignment time) and the
-  reverse *dependents* index, so "who must recompute when this cell
-  changes" is one BFS over reverse edges (:meth:`dirty_cone`);
+  reverse *dependents* index, so "who reads this cell" is one lookup;
 
-* :attr:`DependencyGraph.rank` — a maintained topological order: a
-  rank per formula cell with ``rank[dep] < rank[key]`` for every edge
-  ``key`` reads ``dep`` (Pearce and Kelly's dynamic topological order,
-  JEA 2006, in its simplest form).  :meth:`~DependencyGraph.set_refs`
-  keeps it: an added edge that breaks it raises ``key`` and then,
-  forward through the dependents, only the cells whose rank must rise.
-  A raise that comes back to ``key`` means the new edge closed a
-  reference cycle, and the graph records that it holds one.  A value
-  edit then recomputes its changed cells in rank order from a heap
-  (Acar-style change propagation), with no search of its cone;
+* :attr:`DependencyGraph.rank` — a topological order: a rank per
+  formula cell with ``rank[dep] < rank[key]`` for every edge ``key``
+  reads ``dep`` outside a reference cycle (Pearce and Kelly's dynamic
+  topological order, JEA 2006, in its simplest form).  Every recompute
+  — an edit, a structural edit, the full recalculation — visits cells
+  in ``(rank, key)`` order (Acar-style change propagation), so no edit
+  searches its cone.  :meth:`~DependencyGraph.set_refs` keeps the ranks
+  on an acyclic graph: an added edge that breaks the order raises
+  ``key`` and then, forward through the dependents, only the cells
+  whose rank must rise;
 
-* :meth:`DependencyGraph.scc_order` — an **iterative** Tarjan
-  strongly-connected-components pass restricted to a cone, emitting
-  components in dependency order (a component is emitted only after
-  every component it reads from).  Components of more than one cell —
-  or a single cell referencing itself — are reference cycles: the
-  caller stamps exactly those members ``#CYCLE``.  It orders the full
-  recalculation, structural edits, and every edit while the graph
-  holds a cycle, where ranks are not kept;
+* :attr:`DependencyGraph.cycle_members` — the cells on a reference
+  cycle (self-reference included).  A raise that comes back to ``key``
+  means the new edge closed a cycle; from then on, and after
+  :meth:`~DependencyGraph.rebuild`, ranks and members go stale and
+  :meth:`~DependencyGraph.refresh` re-derives both from one iterative
+  Tarjan pass over the whole graph (:meth:`~DependencyGraph.scc_order`):
+  the members of a strongly connected component share one rank.  The
+  caller stamps exactly the members ``#CYCLE``;
 
 * :class:`CycleError` — the typed error raised when a formula *reads* a
   cell stamped ``#CYCLE``.  Only true cycle members display ``#CYCLE``;
   cells downstream of a cycle catch :class:`CycleError` (a
   :class:`FormulaError`) and display ``#VALUE`` like any other
-  unevaluable reference;
-
-* :meth:`DependencyGraph.rebuild` — from-scratch reconstruction after
-  structural edits rebase every key (the rebase itself lives in
-  ``TableData``: cells, cached values and formula sources all shift
-  through one mapping).
+  unevaluable reference.
 
 Keys are ``(row, col)`` tuples throughout.  The graph stores only cells
 that carry formulas (plus the reverse index for their referents), so a
@@ -51,7 +45,7 @@ hundred graph entries, not 100k.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .formula import FormulaError
 
@@ -79,17 +73,17 @@ class DependencyGraph:
 
     ``rank[key]`` orders the formula cells: every cell a formula reads
     from outside its own cycle ranks strictly lower (cells absent from
-    ``rank`` rank 0).  :meth:`set_refs` keeps the ranks while the graph
-    is acyclic.  Once an added edge closes a cycle, and after any edge
-    change while the graph holds one, they go stale; the next
-    :meth:`holds_cycle` re-derives them, and the cycle state, from one
-    Tarjan pass over the whole graph.  ``rank_raises`` counts the ranks
-    :meth:`set_refs` raised, so a bench can show that entering a
-    formula touches its downstream region, not the sheet.
+    ``rank`` rank 0).  ``cycle_members`` holds the cells on a reference
+    cycle.  :meth:`set_refs` keeps the ranks while the graph is acyclic.
+    Once an added edge closes a cycle, after any edge change while the
+    graph holds one, and after :meth:`rebuild`, ranks and members go
+    stale until :meth:`refresh` re-derives them.  ``rank_raises`` counts
+    the ranks :meth:`set_refs` raised, so a bench can show that entering
+    a formula touches its downstream region, not the sheet.
     """
 
     __slots__ = ("deps", "dependents", "edge_count", "rank", "rank_raises",
-                 "_cyclic")
+                 "cycle_members", "_stale")
 
     def __init__(self) -> None:
         self.deps: Dict[Key, FrozenSet[Key]] = {}
@@ -97,9 +91,8 @@ class DependencyGraph:
         self.edge_count = 0
         self.rank: Dict[Key, int] = {}
         self.rank_raises = 0
-        # False: acyclic, ranks kept.  True: holds a cycle, ranks as
-        # last derived.  None: unknown, ranks stale until re-derived.
-        self._cyclic: Optional[bool] = False
+        self.cycle_members: FrozenSet[Key] = frozenset()
+        self._stale = False  # ranks and members await refresh()
 
     # ------------------------------------------------------------------
     # Edge maintenance (called from every cell assignment)
@@ -125,8 +118,8 @@ class DependencyGraph:
             self.deps[key] = new
         else:
             self.deps.pop(key, None)
-        if self._cyclic is not False:
-            self._cyclic = None  # re-derived by the next holds_cycle()
+        if self._stale or self.cycle_members:
+            self._stale = True  # ranks are not kept while a cycle stands
         elif not new:
             self.rank.pop(key, None)  # rank 0 still precedes its readers
         elif added:
@@ -144,13 +137,13 @@ class DependencyGraph:
     def rebuild(self, formulas: Dict[Key, Iterable[Key]]) -> None:
         """Reconstruct the whole graph (after a structural rebase).
 
-        The ranks are re-derived lazily, by the next :meth:`holds_cycle`.
+        Ranks and cycle members are re-derived by the next :meth:`refresh`.
         """
         self.deps = {}
         self.dependents = {}
         self.edge_count = 0
         self.rank = {}
-        self._cyclic = None
+        self._stale = True
         for key, refs in formulas.items():
             self.set_refs(key, refs)
 
@@ -173,7 +166,7 @@ class DependencyGraph:
             self.rank_raises += 1
             for reader in dependents.get(node, ()):
                 if reader == key:
-                    self._cyclic = None  # a cycle: holds_cycle() re-derives
+                    self._stale = True  # a cycle: refresh() re-derives
                     return
                 if reader in want:
                     if want[reader] <= level:
@@ -182,26 +175,20 @@ class DependencyGraph:
                     want[reader] = level + 1
                     heappush(heap, (rank[reader], reader))
 
-    def holds_cycle(self) -> bool:
-        """Does the graph hold a reference cycle (self-reference too)?
-
-        On return :attr:`rank` is valid: a topological order of the
-        whole graph when acyclic, of its strongly connected components
-        otherwise.
-        """
-        if self._cyclic is None:
+    def refresh(self) -> None:
+        """Make :attr:`rank` and :attr:`cycle_members` valid if stale."""
+        if self._stale:
             self._rerank()
-        return self._cyclic
 
     def _rerank(self) -> None:
-        """Derive every rank, and the cycle state, from one Tarjan pass.
+        """Derive every rank, and the cycle members, from one Tarjan pass.
 
         Members of one strongly connected component share a rank, one
         above the highest cell any member reads from outside it.
         """
         deps = self.deps
         rank: Dict[Key, int] = {}
-        cyclic = False
+        members: List[Key] = []
         for component in self.scc_order(deps):
             inside = set(component)
             level = 1 + max(
@@ -212,22 +199,22 @@ class DependencyGraph:
             )
             for key in component:
                 rank[key] = level
-            cyclic = cyclic or self.is_cycle(component)
+            if self.is_cycle(component):
+                members.extend(component)
         self.rank = rank
-        self._cyclic = cyclic
+        self.cycle_members = frozenset(members)
+        self._stale = False
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
-    def refs_of(self, key: Key) -> FrozenSet[Key]:
-        return self.deps.get(key, frozenset())
-
     def dirty_cone(self, seeds: Iterable[Key]) -> Set[Key]:
         """Every cell whose value may change when ``seeds`` change.
 
         The seeds themselves plus the transitive closure over reverse
-        edges.  Bounded by the influenced region — the whole point.
+        edges.  No recalc path calls it (they follow ranks);
+        ``perfbench/tracing.py`` wraps it by name.
         """
         cone: Set[Key] = set(seeds)
         frontier: List[Key] = list(cone)
@@ -243,13 +230,12 @@ class DependencyGraph:
         """Strongly connected components of the cone, dependencies first.
 
         Iterative Tarjan over the subgraph induced by ``cone`` (edges
-        leaving the cone are ignored — those cells' values are already
-        valid).  Tarjan emits a component only after every component
-        reachable from it, which for "reads" edges means *evaluation
-        order*: recompute components as emitted and every reference a
-        formula makes is either outside the cone (valid) or already
-        recomputed.  Components with more than one member, or whose
-        single member references itself, are reference cycles.
+        leaving the cone are ignored).  Tarjan emits a component only
+        after every component reachable from it, which for "reads"
+        edges means *evaluation order*, so :meth:`_rerank` can rank each
+        component above everything it reads.  Components with more than
+        one member, or whose single member references itself, are
+        reference cycles.
 
         Iterative on an explicit stack: a 100k-cell chain must not hit
         CPython's recursion limit.

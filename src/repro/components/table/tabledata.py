@@ -10,16 +10,17 @@ Formulas recalculate **incrementally** through a dependency graph
 (:mod:`.recalc`): every cell assignment updates the graph's edges and
 topological ranks from :meth:`Formula.refs`, and once values have been
 materialised an edit recomputes only the cells whose inputs changed,
-popped from a heap in rank order.  While the sheet holds a reference
-cycle an edit recomputes its *dirty cone* — the transitive dependents —
-in iterative-Tarjan order instead, stamping exactly the members of a
-reference cycle ``#CYCLE``.  Cells that merely *read* a cyclic cell
+popped from a heap in rank order.  Every live edit takes that one path:
+value and formula edits, structural edits, and edits on a sheet that
+holds a reference cycle.  Exactly the members of a reference cycle are
+stored ``#CYCLE`` and never evaluated; cells that merely *read* one
 display ``#VALUE`` (the read raises the typed
-:class:`~.recalc.CycleError`).  Structural
-edits (``insert_row`` .. ``delete_col``) rebase cells, cached values,
-formula references and the graph through one coordinate mapping;
-references into a deleted row/column become ``#REF`` and evaluate to
-``#VALUE``.
+:class:`~.recalc.CycleError`).  The full recalculation walks the
+formula cells in the same rank order, from ranks derived afresh.
+Structural edits (``insert_row`` .. ``delete_col``) rebase cells, cached
+values, formula references and the graph through one coordinate
+mapping; references into a deleted row/column become ``#REF`` and
+evaluate to ``#VALUE``.
 
 Every mutation follows the delayed-update discipline and announces
 **one** ``"cell"`` record per assignment: ``where`` is the edited
@@ -53,7 +54,7 @@ Text cells escape backslash as ``\\`` and newline as ``\n``.
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import (
     Callable,
     Dict,
@@ -156,7 +157,7 @@ class TableData(DataObject):
         self._values_valid = False
         self._graph = DependencyGraph()
         self.recalc_count = 0  # full recalculations (benches read this)
-        self.incremental_count = 0  # cone recalculations
+        self.incremental_count = 0  # incremental recalculations
 
     # ------------------------------------------------------------------
     # Cell access
@@ -182,8 +183,8 @@ class TableData(DataObject):
         ``<tag>view``).
 
         Once values have been materialised (any :meth:`value_at` read),
-        the edit recomputes only its dependency cone.  Either way it
-        announces exactly one ``"cell"`` record: ``where`` is
+        the edit recomputes only the cells whose inputs changed.  Either
+        way it announces exactly one ``"cell"`` record: ``where`` is
         ``(row, col)`` and ``extent`` the keys whose value changed,
         ``(row, col)`` first.
         """
@@ -199,11 +200,7 @@ class TableData(DataObject):
     def _after_assign(self, key: Tuple[int, int], cell: Cell) -> None:
         """Re-index the graph for ``key`` and repair/announce values."""
         graph = self._graph
-        live = self.incremental_enabled and self._values_valid
-        # Rank order serves the edit only if the graph holds no cycle
-        # before or after it: the edit that closes a cycle, and the one
-        # that may dissolve it, re-stamp ``#CYCLE`` in the Tarjan pass.
-        ranked = live and not graph.holds_cycle()
+        before = graph.cycle_members  # the members the cached values show
         if isinstance(cell.content, Formula):
             graph.set_refs(
                 key, ((ref.row, ref.col) for ref in cell.content.refs())
@@ -212,7 +209,7 @@ class TableData(DataObject):
             graph.clear(key)
         if obs.metrics_on:
             obs.registry.gauge("table.deps_edges", graph.edge_count)
-        if not live:
+        if not (self.incremental_enabled and self._values_valid):
             # Values were never materialised (sheet still being built,
             # or incremental repair disabled): stay lazy, one record.
             self._values_valid = False
@@ -221,11 +218,9 @@ class TableData(DataObject):
         self.incremental_count += 1
         if obs.metrics_on:
             obs.registry.inc("table.recalc_incremental")
-        if ranked and not graph.holds_cycle():
-            changed_keys = self._propagate(key)
-        else:
-            cone = graph.dirty_cone((key,))
-            changed_keys = self._recompute(cone, seeds=(key,))
+        graph.refresh()
+        changed_keys = self._propagate(
+            (key, *(before ^ graph.cycle_members)))
         downstream = tuple(other for other in changed_keys if other != key)
         self.changed("cell", where=key, extent=(key,) + downstream)
 
@@ -305,13 +300,28 @@ class TableData(DataObject):
         return str(value)
 
     def _recalculate(self) -> None:
-        """Full-sheet recalc: the cone is "every non-empty cell"."""
+        """Full-sheet recalc from freshly derived ranks.
+
+        The reference the incremental path is checked against: it
+        shares neither the maintained ranks nor the change-driven queue.
+        Cells outside the graph (rank 0) are stored first, then the
+        formula cells in ``(rank, key)`` order, cycle members stamped.
+        """
         self.recalc_count += 1
         if obs.metrics_on:
             obs.registry.inc("table.recalc_full")
+        graph = self._graph
+        graph._rerank()
+        rank, members = graph.rank, graph.cycle_members
         self._values = {}
-        everything = set(self._cells)
-        self._recompute(everything, seeds=everything)
+        for key in self._cells:
+            if key not in rank:
+                self._store(key, self._compute_one(key))
+        for key in sorted(rank, key=lambda key: (rank[key], key)):
+            self._store(
+                key, _CYCLE if key in members else self._compute_one(key))
+        if obs.metrics_on:
+            obs.registry.inc("table.cells_recomputed", len(self._cells))
         self._values_valid = True
 
     def _resolve(self, row: int, col: int) -> float:
@@ -371,23 +381,32 @@ class TableData(DataObject):
             return True
         return False
 
-    def _propagate(self, seed: Tuple[int, int]) -> List[Tuple[int, int]]:
-        """Recompute from ``seed`` in rank order; return changed keys.
+    def _propagate(
+        self, seeds: Iterable[Tuple[int, int]]
+    ) -> List[Tuple[int, int]]:
+        """Recompute from ``seeds`` in rank order; return changed keys.
 
         A min-heap keyed by ``(rank, key)`` pops every cell after all
         the cells it reads that could change, so each is evaluated at
         most once.  A cell's readers are queued only when its value
         changed: an edit whose value lands equal evaluates the seed
-        alone.  Needs an acyclic graph (valid ranks).
+        alone.  Cycle members are stored ``#CYCLE``, never evaluated;
+        their readers rank higher and read ``#VALUE``.  Needs valid
+        ranks (:meth:`DependencyGraph.refresh`).
         """
-        rank = self._graph.rank
-        dependents = self._graph.dependents
+        graph = self._graph
+        rank, dependents = graph.rank, graph.dependents
+        members = graph.cycle_members
+        compute, store = self._compute_one, self._store
         changed: List[Tuple[int, int]] = []
-        heap = [(rank.get(seed, 0), seed)]
-        queued = {seed}
+        queued = set(seeds)
+        heap = [(rank.get(key, 0), key) for key in queued]
+        heapify(heap)
         while heap:
             key = heappop(heap)[1]
-            if not self._store(key, self._compute_one(key)):
+            # ``members and``: an acyclic sheet skips hashing every key.
+            new = _CYCLE if members and key in members else compute(key)
+            if not store(key, new):
                 continue  # no reader of this cell needs a look
             changed.append(key)
             for reader in dependents.get(key, ()):
@@ -396,54 +415,6 @@ class TableData(DataObject):
                     heappush(heap, (rank[reader], reader))
         if obs.metrics_on:
             obs.registry.inc("table.cells_recomputed", len(queued))
-        return changed
-
-    def _recompute(
-        self,
-        cone: Set[Tuple[int, int]],
-        seeds: Iterable[Tuple[int, int]],
-    ) -> List[Tuple[int, int]]:
-        """Re-evaluate ``cone`` in dependency order; return changed keys.
-
-        The Tarjan path: full recalculation, structural edits and edits
-        while the graph holds a cycle.  Propagation is change-driven: a
-        strongly connected component is re-evaluated only if it
-        contains a seed, reads a cell that changed earlier in the pass,
-        or carries a ``#CYCLE`` stamp that no longer matches its
-        cycle-ness (an edit elsewhere can dissolve a cycle without
-        changing any input *value* of the remnant cells).  Components
-        that are true cycles are stamped ``#CYCLE`` member-by-member,
-        never evaluated.
-        """
-        graph = self._graph
-        seed_set = set(seeds)
-        changed: List[Tuple[int, int]] = []
-        changed_set: Set[Tuple[int, int]] = set()
-        recomputed = 0
-        values = self._values
-        for component in graph.scc_order(cone):
-            is_cycle = graph.is_cycle(component)
-            if not (
-                seed_set.intersection(component)
-                or any(
-                    (values.get(key, _ABSENT) is _CYCLE) != is_cycle
-                    for key in component
-                )
-                or any(
-                    dep in changed_set
-                    for key in component
-                    for dep in graph.refs_of(key)
-                )
-            ):
-                continue  # no input changed: the cached value stands
-            for key in component:
-                recomputed += 1
-                new = _CYCLE if is_cycle else self._compute_one(key)
-                if self._store(key, new):
-                    changed.append(key)
-                    changed_set.add(key)
-        if obs.metrics_on:
-            obs.registry.inc("table.cells_recomputed", recomputed)
         return changed
 
     def column_values(self, col: int) -> List[float]:
@@ -482,59 +453,66 @@ class TableData(DataObject):
         (or a destroyed range endpoint) becomes ``#REF``, which
         evaluates to ``#VALUE``.
 
-        Returns the keys of *retouched* formulas (those whose source
-        actually changed) after recomputing their dirty cones, as the
-        list of value-changed keys — empty when values are still lazy.
-        The caller must have updated ``self.rows``/``self.cols`` first
-        (bounds checks during recompute use the new shape).
+        Returns the keys whose value changed, recomputed in rank order
+        from the *retouched* formulas (those whose source actually
+        changed) and the cells whose cycle membership changed — empty
+        when values are still lazy.  The caller must have updated
+        ``self.rows``/``self.cols`` first (bounds checks during
+        recompute use the new shape).
         """
 
+        def move(key: Tuple[int, int]) -> Optional[Tuple[int, int]]:
+            row, col = row_map(key[0]), col_map(key[1])
+            return None if row is None or col is None else (row, col)
+
         def map_ref(ref: CellRef) -> Optional[CellRef]:
-            row, col = row_map(ref.row), col_map(ref.col)
-            if row is None or col is None:
+            key = move((ref.row, ref.col))
+            if key is None:
                 return None
-            return ref if (row, col) == (ref.row, ref.col) else CellRef(row, col)
+            return ref if key == (ref.row, ref.col) else CellRef(*key)
 
         moved_cells: Dict[Tuple[int, int], Cell] = {}
-        retouched: List[Tuple[int, int]] = []
-        for (row, col), cell in self._cells.items():
-            new_row, new_col = row_map(row), col_map(col)
-            if new_row is None or new_col is None:
+        retouched: Set[Tuple[int, int]] = set()
+        for old, cell in self._cells.items():
+            key = move(old)
+            if key is None:
                 continue  # the cell itself was deleted
-            key = (new_row, new_col)
             content = cell.content
             if isinstance(content, Formula):
                 rebased = content.rebase(map_ref)
                 if rebased is not content:
                     cell = Cell(rebased, cell.view_type)
-                    retouched.append(key)
+                    retouched.add(key)
             moved_cells[key] = cell
         self._cells = moved_cells
 
         moved_values: Dict[Tuple[int, int], Union[float, str]] = {}
-        for (row, col), value in self._values.items():
-            new_row, new_col = row_map(row), col_map(col)
-            if new_row is not None and new_col is not None:
-                moved_values[(new_row, new_col)] = value
+        for old, value in self._values.items():
+            key = move(old)
+            if key is not None:
+                moved_values[key] = value
         self._values = moved_values
 
-        self._graph.rebuild({
+        graph = self._graph
+        before = set(map(move, graph.cycle_members)) - {None}
+        graph.rebuild({
             key: tuple((ref.row, ref.col) for ref in cell.content.refs())
             for key, cell in self._cells.items()
             if isinstance(cell.content, Formula)
         })
         if obs.metrics_on:
-            obs.registry.gauge("table.deps_edges", self._graph.edge_count)
+            obs.registry.gauge("table.deps_edges", graph.edge_count)
         if not (self.incremental_enabled and self._values_valid):
             self._values_valid = False
             return []
-        if not retouched:
+        graph.refresh()
+        seeds = retouched | (before ^ graph.cycle_members)
+        if not seeds:
             return []
         self.incremental_count += 1
         if obs.metrics_on:
             obs.registry.inc("table.recalc_incremental")
-        cone = self._graph.dirty_cone(retouched)
-        return self._recompute(cone, seeds=retouched)
+        return self._propagate(seeds)
 
     def _announce_structure(self, kind: str, at: int, extent: int,
                             changed_keys: List[Tuple[int, int]]) -> None:

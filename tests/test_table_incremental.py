@@ -6,9 +6,9 @@ value cache must be *identical* — cell by cell, type by type — to what
 a from-scratch recalculation of the same sheet produces.  These tests
 enforce that with randomized edit scripts driven against a pair of
 :class:`TableData` objects receiving identical operations: the subject
-repairs its values through the dirty cone, the control
-(``incremental_enabled = False``) invalidates everything and recalcs
-fully on every read — exactly the seed behaviour.
+repairs its values by rank-ordered propagation from each edit, the
+control (``incremental_enabled = False``) invalidates everything and
+recalcs fully on every read, from freshly derived ranks.
 
 Mirrors ``tests/test_text_incremental.py``, which proved the same
 contract for the paragraph cache.
@@ -19,6 +19,7 @@ import pytest
 from tests.randutil import describe_seed, seeded_rng
 
 from repro import obs
+from repro.class_system import FunctionObserver
 from repro.components.table import (
     CYCLE_ERROR,
     TableData,
@@ -62,11 +63,13 @@ def assert_equivalent(subject, control, label):
 
 
 def assert_ranks(table, label):
-    """``rank[dep] < rank[key]`` for every edge outside a cycle."""
+    """``rank[dep] < rank[key]`` for every edge outside a cycle, and
+    the cycle members are exactly the cells on a reference cycle."""
     graph = table._graph
-    cyclic = graph.holds_cycle()
+    graph.refresh()
     components = graph.scc_order(graph.deps)
-    assert cyclic == any(graph.is_cycle(c) for c in components), label
+    members = {key for c in components if graph.is_cycle(c) for key in c}
+    assert graph.cycle_members == members, label
     component_of = {key: i for i, c in enumerate(components) for key in c}
     for key, refs in graph.deps.items():
         for dep in refs:
@@ -77,7 +80,8 @@ def assert_ranks(table, label):
 
 @pytest.fixture
 def paths(monkeypatch):
-    """Which recalc path each subject-arm recalc took, in order (the
+    """Which recalc each subject-arm recalc ran, in order: a live edit
+    propagates, a read of invalid values recalculates in full (the
     control arm, ``incremental_enabled = False``, is not recorded)."""
     taken = []
 
@@ -89,7 +93,7 @@ def paths(monkeypatch):
         monkeypatch.setattr(TableData, f"_{name}", wrapper)
 
     spy("propagate", TableData._propagate)
-    spy("recompute", TableData._recompute)
+    spy("recalculate", TableData._recalculate)
     return taken
 
 
@@ -210,7 +214,7 @@ class TestRankPropagation:
             table.set_cell(3, 0, "=A3")  # closes A2 -> A3 -> A4 -> A2
         assert_equivalent(subject, control, "closed")
         assert subject.value_at(1, 0) == CYCLE_ERROR
-        assert subject._graph.holds_cycle()
+        assert subject._graph.cycle_members == {(1, 0), (2, 0), (3, 0)}
         assert_ranks(subject, "closed")
         for table in (subject, control):
             table.set_cell(0, 0, 2)  # an edit while the cycle stands
@@ -219,12 +223,13 @@ class TestRankPropagation:
             table.set_cell(2, 0, 7)  # dissolves it: re-stamp the members
         assert_equivalent(subject, control, "dissolved")
         assert subject.value_at(1, 0) == 9.0
-        assert not subject._graph.holds_cycle()
+        assert not subject._graph.cycle_members
         assert_ranks(subject, "dissolved")
         for table in (subject, control):
-            table.set_cell(0, 0, 3)  # upstream of A2: ranked again
+            table.set_cell(0, 0, 3)  # upstream of A2
         assert_equivalent(subject, control, "upstream")
-        assert paths == ["recompute", "recompute", "recompute", "propagate"]
+        # Every edit, cyclic sheet or not, propagates by rank.
+        assert paths == ["propagate"] * 4
 
     @pytest.mark.parametrize("op", ["insert_row", "delete_row"])
     def test_structural_edit_then_value_edits(self, op, paths):
@@ -246,9 +251,104 @@ class TestRankPropagation:
                 table.set_cell(0, 0, value)
             assert_equivalent(subject, control, f"{op} then {value}")
             assert_ranks(subject, f"{op} then {value}")
-        # The structural edit itself recomputes by Tarjan; the value
-        # edits after it are ranked again.
-        assert paths == ["recompute", "propagate", "propagate"]
+        # The structural edit and the value edits after it all
+        # propagate by rank.
+        assert paths == ["propagate"] * 3
+
+    def test_cycle_grows_while_the_edited_cell_stays_cycle(self, paths):
+        # A2 and A3 form a cycle and A4 reads it; re-entering A3 to read
+        # A4 too pulls A4 into the cycle.  A3's value stays #CYCLE, so
+        # only the membership change can reach A4.
+        subject, control = make_pair(4, 1)
+        for table in (subject, control):
+            table.set_cell(0, 0, 1)
+            table.set_cell(1, 0, "=A3")
+            table.set_cell(2, 0, "=A2+A1")
+            table.set_cell(3, 0, "=A3*2")
+        assert_equivalent(subject, control, "build")
+        assert subject.value_at(3, 0) == VALUE_ERROR
+        changes = []
+        subject.add_observer(FunctionObserver(changes.append))
+        del paths[:]
+        for table in (subject, control):
+            table.set_cell(2, 0, "=A2+A4")
+        assert_equivalent(subject, control, "grown")
+        assert subject.value_at(3, 0) == CYCLE_ERROR
+        assert [c.extent for c in changes if c.what == "cell"] == [
+            ((2, 0), (3, 0))]
+        assert paths == ["propagate"]
+        assert_ranks(subject, "grown")
+        assert_ranks(control, "grown control")
+
+    def test_delete_row_through_a_cycle_member(self, paths):
+        # Two cycles share A1: A1 -> A3 -> A2 -> A1 and A1 <-> B1.
+        # Deleting row 3 breaks the first; A1 stays #CYCLE through B1,
+        # so only the membership change can reach A2, which now merely
+        # reads a cycle.
+        subject, control = make_pair(4, 2)
+        for table in (subject, control):
+            table.set_cell(0, 0, "=A3+B1")
+            table.set_cell(0, 1, "=A1")
+            table.set_cell(1, 0, "=A1")
+            table.set_cell(2, 0, "=A2")
+            table.set_cell(3, 1, "=A2+1")  # downstream of the cycle
+        assert_equivalent(subject, control, "build")
+        assert subject.value_at(1, 0) == CYCLE_ERROR
+        del paths[:]
+        for table in (subject, control):
+            table.delete_row(2)  # A1 now reads #REF and B1
+        assert_equivalent(subject, control, "deleted")
+        assert subject._graph.cycle_members == {(0, 0), (0, 1)}
+        assert subject.value_at(1, 0) == VALUE_ERROR
+        assert paths == ["propagate"]
+        assert_ranks(subject, "deleted")
+        assert_ranks(control, "deleted control")
+        for table in (subject, control):
+            table.set_cell(0, 1, 9)  # breaks the second cycle
+        assert_equivalent(subject, control, "edit after delete")
+        assert subject.value_at(1, 0) == VALUE_ERROR  # A1 reads #REF
+
+    def test_insert_row_inside_a_cycle_span(self, paths):
+        subject, control = make_pair(4, 2)
+        for table in (subject, control):
+            table.set_cell(0, 0, "=SUM(A2:A3)")
+            table.set_cell(2, 0, "=A1")
+            table.set_cell(1, 0, 3)
+            table.set_cell(3, 0, "=A3+1")
+            table.set_cell(0, 1, "=A2*2")
+        assert_equivalent(subject, control, "build")
+        del paths[:]
+        for table in (subject, control):
+            table.insert_row(2)  # the range spans the new row
+        assert_equivalent(subject, control, "inserted")
+        assert subject._graph.cycle_members == {(0, 0), (3, 0)}
+        assert paths == ["propagate"]
+        assert_ranks(subject, "inserted")
+        for table in (subject, control):
+            table.set_cell(2, 0, 5)  # fill the new row inside the cycle
+            table.set_cell(3, 0, 1)  # then break the cycle
+        assert_equivalent(subject, control, "filled and broken")
+        assert subject.value_at(4, 0) == 2.0
+        assert_ranks(subject, "broken")
+        assert_ranks(control, "broken control")
+        assert paths == ["propagate"] * 3
+
+    def test_control_full_recalc_derives_valid_ranks(self, paths):
+        subject, control = make_pair(5, 2)
+        for table in (subject, control):
+            table.set_cell(4, 0, "=B5")
+            table.set_cell(4, 1, "=A5+A1")  # a cycle on row 5
+            table.set_cell(0, 1, "=A2*B3")
+            table.set_cell(2, 1, "=A1+B5")
+            table.set_cell(1, 0, 2)
+        assert_equivalent(subject, control, "build")
+        assert paths == ["recalculate"]
+        assert_ranks(control, "control")
+        for table in (subject, control):
+            table.insert_col(1)
+            table.set_cell(0, 0, 3)
+        assert_equivalent(subject, control, "after edits")
+        assert_ranks(control, "control after edits")
 
     def test_equal_value_evaluates_only_the_seed(self, telemetry, paths):
         table = TableData(3, 1)
@@ -295,7 +395,7 @@ class TestRankPropagation:
         assert graph.rank_raises - before == 3  # A1, A2, A3, once each
         assert graph.rank[(1, 0)] < graph.rank[(2, 0)]
         assert_ranks(table, "diamond raise")
-        assert not graph.holds_cycle()
+        assert not graph.cycle_members
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +542,6 @@ def test_randomized_announcements_are_exact(seed):
     """Each assignment announces one cell record whose extent lists the
     edited cell first, then exactly the downstream cells whose value
     changed — no more, no less."""
-    from repro.class_system import FunctionObserver
-
     rng = seeded_rng(2000 + seed)
     subject, control = make_pair()
     changes = []
