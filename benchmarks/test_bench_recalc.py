@@ -96,25 +96,30 @@ def test_bench_incremental_recalc(metrics, ascii_ws):
     assert deps_edges == 2 * (CHAIN - 1) + 1 + FANIN
 
     # Single mid-chain edits: each cone is the seed, the chain tail
-    # below it, and the SUM aggregate.
+    # below it, and the SUM aggregate.  The p50 of 5 edits is taken
+    # from 3 passes and the median pass kept: one pass's edits are
+    # steady, but passes of the same code can differ by 2x.
     cone = (CHAIN - EDIT_ROW) + 2
-    edit_ns = []
+    pass_p50s = []
     expected_tail = table.value_at(CHAIN - 1, 1)
     expected_sum = table.value_at(0, 2)
-    for trial in range(5):
-        metrics.reset()
-        old = table.value_at(EDIT_ROW, 0)
-        start = time.perf_counter_ns()
-        table.set_cell(EDIT_ROW, 0, old + 1.0)
-        edit_ns.append(time.perf_counter_ns() - start)
-        assert metrics.counter("table.recalc_full") == 0
-        assert metrics.counter("table.recalc_incremental") == 1
-        assert metrics.counter("table.cells_recomputed") == cone
-        expected_tail += 1.0
-        expected_sum += 1.0
-        assert table.value_at(CHAIN - 1, 1) == expected_tail
-        assert table.value_at(0, 2) == expected_sum
-    edit_p50_ns = sorted(edit_ns)[len(edit_ns) // 2]
+    for trial in range(3):
+        edit_ns = []
+        for edit in range(5):
+            metrics.reset()
+            old = table.value_at(EDIT_ROW, 0)
+            start = time.perf_counter_ns()
+            table.set_cell(EDIT_ROW, 0, old + 1.0)
+            edit_ns.append(time.perf_counter_ns() - start)
+            assert metrics.counter("table.recalc_full") == 0
+            assert metrics.counter("table.recalc_incremental") == 1
+            assert metrics.counter("table.cells_recomputed") == cone
+            expected_tail += 1.0
+            expected_sum += 1.0
+            assert table.value_at(CHAIN - 1, 1) == expected_tail
+            assert table.value_at(0, 2) == expected_sum
+        pass_p50s.append(sorted(edit_ns)[len(edit_ns) // 2])
+    edit_p50_ns = sorted(pass_p50s)[1]
 
     # An edit with no dependents at all: the cone is one cell.
     metrics.reset()

@@ -6,7 +6,11 @@ documents.  This bench types, deletes and restyles inside a
 2,000-paragraph buffer through the full event path (edit -> change
 records -> delayed update -> clipped repaint) and compares the
 incremental paragraph-cache relayout against a control view that
-re-wraps from scratch on every layout.
+re-wraps from scratch on every layout.  Both arms type on the bottom
+row, where the caret lands when it is placed; a third arm types on the
+incremental view with the caret scrolled to mid-view, where an edit
+that repainted every row below it would show.  Each arm reports the
+cells it repainted per keystroke.
 
 Outputs ``BENCH_text_editing.json`` (a telemetry-registry snapshot
 plus the computed summary) in the working directory; CI uploads it as
@@ -50,9 +54,16 @@ def build_editor(incremental):
     return im, view, data
 
 
-def keystroke_session(im, view, data, registry, timer_name):
-    """A mid-document editing burst: type, backspace, restyle."""
+def keystroke_session(im, view, data, registry, timer_name, mid_view):
+    """A mid-document editing burst: type, backspace, restyle.
+
+    Returns the cells the keystrokes repainted (placing the caret and
+    scrolling it to mid-view are flushed first, and not counted)."""
     view.set_dot(data.length // 2)
+    if mid_view:
+        view.set_scroll_pos(view.scroll_pos() + view.scroll_visible() // 2)
+    im.flush_updates()
+    placed = registry.counter("im.repaint_area")
     for i in range(KEYSTROKES):
         start = time.perf_counter_ns()
         if i % 10 == 8:
@@ -63,12 +74,14 @@ def keystroke_session(im, view, data, registry, timer_name):
             view.insert_text("x")
         im.flush_updates()
         registry.observe_ns(timer_name, time.perf_counter_ns() - start)
+    return registry.counter("im.repaint_area") - placed
 
 
-def run_arm(metrics, incremental, timer_name):
+def run_arm(metrics, incremental, timer_name, mid_view=False):
     im, view, data = build_editor(incremental)
     metrics.reset()
-    keystroke_session(im, view, data, metrics, timer_name)
+    repainted = keystroke_session(im, view, data, metrics, timer_name,
+                                  mid_view)
     counters = {name: metrics.counter(name) for name in _WORK_COUNTERS}
     timer = metrics.timer(timer_name)
     counters["keystroke_p50_ns"] = timer.percentile(0.5) if timer else 0
@@ -76,6 +89,10 @@ def run_arm(metrics, incremental, timer_name):
     # copies): ~7 with run-level text drawing, ~68 drawing per glyph.
     counters["device_requests_per_keystroke"] = round(
         metrics.counter("wm.ascii.requests") / KEYSTROKES, 1
+    )
+    # The damage the edits posted: one 70-cell row per same-height edit.
+    counters["cells_repainted_per_keystroke"] = round(
+        repainted / KEYSTROKES, 1
     )
     return counters
 
@@ -86,6 +103,9 @@ def test_bench_incremental_vs_full_relayout(metrics):
     incremental = run_arm(metrics, incremental=True,
                           timer_name="bench.incremental_ns")
     registry_snapshot = metrics.snapshot()
+    metrics.reset()
+    mid_view = run_arm(metrics, incremental=True,
+                       timer_name="bench.mid_view_ns", mid_view=True)
 
     # The headline claim: per-keystroke wrap work drops at least 5x.
     # (In practice the control arm re-wraps ~2,000 lines per keystroke
@@ -101,6 +121,10 @@ def test_bench_incremental_vs_full_relayout(metrics):
             > 100 * max(1, incremental["font.metrics_misses"]))
     # Wall clock must follow the work reduction (enormous margin).
     assert incremental["keystroke_p50_ns"] < full["keystroke_p50_ns"]
+    # An edit repaints the rows it changed, wherever the caret sits:
+    # about one 70-cell row per keystroke (two when the line wraps), not
+    # every row below the caret.
+    assert mid_view["cells_repainted_per_keystroke"] < 2 * 70
 
     summary = {
         "paragraphs": PARAGRAPHS,
@@ -108,6 +132,7 @@ def test_bench_incremental_vs_full_relayout(metrics):
         "work_ratio_full_over_incremental": round(work_ratio, 1),
         "full": full,
         "incremental": incremental,
+        "mid_view": mid_view,
     }
     with open("BENCH_text_editing.json", "w") as fh:
         json.dump({"summary": summary, "registry": registry_snapshot},
@@ -124,6 +149,10 @@ def test_bench_incremental_vs_full_relayout(metrics):
         f"keystroke p50: full={full['keystroke_p50_ns']}ns "
         f"incremental={incremental['keystroke_p50_ns']}ns "
         f"({speedup:.1f}x)",
+        "cells repainted per keystroke: "
+        f"full={full['cells_repainted_per_keystroke']} "
+        f"incremental={incremental['cells_repainted_per_keystroke']} "
+        f"caret mid-view={mid_view['cells_repainted_per_keystroke']}",
         "snapshot written to BENCH_text_editing.json",
     ])
 

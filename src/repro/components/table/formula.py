@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import partial
 from itertools import product
 from typing import Callable, Iterator, List, Optional, Set, Tuple, Union
 
@@ -45,6 +46,9 @@ __all__ = [
 
 Number = float
 Resolver = Callable[[int, int], Number]
+#: ``read_range(top, left, bottom, right)``: an inclusive range's values
+#: in row-major order.
+RangeReader = Callable[[int, int, int, int], List[Number]]
 
 
 class FormulaError(ValueError):
@@ -290,15 +294,29 @@ class _Parser:
 # Evaluation & analysis
 # ---------------------------------------------------------------------------
 
-def _range_cells(start: CellRef, end: CellRef) -> Iterator[Tuple[int, int]]:
-    """Every ``(row, col)`` of the range, row-major."""
-    return product(
-        range(min(start.row, end.row), max(start.row, end.row) + 1),
-        range(min(start.col, end.col), max(start.col, end.col) + 1),
-    )
+def _range_bounds(start: CellRef, end: CellRef) -> Tuple[int, int, int, int]:
+    """``(top, left, bottom, right)`` of the range, inclusive."""
+    return (min(start.row, end.row), min(start.col, end.col),
+            max(start.row, end.row), max(start.col, end.col))
 
 
-def _eval(node, resolve: Resolver) -> Union[float, List[float]]:
+def range_cells(top: int, left: int, bottom: int,
+                right: int) -> Iterator[Tuple[int, int]]:
+    """Every ``(row, col)`` of the inclusive range, row-major."""
+    return product(range(top, bottom + 1), range(left, right + 1))
+
+
+def read_cells(resolve: Resolver, top: int, left: int, bottom: int,
+               right: int) -> List[float]:
+    """A range's values, one ``resolve`` per cell in row-major order:
+    the range read of a bare resolver (a table reads its own ranges
+    in one pass)."""
+    return [float(resolve(row, col))
+            for row, col in range_cells(top, left, bottom, right)]
+
+
+def _eval(node, resolve: Resolver,
+          read_range: RangeReader) -> Union[float, List[float]]:
     kind = node[0]
     if kind == "num":
         return node[1]
@@ -307,14 +325,13 @@ def _eval(node, resolve: Resolver) -> Union[float, List[float]]:
     if kind == "ref":
         return float(resolve(node[1].row, node[1].col))
     if kind == "range":
-        return [float(resolve(row, col))
-                for row, col in _range_cells(node[1], node[2])]
+        return read_range(*_range_bounds(node[1], node[2]))
     if kind == "neg":
-        return -_scalar(_eval(node[1], resolve))
+        return -_scalar(_eval(node[1], resolve, read_range))
     if kind == "bin":
         _, op, left, right = node
-        a = _scalar(_eval(left, resolve))
-        b = _scalar(_eval(right, resolve))
+        a = _scalar(_eval(left, resolve, read_range))
+        b = _scalar(_eval(right, resolve, read_range))
         if op == "+":
             return a + b
         if op == "-":
@@ -331,7 +348,7 @@ def _eval(node, resolve: Resolver) -> Union[float, List[float]]:
         _, name, args = node
         values: List[float] = []
         for arg in args:
-            result = _eval(arg, resolve)
+            result = _eval(arg, resolve, read_range)
             if isinstance(result, list):
                 values.extend(result)
             else:
@@ -461,7 +478,7 @@ def _walk_refs(node) -> Iterator[CellRef]:
     if kind == "ref":
         yield node[1]
     elif kind == "range":
-        for row, col in _range_cells(node[1], node[2]):
+        for row, col in range_cells(*_range_bounds(node[1], node[2])):
             yield CellRef(row, col)
     elif kind == "neg":
         yield from _walk_refs(node[1])
@@ -506,8 +523,14 @@ class Formula:
         ast, changed = _rebase_node(self._ast, mapper)
         return Formula._from_ast(ast) if changed else self
 
-    def evaluate(self, resolve: Resolver) -> float:
-        result = _eval(self._ast, resolve)
+    def evaluate(self, resolve: Resolver,
+                 read_range: Optional[RangeReader] = None) -> float:
+        """The formula's value, reading cells through ``resolve`` and
+        ranges through ``read_range(top, left, bottom, right)`` (by
+        default one ``resolve`` per cell, :func:`read_cells`)."""
+        if read_range is None:
+            read_range = partial(read_cells, resolve)
+        result = _eval(self._ast, resolve, read_range)
         return _scalar(result) if isinstance(result, list) else float(result)
 
     def __repr__(self) -> str:

@@ -76,7 +76,14 @@ from ...core.datastream import (
     EndObject,
     ViewRef,
 )
-from .formula import CellRef, Formula, FormulaError, ref_name
+from .formula import (
+    CellRef,
+    Formula,
+    FormulaError,
+    range_cells,
+    read_cells,
+    ref_name,
+)
 from .recalc import CycleError, DependencyGraph
 
 __all__ = ["TableData", "Cell", "CYCLE_ERROR", "VALUE_ERROR"]
@@ -345,6 +352,28 @@ class TableData(DataObject):
             raise FormulaError(f"{ref_name(row, col)} has no value")
         return 0.0  # text/objects/empty read as 0 in formulas
 
+    def _read_range(self, top: int, left: int, bottom: int,
+                    right: int) -> List[float]:
+        """A formula range's values in row-major order, as
+        :func:`~.formula.read_cells` over :meth:`_resolve` reads them.
+
+        One bounds check for the whole range, then the cached values
+        are read straight from ``_values``; only a cell holding no
+        number goes through :meth:`_resolve`, in row-major order, so
+        the first bad cell raises the error a per-cell read raises.
+        """
+        if not (0 <= top and bottom < self.rows
+                and 0 <= left and right < self.cols):
+            return read_cells(self._resolve, top, left, bottom, right)
+        values = list(map(self._values.get,
+                          range_cells(top, left, bottom, right)))
+        if set(map(type, values)) == {float}:
+            return values
+        return [value if type(value) is float
+                else float(self._resolve(*key))
+                for key, value in zip(range_cells(top, left, bottom, right),
+                                      values)]
+
     def _compute_one(self, key: Tuple[int, int]):
         """One cell's value from its content; ``None`` means empty."""
         cell = self._cells.get(key)
@@ -355,7 +384,7 @@ class TableData(DataObject):
             return content
         if isinstance(content, Formula):
             try:
-                value = content.evaluate(self._resolve)
+                value = content.evaluate(self._resolve, self._read_range)
             except (ValueError, ArithmeticError):
                 # FormulaError (a ValueError), math domain errors, and
                 # overflow/zero-division all surface as #VALUE.

@@ -203,6 +203,9 @@ class TextView(View, Scrollable):
         self._starts = _ShiftedInts([])
         self._prefix = _ShiftedInts([0])
         self._embed_lines: List[_EmbedLine] = []
+        # What the last layout's splice did: (index one past the new
+        # lines, height change), or None after a full or no-op layout.
+        self._spliced: Optional[Tuple[int, int]] = None
         self._bind_keys()
         self._build_menus()
         if dataobject is not None:
@@ -277,8 +280,10 @@ class TextView(View, Scrollable):
     def set_dot(self, pos: int, extend: bool = False) -> None:
         """Move the caret; ``extend`` grows the selection instead.
 
-        A plain caret move damages only the old and the new caret line;
-        a scroll or a selection change repaints the whole view.
+        A plain caret move damages only the old and the new caret line.
+        A move that scrolls shifts the window's rows (:meth:`_scrolled_from`)
+        and damages the exposed strip plus both caret lines; a selection
+        change repaints the whole view.
         """
         if self.data is None or self._dot is None:
             return
@@ -294,12 +299,16 @@ class TextView(View, Scrollable):
             self._clear_selection()
         self._dot.pos = pos
         self._scroll_dot_visible()
-        if (self._top != top or selection is not None
-                or self.selection() is not None):
+        if selection is not None or self.selection() is not None:
             self.want_update()
             return
         new_caret = self._caret_row()
-        if old_caret is not None and old_caret != new_caret:
+        if self._top != top:
+            # Posted before the shift, the old caret row moves with it.
+            if old_caret is not None:
+                self.want_update(old_caret)
+            self._scrolled_from(top)
+        elif old_caret is not None and old_caret != new_caret:
             self.want_update(old_caret)
         if new_caret is not None:
             self.want_update(new_caret)
@@ -332,19 +341,50 @@ class TextView(View, Scrollable):
     def on_data_changed(self, change: ChangeRecord) -> None:
         """Repair incrementally: "the view must determine what the
         change is and update its visual representation appropriately"
-        (§2).  An edit can only move content on its own display line
-        and below (wrap is per-paragraph, top-down), so the damage is
-        the changed line's row to the bottom of the view; changes above
-        or below the visible region damage everything / nothing."""
+        (§2).  A change inside the window is laid out at once and its
+        damage read from the splice (:meth:`_edit_damage`); a change
+        above the window damages everything, one below it nothing."""
         damage_top = self._damage_row_for(change)
         self._record_change(change)
         self._needs_layout = True
         if damage_top is None:
             self.want_update()
         elif damage_top < self.height:
-            self.want_update(
-                Rect(0, damage_top, self.width, self.height - damage_top)
-            )
+            self.want_update(self._edit_damage(damage_top))
+
+    def _edit_damage(self, damage_top: int) -> Rect:
+        """Lay out the change just recorded and return the rows to
+        repaint, from ``damage_top`` (the first row it can touch).
+
+        Lines before the changed row are unchanged, so when the splice
+        kept the height, only its rows down to its end changed.  When
+        the height changed, the rows below the splice's old end are
+        shifted to its new end (the terminal's insert/delete-line, on
+        the scroll path) and the splice's rows repainted.  Anything the
+        splice cannot bound -- a full layout, embedded blocks, a moved
+        ``_top``, a refused shift -- repaints to the bottom of the view.
+        A view outside a window posts nowhere, so it lays out lazily.
+        """
+        bottom = Rect(0, damage_top, self.width, self.height - damage_top)
+        if self.interaction_manager() is None:
+            return bottom
+        top = self._top
+        self.ensure_layout()
+        if (self._spliced is None or self._top != top
+                or not self.scroll_blit_ok()):
+            return bottom
+        end, delta = self._spliced
+        prefix = self._prefix
+        new_end = prefix[end] - prefix[top]
+        if new_end <= damage_top:
+            return bottom
+        area_top = min(new_end, new_end - delta)
+        if delta and area_top < self.height and not self.want_scroll(
+            Rect(0, area_top, self.width, self.height - area_top), delta
+        ):
+            return bottom
+        return Rect(0, damage_top, self.width,
+                    min(new_end, self.height) - damage_top)
 
     # -- incremental-relayout bookkeeping -----------------------------------
 
@@ -421,7 +461,15 @@ class TextView(View, Scrollable):
         self._full_layout = False
 
     def _damage_row_for(self, change: ChangeRecord) -> Optional[int]:
-        """First view row affected by ``change``, or None for 'all'."""
+        """First view row ``change`` can touch, or None for 'all'.
+
+        Wrapping is per paragraph and top-down, so a display line
+        ending before ``where`` keeps its text and height; the first
+        line that can change is the one ending at or after ``where``.
+        (A line ending exactly there can only gain glyphs no taller
+        than its own, so the lines above the window keep their
+        heights.)  A change above the window moves every row.
+        """
         if change.what not in ("insert", "delete", "style") or not isinstance(
             change.where, int
         ):
@@ -432,15 +480,14 @@ class TextView(View, Scrollable):
             return None
         where = change.where
         if where < starts[self._top]:
-            return 0  # content above the window moved: repaint all
+            return None
         y = 0
         for index in range(self._top, n):
             if y >= self.height:
                 return self.height  # change below the window: no damage
-            # ``<=`` so an edit at a line's end (the caret sitting at
-            # end-of-line, the common typing position) damages that
-            # line's row; damage runs to the bottom, so attributing it
-            # one row early is always safe, never wrong.
+            # ``<=``: a line ending exactly at ``where`` may change
+            # too (an edit at the next line's start can pull glyphs
+            # back onto it); starting one row early is always safe.
             if where <= starts[index] + len(lines[index].text) or (
                 index == n - 1
             ):
@@ -492,6 +539,7 @@ class TextView(View, Scrollable):
         cannot be trusted (first layout, width change, region change,
         embed mutations, dataobject swap).
         """
+        self._spliced = None
         if self.data is None or self.width <= 0:
             self._install([], [])
             self._dirty_lo = self._dirty_hi = None
@@ -551,9 +599,10 @@ class TextView(View, Scrollable):
         self._lines[i0:k] = lines
         self._starts.splice(i0, k, starts)
         prefix.splice(i0 + 1, k + 1, heights)
-        if total - base != old_height:
-            prefix.shift_from(i0 + 1 + len(heights),
-                              total - base - old_height)
+        delta = total - base - old_height
+        if delta:
+            prefix.shift_from(i0 + 1 + len(heights), delta)
+        self._spliced = (i0 + len(lines), delta)
 
     def _layout_full(self) -> None:
         lo, hi = self.region()
@@ -617,6 +666,11 @@ class TextView(View, Scrollable):
             # The empty trailing line (the caret home) inherits its
             # paragraph properties from the wrap state left by the
             # content before it — re-derive it with the re-wrap.
+            k = n
+        elif self._dirty_hi > hi:
+            # A cut reached the end (the span's join point clamped to
+            # it): a cached line starting there may be the deleted
+            # paragraph's, so nothing after the span is trusted.
             k = n
         if k == n and para_start >= hi:
             # Empty re-wrap range ending at the buffer tail: the trailing
@@ -1116,13 +1170,23 @@ class TextView(View, Scrollable):
 
         Typing at the bottom row used to push the caret silently below
         the window once its display line wrapped; the view never
-        scrolled after it.  Only an actual scroll posts (full) damage —
-        the ordinary keystroke keeps its row-clipped damage rect.
+        scrolled after it.  A scroll shifts the view, and the edit's
+        queued rows move with the shift (:meth:`_scrolled_from`).
         """
+        # The shift is measured in the current layout, whose clamp may
+        # move ``_top`` when a pending change is laid out.
+        self.ensure_layout()
         before = self._top
         self._scroll_dot_visible()
         if self._top != before:
-            self.want_update()
+            self._scrolled_from(before)
+
+    def _scrolled_from(self, before: int) -> None:
+        """Post repair for a caret-driven move of ``_top`` from line
+        ``before``: a shift of the whole view plus the exposed strip,
+        or whole-view damage when the shift is refused."""
+        prefix = self._prefix
+        self.scroll_moved(prefix[before] - prefix[self._top])
 
     # -- command implementations (bound in the keymap) ----------------------
 

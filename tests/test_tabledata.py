@@ -1,6 +1,8 @@
 """Tests for the table/spreadsheet data object."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.class_system import FunctionObserver
 from repro.components.table import (
@@ -446,3 +448,52 @@ class TestExternalRepresentation:
     def test_empty_table_roundtrip(self):
         restored = self.roundtrip(TableData(4, 5))
         assert (restored.rows, restored.cols) == (4, 5)
+
+
+# ---------------------------------------------------------------------------
+# Range reads: one pass over the value cache against the per-cell walk
+# ---------------------------------------------------------------------------
+
+
+def reference_read_range(table, top, left, bottom, right):
+    """The per-cell range read: one ``_resolve`` per cell, row-major."""
+    return [float(table._resolve(row, col))
+            for row in range(top, bottom + 1)
+            for col in range(left, right + 1)]
+
+
+def _outcome(read):
+    try:
+        return ("ok", read())
+    except Exception as exc:  # the same type and message, or a mismatch
+        return ("raises", type(exc), str(exc))
+
+
+_CONTENTS = st.one_of(
+    st.none(),
+    st.floats(-1e6, 1e6, allow_nan=False).map(float),
+    st.sampled_from(["note", "", "=1/0", "=A1", "=B2+1", "=SUM(A1:B2)",
+                     "=#REF", "=C1*2"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_read_range_matches_per_cell_resolve(rows, cols, draw):
+    # Numbers, text, empties, #VALUE and #CYCLE cells, and ranges that
+    # run off the table: the same values, or the same error for the
+    # first bad cell in row-major order.
+    table = TableData(rows, cols)
+    for row in range(rows):
+        for col in range(cols):
+            content = draw.draw(_CONTENTS)
+            if content is not None:
+                table.set_cell(row, col, content)
+    table.value_at(0, 0)  # materialise the value cache
+    top = draw.draw(st.integers(0, rows))
+    left = draw.draw(st.integers(0, cols))
+    bottom = draw.draw(st.integers(top, rows + 1))
+    right = draw.draw(st.integers(left, cols + 1))
+    assert _outcome(lambda: table._read_range(top, left, bottom, right)) \
+        == _outcome(lambda: reference_read_range(table, top, left,
+                                                 bottom, right))

@@ -129,6 +129,14 @@ class TestDirectedEquivalence:
         data.delete(2, 1)
         assert_equivalent(*pair[:4])
 
+    def test_delete_last_newline_after_empty_paragraph(self, ascii_ws):
+        # The cut's join point clamps to the buffer end, where the
+        # deleted empty paragraph's cached line must not be reused.
+        pair = make_pair(ascii_ws, "ab\n\n")
+        *_, data = pair
+        data.delete(3, 1)
+        assert_equivalent(*pair[:4])
+
     def test_style_change_rewraps_span(self, ascii_ws):
         pair = make_pair(ascii_ws, "plain text\nstyled paragraph\nplain")
         *_, data = pair

@@ -260,8 +260,53 @@ class TestEmbeddedViews:
         assert data.embeds()[0].pos == 0
 
 
+def _sentinel_rows(im, action):
+    """Run ``action``, flush, and return the rows that kept a sentinel.
+
+    A ``?`` goes in the last column of every row first: text never
+    reaches that column (lines wrap one cell short of the width), so a
+    repainted row loses its sentinel, while a row the flush left alone
+    keeps it, and a shifted row carries it along.  The surviving
+    sentinels are blanked again, so the surface can be compared with a
+    full redraw afterwards.
+    """
+    surface = im.window.surface
+    last = surface.width - 1
+    for row in range(surface.height):
+        surface.put(last, row, "?")
+    action()
+    im.flush_updates()
+    kept = [row for row in range(surface.height)
+            if surface.char_at(last, row) == "?"]
+    for row in kept:
+        surface.put(last, row, " ")
+    return kept
+
+
+def _matches_full_redraw(im):
+    live = fingerprint(im.window)
+    im.redraw()
+    return live == fingerprint(im.window)
+
+
 class TestIncrementalRepair:
+    """Edits repaint the rows the splice changed and shift the rows
+    below it when the change moved them."""
+
+    @pytest.fixture
+    def lined(self, make_im):
+        im = make_im(width=30, height=8)
+        data = TextData("\n".join(f"line {i}" for i in range(12)))
+        view = TextView(data)
+        im.set_child(view)
+        im.set_focus(view)
+        im.process_events()
+        im.redraw()
+        return im, view, data
+
     def test_edit_damages_from_changed_line_down(self, make_im):
+        # Down to the end of the changed lines only: a same-height edit
+        # on row 5 repaints row 5 and leaves rows 0 and 7 alone.
         im = make_im(width=30, height=8)
         data = TextData("\n".join(f"line {i}" for i in range(8)))
         view = TextView(data)
@@ -274,10 +319,70 @@ class TestIncrementalRepair:
         pos = data.search("line 5")
         data.insert(pos, "X")
         im.flush_updates()
-        # Rows above the change were not repainted; rows at/below were.
         assert im.window.surface.char_at(0, 0) == "?"
         assert im.window.surface.char_at(0, 5) == "X"
-        assert im.window.surface.char_at(0, 7) != "?"
+        assert im.window.surface.char_at(0, 7) == "?"
+
+    def test_return_shifts_the_rows_below(self, lined):
+        im, view, data = lined
+        view.set_dot(data.search("line 3") + 2)
+        im.flush_updates()
+        kept = _sentinel_rows(im, lambda: view.insert_text("\n"))
+        # Rows 3-4 hold the split line; rows 4-6 moved to 5-7.
+        assert kept == [0, 1, 2, 5, 6, 7]
+        assert _matches_full_redraw(im)
+
+    def test_wrap_growing_insert_shifts_the_rows_below(self, lined):
+        im, view, data = lined
+        data.insert(data.search("line 2") + 6, " and a long tail")
+        im.flush_updates()
+        kept = _sentinel_rows(
+            im, lambda: data.insert(data.search("tail") + 4, " that wraps"))
+        assert kept == [0, 1, 4, 5, 6, 7]
+        assert view._lines[3].text == "raps"
+        assert _matches_full_redraw(im)
+
+    def test_backspace_joining_lines_shifts_the_rows_below_up(self, lined):
+        im, view, data = lined
+        view.set_dot(data.search("line 4"))
+        im.flush_updates()
+        kept = _sentinel_rows(
+            im, lambda: view.delete_selection_or(view.dot - 1, 1))
+        # Row 3 holds the joined line; rows 5-7 moved to 4-6 and the
+        # exposed bottom row shows line 8.  The queue keeps one bounding
+        # rect per view, so rows 3 to 7 are repainted.
+        assert kept == [0, 1, 2]
+        assert im.snapshot_lines()[7].startswith("line 8")
+        assert _matches_full_redraw(im)
+
+    def test_style_change_repaints_its_row(self, lined):
+        im, view, data = lined
+        start = data.search("line 4")
+        kept = _sentinel_rows(
+            im, lambda: data.add_style(start, start + 4, "bold"))
+        assert kept == [0, 1, 2, 3, 5, 6, 7]
+        assert _matches_full_redraw(im)
+
+    def test_embedded_block_falls_back_to_the_bottom(self, lined):
+        im, view, data = lined
+        data.insert_object(data.search("line 1"), TableData(1, 1))
+        im.flush_updates()
+        im.redraw()
+        kept = _sentinel_rows(
+            im, lambda: data.insert(data.search("line 3"), "X"))
+        assert im.snapshot_lines()[6].startswith("Xline 3")
+        assert kept == [0, 1, 2, 3, 4, 5]
+        assert _matches_full_redraw(im)
+
+    def test_caret_scroll_by_one_line_shifts_the_view(self, lined):
+        im, view, data = lined
+        view.set_dot(data.search("line 7"))
+        im.flush_updates()
+        kept = _sentinel_rows(im, lambda: view._cmd_down(view, None))
+        # Rows 1-7 moved to 0-6; the old caret row moved with them.
+        assert view._top == 1
+        assert kept == [0, 1, 2, 3, 4, 5]
+        assert _matches_full_redraw(im)
 
     def test_change_above_window_repaints_all(self, make_im):
         im = make_im(width=30, height=4)
@@ -529,31 +634,37 @@ class TestCaretDamage:
         finally:
             obs.configure(metrics=was, reset_data=True)
 
-    def _matches_full_redraw(self, im):
-        live = fingerprint(im.window)
-        im.redraw()
-        return live == fingerprint(im.window)
-
     def test_move_within_line_repaints_one_row(self, lined):
         im, view, _ = lined
         assert self._repainted(im, lambda: view._cmd_right(view, None)) == 30
-        assert self._matches_full_redraw(im)
+        assert _matches_full_redraw(im)
 
     def test_move_between_lines_repaints_two_rows(self, lined):
         im, view, _ = lined
         assert self._repainted(im, lambda: view._cmd_down(view, None)) == 60
-        assert self._matches_full_redraw(im)
+        assert _matches_full_redraw(im)
 
     def test_scrolling_move_repaints_whole_view(self, lined):
+        # A jump of a whole page leaves no row to shift.
+        im, view, data = lined
+        far = data.search("line 11")
+        assert self._repainted(im, lambda: view.set_dot(far)) == 30 * 6
+        assert view._top == 6
+        assert _matches_full_redraw(im)
+
+    def test_scrolling_move_shifts_and_repaints_the_strip(self, lined):
+        # Five lines down: row 5 moves to row 0 and rows 1-5 are
+        # exposed; the old caret row (2) left the window with the shift.
         im, view, data = lined
         far = data.search("line 10")
-        assert self._repainted(im, lambda: view.set_dot(far)) == 30 * 6
-        assert self._matches_full_redraw(im)
+        assert self._repainted(im, lambda: view.set_dot(far)) == 30 * 5
+        assert view._top == 5
+        assert _matches_full_redraw(im)
 
     def test_selection_change_repaints_whole_view(self, lined):
         im, view, _ = lined
         grow = lambda: view.set_dot(view.dot + 3, extend=True)  # noqa: E731
         assert self._repainted(im, grow) == 30 * 6
-        assert self._matches_full_redraw(im)
+        assert _matches_full_redraw(im)
         assert self._repainted(im, lambda: view.set_dot(view.dot)) == 30 * 6
-        assert self._matches_full_redraw(im)
+        assert _matches_full_redraw(im)
