@@ -220,11 +220,11 @@ class TextView(View, Scrollable):
             if self._dot is not None:
                 self.dataobject.marks.release(self._dot)
                 self._dot = None
+            self._clear_selection()
             self.clear_region()
         super().set_dataobject(dataobject)
         if dataobject is not None:
             self._dot = dataobject.marks.create(0, RIGHT)
-        self._anchor = None
         self._region_start = None
         self._region_end = None
         self._full_layout = True

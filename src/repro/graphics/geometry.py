@@ -13,65 +13,74 @@ displays of the period.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional
 
 __all__ = ["Point", "Rect", "Region"]
 
+_new = tuple.__new__
+_tuple_eq = tuple.__eq__
+_tuple_hash = tuple.__hash__
 
-class Point:
-    """An immutable 2-D integer point."""
 
-    __slots__ = ("x", "y")
+class Point(tuple):
+    """An immutable 2-D integer point.
 
-    def __init__(self, x: int, y: int) -> None:
-        object.__setattr__(self, "x", int(x))
-        object.__setattr__(self, "y", int(y))
+    A tuple underneath, so construction and field reads stay in C; it
+    equals only another point, never a plain tuple.
+    """
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Point is immutable")
+    __slots__ = ()
+
+    def __new__(cls, x: int, y: int) -> "Point":
+        return _new(cls, (int(x), int(y)))
+
+    x = property(itemgetter(0))
+    y = property(itemgetter(1))
 
     def offset(self, dx: int, dy: int) -> "Point":
         """Return this point translated by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
+        return _new(Point, (int(self[0] + dx), int(self[1] + dy)))
 
     def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
+        return Point(self[0] + other[0], self[1] + other[1])
 
     def __sub__(self, other: "Point") -> "Point":
-        return Point(self.x - other.x, self.y - other.y)
+        return Point(self[0] - other[0], self[1] - other[1])
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Point) and self.x == other.x and self.y == other.y
-        )
+        return isinstance(other, Point) and _tuple_eq(self, other)
 
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
+    def __ne__(self, other) -> bool:
+        return not self.__eq__(other)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter((self.x, self.y))
+    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
-        return f"Point({self.x}, {self.y})"
+        return f"Point({self[0]}, {self[1]})"
 
 
-class Rect:
+class Rect(tuple):
     """An immutable axis-aligned rectangle ``(left, top, width, height)``.
 
     A rectangle with non-positive width or height is *empty*: it contains
     no points, intersects nothing, and unions as the identity.
+
+    A tuple underneath, so construction and field reads stay in C (the
+    device clips and the update queue build rects in their hot loops).
+    It equals only another rect, never a plain tuple, and every empty
+    rect equals every other.
     """
 
-    __slots__ = ("left", "top", "width", "height")
+    __slots__ = ()
 
-    def __init__(self, left: int, top: int, width: int, height: int) -> None:
-        object.__setattr__(self, "left", int(left))
-        object.__setattr__(self, "top", int(top))
-        object.__setattr__(self, "width", int(width))
-        object.__setattr__(self, "height", int(height))
+    def __new__(cls, left: int, top: int, width: int, height: int) -> "Rect":
+        return _new(cls, (int(left), int(top), int(width), int(height)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Rect is immutable")
+    left = property(itemgetter(0))
+    top = property(itemgetter(1))
+    width = property(itemgetter(2))
+    height = property(itemgetter(3))
 
     @classmethod
     def from_corners(cls, x0: int, y0: int, x1: int, y1: int) -> "Rect":
@@ -82,19 +91,19 @@ class Rect:
 
     @classmethod
     def empty(cls) -> "Rect":
-        return cls(0, 0, 0, 0)
+        return _EMPTY
 
     # -- derived coordinates -------------------------------------------
 
     @property
     def right(self) -> int:
         """One past the rightmost column (exclusive)."""
-        return self.left + self.width
+        return self[0] + self[2]
 
     @property
     def bottom(self) -> int:
         """One past the bottommost row (exclusive)."""
-        return self.top + self.height
+        return self[1] + self[3]
 
     @property
     def origin(self) -> Point:
@@ -109,7 +118,7 @@ class Rect:
         return 0 if self.is_empty() else self.width * self.height
 
     def is_empty(self) -> bool:
-        return self.width <= 0 or self.height <= 0
+        return self[2] <= 0 or self[3] <= 0
 
     # -- predicates ------------------------------------------------------
 
@@ -138,47 +147,48 @@ class Rect:
         )
 
     def intersects(self, other: "Rect") -> bool:
-        if self.is_empty() or other.is_empty():
-            return False
-        return (
-            self.left < other.right
-            and other.left < self.right
-            and self.top < other.bottom
-            and other.top < self.bottom
-        )
+        left, top, width, height = self
+        oleft, otop, owidth, oheight = other
+        return (width > 0 and height > 0 and owidth > 0 and oheight > 0
+                and left < oleft + owidth and oleft < left + width
+                and top < otop + oheight and otop < top + height)
 
     # -- constructions ---------------------------------------------------
 
     def intersection(self, other: "Rect") -> "Rect":
         """The overlapping rectangle, or an empty rect if disjoint."""
-        if not self.intersects(other):
-            return Rect.empty()
-        left = max(self.left, other.left)
-        top = max(self.top, other.top)
-        return Rect(
-            left,
-            top,
-            min(self.right, other.right) - left,
-            min(self.bottom, other.bottom) - top,
-        )
+        left, top, width, height = self
+        oleft, otop, owidth, oheight = other
+        right = min(left + width, oleft + owidth)
+        bottom = min(top + height, otop + oheight)
+        if left < oleft:
+            left = oleft
+        if top < otop:
+            top = otop
+        if (width <= 0 or height <= 0 or owidth <= 0 or oheight <= 0
+                or left >= right or top >= bottom):
+            return _EMPTY
+        return _new(Rect, (left, top, right - left, bottom - top))
 
     def union(self, other: "Rect") -> "Rect":
         """The smallest rectangle covering both (empty rects ignored)."""
-        if self.is_empty():
+        left, top, width, height = self
+        if width <= 0 or height <= 0:
             return other
-        if other.is_empty():
+        oleft, otop, owidth, oheight = other
+        if owidth <= 0 or oheight <= 0:
             return self
-        left = min(self.left, other.left)
-        top = min(self.top, other.top)
-        return Rect(
-            left,
-            top,
-            max(self.right, other.right) - left,
-            max(self.bottom, other.bottom) - top,
-        )
+        right = max(left + width, oleft + owidth)
+        bottom = max(top + height, otop + oheight)
+        if oleft < left:
+            left = oleft
+        if otop < top:
+            top = otop
+        return _new(Rect, (left, top, right - left, bottom - top))
 
     def offset(self, dx: int, dy: int) -> "Rect":
-        return Rect(self.left + dx, self.top + dy, self.width, self.height)
+        return _new(Rect, (int(self[0] + dx), int(self[1] + dy),
+                           self[2], self[3]))
 
     def inset(self, dx: int, dy: int) -> "Rect":
         """Shrink by ``dx`` on each side horizontally and ``dy`` vertically.
@@ -222,26 +232,25 @@ class Rect:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Rect):
-            return NotImplemented
+            return False if isinstance(other, tuple) else NotImplemented
         if self.is_empty() and other.is_empty():
             return True
-        return (
-            self.left == other.left
-            and self.top == other.top
-            and self.width == other.width
-            and self.height == other.height
-        )
+        return _tuple_eq(self, other)
+
+    def __ne__(self, other) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def __hash__(self) -> int:
         if self.is_empty():
             return hash("empty-rect")
-        return hash((self.left, self.top, self.width, self.height))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter((self.left, self.top, self.width, self.height))
+        return _tuple_hash(self)
 
     def __repr__(self) -> str:
-        return f"Rect({self.left}, {self.top}, {self.width}, {self.height})"
+        return f"Rect({self[0]}, {self[1]}, {self[2]}, {self[3]})"
+
+
+_EMPTY = Rect(0, 0, 0, 0)
 
 
 class Region:

@@ -22,7 +22,6 @@ paper's default-printing design, reproduced in
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import List, Optional, Tuple
 
@@ -238,7 +237,8 @@ class Graphic:
         never draw outside the space its parent allocated — the visual
         containment invariant of the view tree (§3).
         """
-        clone = copy.copy(self)
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
         clone.origin = self.to_device(rect.origin)
         clone.clip = self.clip.intersection(self.rect_to_device(rect))
         clone.state = self.state.clone()

@@ -16,7 +16,10 @@ The logged ops already are wire ops
 (:data:`repro.graphics.batch.SCHEMA`), so nothing is copied or
 translated.  Writes that bypass the drawable (an offscreen
 ``copy_to``, how ``AnimationView`` shows its pre-composed frames) are
-not logged; the encoder's shadow diff repairs them.
+not logged; the encoder's shadow diff repairs them.  On the ascii
+target that diff covers the rows the surface recorded as written, so
+frames stay byte-identical only while every surface writer marks its
+rows (``CellSurface.mark_rows``).
 
 Select it like any backend: ``ANDREW_WM=remote`` builds one from the
 environment (``ANDREW_REMOTE_TARGET``,
@@ -95,7 +98,10 @@ class _RemoteWindowMixin:
         ops = self.commands.take()
         if encoder is None or not self._sink.sinks:
             # No viewer: drop the ops; the attach keyframe will carry
-            # whatever state accumulates meanwhile.
+            # whatever state accumulates meanwhile (a resumed viewer
+            # gets a whole-surface diff instead).
+            if ops and encoder is not None:
+                encoder.drop()
             return
         data = encoder.encode(ops, self._wire_surface())
         if data is not None:

@@ -14,7 +14,12 @@ and appends repair ops for anything the op list missed — an
 ``OffscreenWindow.copy_to`` (how ``AnimationView`` shows its
 pre-composed frames) writes window surfaces directly without
 logging, so prediction alone can't be complete.
-With repairs, byte-identity is unconditional.
+On the ascii target the diff and the shadow sync cover only the rows
+the surface recorded as written since the last frame
+(:meth:`~repro.wm.ascii_ws.CellSurface.take_dirty`), so byte-identity
+holds as long as every surface writer marks its rows; the whole
+surface is diffed on keyframes, after a copy logged behind a draw, and
+after a flush dropped ops with no viewer attached.
 
 Frame shapes per mode:
 
@@ -25,8 +30,8 @@ Frame shapes per mode:
   resynchronizes without a back-channel.
 * **delta, ascii** — scroll ``copy`` ops ship verbatim (a cell diff
   would re-send every shifted row), then ``cells`` runs carry exactly
-  the cells that differ from the post-scroll shadow — the terminal
-  emits only changed cells.
+  the cells of the written rows that differ from the post-scroll
+  shadow — the terminal emits only changed cells.
 * **delta, raster** — :func:`delta_compress` elides runs of ops
   unchanged from the previous frame into ``("ref", start, count)``
   tuples, then ``rowbits`` spans repair prediction gaps.
@@ -47,6 +52,7 @@ gap fell out of the window, in which case the caller falls back to
 from __future__ import annotations
 
 import collections
+from itertools import count
 from typing import Deque, List, Optional, Tuple
 
 from .. import obs
@@ -100,13 +106,15 @@ def delta_compress(ops: List[tuple],
     return out, elided
 
 
-def diff_cells(old, new, max_gap: int = 4) -> Tuple[List[tuple], int]:
+def diff_cells(old, new, max_gap: int = 4,
+               rows: Optional[range] = None) -> Tuple[List[tuple], int]:
     """Changed-cell runs between two equally sized ``CellSurface``s.
 
-    Rows whose chars and attributes compare equal as slices (one C-level
-    compare each) are skipped; only the rows that differ get the
-    per-cell scan.  Per row, changed cells group into runs; gaps of up
-    to ``max_gap`` unchanged cells merge into the surrounding run
+    Scans ``rows`` (every row by default).  Rows whose chars and
+    attributes compare equal as slices (one C-level compare each) are
+    skipped; a row that differs gets one ``zip`` pass over its six
+    slices.  Per row, changed cells group into runs; gaps of up to
+    ``max_gap`` unchanged cells merge into the surrounding run
     (re-sending a few identical cells is cheaper than another op
     header).  Returns ``(cells_ops, changed_cell_count)``.
     """
@@ -115,18 +123,23 @@ def diff_cells(old, new, max_gap: int = 4) -> Tuple[List[tuple], int]:
     width = new.width
     old_chars, old_inverse, old_bold = old._chars, old._inverse, old._bold
     new_chars, new_inverse, new_bold = new._chars, new._inverse, new._bold
-    for y in range(new.height):
+    for y in range(new.height) if rows is None else rows:
         base = y * width
         end = base + width
-        if (old_chars[base:end] == new_chars[base:end]
-                and old_inverse[base:end] == new_inverse[base:end]
-                and old_bold[base:end] == new_bold[base:end]):
+        row_chars = new_chars[base:end]
+        row_inverse = new_inverse[base:end]
+        row_bold = new_bold[base:end]
+        was_chars = old_chars[base:end]
+        was_inverse = old_inverse[base:end]
+        was_bold = old_bold[base:end]
+        if (was_chars == row_chars and was_inverse == row_inverse
+                and was_bold == row_bold):
             continue
         row_changed = [
-            x for x in range(width)
-            if (old_chars[base + x] != new_chars[base + x]
-                or old_inverse[base + x] != new_inverse[base + x]
-                or old_bold[base + x] != new_bold[base + x])
+            x for x, a, b, c, d, e, f in zip(
+                count(), was_chars, row_chars, was_inverse, row_inverse,
+                was_bold, row_bold)
+            if a != b or c != d or e != f
         ]
         changed += len(row_changed)
         run_start = prev = row_changed[0]
@@ -138,10 +151,9 @@ def diff_cells(old, new, max_gap: int = 4) -> Tuple[List[tuple], int]:
             prev = x
         runs.append((run_start, prev))
         for x0, x1 in runs:
-            chars = "".join(new_chars[base + x0:base + x1 + 1])
-            inverse = wire.pack_bits(new_inverse[base + x0:base + x1 + 1])
-            bold = wire.pack_bits(new_bold[base + x0:base + x1 + 1])
-            ops.append(("cells", y, x0, chars, inverse, bold))
+            ops.append(("cells", y, x0, "".join(row_chars[x0:x1 + 1]),
+                        wire.pack_bits(row_inverse[x0:x1 + 1]),
+                        wire.pack_bits(row_bold[x0:x1 + 1])))
     return ops, changed
 
 
@@ -257,15 +269,28 @@ class FrameEncoder:
         replica = Applier(self.target, width, height)
         self._shadow, self._shadow_graphic = replica.surface, replica.graphic
         self._force_keyframe = True
+        self._log_gap = False
+
+    def drop(self) -> None:
+        """The window discarded a frame's ops unshipped (no viewer).
+
+        The shadow missed those ops, copies among them, so the written
+        rows no longer bound what differs: the next delta diffs the
+        whole surface.
+        """
+        self._log_gap = True
 
     # -- shadow plumbing -------------------------------------------------
 
-    def _sync_shadow(self, surface) -> None:
+    def _sync_shadow(self, surface, rows: range) -> None:
         shadow = self._shadow
         if self.target == "ascii":
-            shadow._chars[:] = surface._chars
-            shadow._inverse[:] = surface._inverse
-            shadow._bold[:] = surface._bold
+            width = surface.width
+            start, stop = rows.start * width, rows.stop * width
+            if start < stop:
+                shadow._chars[start:stop] = surface._chars[start:stop]
+                shadow._inverse[start:stop] = surface._inverse[start:stop]
+                shadow._bold[start:stop] = surface._bold[start:stop]
         else:
             shadow._bits[:] = surface._bits
 
@@ -282,11 +307,20 @@ class FrameEncoder:
     def encode(self, wire_ops: List[tuple], surface) -> Optional[bytes]:
         keyframe = (self._force_keyframe
                     or self._since_keyframe >= self.keyframe_interval)
+        # The rows to diff and sync: on ascii, those written since the
+        # last encode, unless the log is not the whole story.
+        rows = range(self.height)
+        if self.target == "ascii":
+            written = surface.take_dirty()
+            if not (keyframe or self._log_gap):
+                rows = written
+            self._log_gap = False
         if keyframe:
             out_ops = self._keyframe_ops(surface)
             elided = diffed = 0
         else:
-            out_ops, elided, diffed = self._delta_ops(wire_ops, surface)
+            out_ops, elided, diffed, rows = self._delta_ops(
+                wire_ops, surface, rows)
             if not out_ops:
                 return None  # nothing visible changed
 
@@ -295,7 +329,7 @@ class FrameEncoder:
         data = wire.encode_frame(frame)
         self._history.append((frame.seq, data))
         self._seq += 1
-        self._sync_shadow(surface)
+        self._sync_shadow(surface, rows)
         # What the renderer will hold as "previous ops" for refs.
         self._prev_ops = (list(out_ops) if keyframe
                           else wire.expand_refs(out_ops, self._prev_ops))
@@ -320,14 +354,20 @@ class FrameEncoder:
                 obs.registry.inc("remote.cell_diff_cells", diffed)
         return data
 
-    def _delta_ops(self, wire_ops, surface):
-        """Minimal delta frame; empty result means skip the frame."""
+    def _delta_ops(self, wire_ops, surface, rows: range):
+        """Minimal delta frame; empty result means skip the frame.
+
+        Returns ``(ops, elided, diffed, rows)``: ``rows`` are the rows
+        the shadow must sync, widened to the whole surface where the
+        diff had to be.
+        """
         if self.target == "ascii":
             # Scrolls ship verbatim (a cell diff would re-send whole
             # shifted rows); anything after them becomes a cell diff
-            # against the post-scroll shadow.  A copy logged *after*
-            # a draw can't be split out safely, so that rare shape
-            # falls back to a pure cell diff.
+            # against the post-scroll shadow, over the rows written.
+            # A copy logged *after* a draw can't be split out safely,
+            # so that rare shape falls back to a pure cell diff of the
+            # whole surface (the shadow never replays that copy).
             copies: List[tuple] = []
             for op in wire_ops:
                 if op[0] != "copy":
@@ -335,16 +375,17 @@ class FrameEncoder:
                 copies.append(op)
             if any(op[0] == "copy" for op in wire_ops[len(copies):]):
                 copies = []
+                rows = range(self.height)
             for op in copies:
                 apply_op(self._shadow_graphic, op)
-            cells, diffed = diff_cells(self._shadow, surface)
+            cells, diffed = diff_cells(self._shadow, surface, rows=rows)
             elided = len(wire_ops) - len(copies)
-            return copies + cells, max(0, elided), diffed
+            return copies + cells, max(0, elided), diffed, rows
         compressed, elided = delta_compress(wire_ops, self._prev_ops)
         for op in wire_ops:
             apply_op(self._shadow_graphic, op)
         repairs = diff_rowbits(self._shadow, surface)
-        return compressed + repairs, elided, 0
+        return compressed + repairs, elided, 0, rows
 
     def __repr__(self) -> str:
         return (f"<FrameEncoder {self.target} {self.width}x{self.height} "

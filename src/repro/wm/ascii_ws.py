@@ -45,9 +45,18 @@ def _cell_metrics(desc: FontDesc) -> FontMetrics:
 
 
 class CellSurface:
-    """A mutable grid of character cells with inverse/bold attributes."""
+    """A mutable grid of character cells with inverse/bold attributes.
 
-    __slots__ = ("width", "height", "_chars", "_inverse", "_bold")
+    The surface also records the band of rows written since the last
+    :meth:`take_dirty` (``_dirty_top`` up to ``_dirty_bottom``, empty
+    when top >= bottom).  Every writer marks its rows: the device
+    primitives, :meth:`put` and :meth:`toggle_inverse`, and an offscreen
+    ``copy_to``.  A remote encoder reads the band to bound its diff, so
+    a new writer that skips the mark ships a stale frame.
+    """
+
+    __slots__ = ("width", "height", "_chars", "_inverse", "_bold",
+                 "_dirty_top", "_dirty_bottom")
 
     def __init__(self, width: int, height: int) -> None:
         self.width = int(width)
@@ -56,6 +65,20 @@ class CellSurface:
         self._chars = [" "] * size
         self._inverse = bytearray(size)
         self._bold = bytearray(size)
+        self._dirty_top, self._dirty_bottom = self.height, 0
+
+    def mark_rows(self, top: int, bottom: int) -> None:
+        """Record rows ``top`` up to ``bottom`` (exclusive) as written."""
+        if top < self._dirty_top:
+            self._dirty_top = top
+        if bottom > self._dirty_bottom:
+            self._dirty_bottom = bottom
+
+    def take_dirty(self) -> range:
+        """The rows written since the last call; clears the record."""
+        rows = range(self._dirty_top, self._dirty_bottom)
+        self._dirty_top, self._dirty_bottom = self.height, 0
+        return rows
 
     def _index(self, x: int, y: int) -> int:
         return y * self.width + x
@@ -67,8 +90,13 @@ class CellSurface:
         """Write one cell; ``-1`` leaves an attribute unchanged."""
         if not self.in_bounds(x, y):
             return
-        i = self._index(x, y)
+        i = y * self.width + x
         self._chars[i] = char
+        # mark_rows, inlined: lines and blits put cell by cell.
+        if y < self._dirty_top:
+            self._dirty_top = y
+        if y >= self._dirty_bottom:
+            self._dirty_bottom = y + 1
         if inverse >= 0:
             self._inverse[i] = 1 if inverse else 0
         if bold >= 0:
@@ -88,6 +116,7 @@ class CellSurface:
     def toggle_inverse(self, x: int, y: int) -> None:
         if self.in_bounds(x, y):
             self._inverse[self._index(x, y)] ^= 1
+            self.mark_rows(y, y + 1)
 
     def lines(self) -> List[str]:
         """Render the grid; inverse blanks print as ``%`` so selections
@@ -134,6 +163,7 @@ class AsciiGraphic(Graphic):
         top, bottom = max(rect.top, 0), min(rect.bottom, surface.height)
         if left >= right or top >= bottom:
             return
+        surface.mark_rows(top, bottom)
         span = right - left
         inverse = surface._inverse
         if value < 0:
@@ -163,19 +193,29 @@ class AsciiGraphic(Graphic):
     def device_copy_area(self, rect: Rect, dx: int, dy: int) -> None:
         self._tally("copy_area")
         surface = self._surface
-        rect = rect.intersection(Rect(0, 0, surface.width, surface.height))
-        rect = rect.intersection(
-            Rect(-dx, -dy, surface.width, surface.height))
-        if rect.is_empty():
+        width, height = surface.width, surface.height
+        # Clip the source to the surface and to where it lands.
+        left, top, rect_width, rect_height = rect
+        right = min(left + rect_width, width, width - dx)
+        bottom = min(top + rect_height, height, height - dy)
+        left = max(left, 0, -dx)
+        top = max(top, 0, -dy)
+        if left >= right or top >= bottom:
             return
+        # A destination row inherits its source row's mark; a replica
+        # replaying this copy keeps every unmarked row equal.
+        marked_top = max(top, surface._dirty_top)
+        marked_bottom = min(bottom, surface._dirty_bottom)
+        if marked_top < marked_bottom:
+            surface.mark_rows(marked_top + dy, marked_bottom + dy)
         chars, inverse, bold = surface._chars, surface._inverse, surface._bold
-        width, span = surface.width, rect.width
-        rows = range(rect.top, rect.bottom)
+        span = right - left
+        rows = range(top, bottom)
         if dy > 0:  # shifting down: copy bottom-up so sources stay unread
             rows = reversed(rows)
         for y in rows:
-            src = y * width + rect.left
-            dst = (y + dy) * width + rect.left + dx
+            src = y * width + left
+            dst = (y + dy) * width + left + dx
             # RHS slices materialize copies, so horizontal overlap within
             # a row is safe in either direction.
             chars[dst:dst + span] = chars[src:src + span]
@@ -217,6 +257,7 @@ class AsciiGraphic(Graphic):
         if left >= right:
             return
         span = right - left
+        surface.mark_rows(y, y + 1)
         i = y * surface.width + left
         surface._chars[i:i + span] = text[left - x:right - x]
         surface._inverse[i:i + span] = bytes(span)
@@ -268,6 +309,7 @@ class AsciiOffscreen(OffscreenWindow):
             visible = visible.intersection(Rect(0, 0, dst.width, dst.height))
             if visible.is_empty():
                 return
+            dst.mark_rows(visible.top, visible.bottom)
             span = visible.width
             sx = visible.left - device.left
             sy = visible.top - device.top

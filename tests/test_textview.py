@@ -434,6 +434,19 @@ class TestTwoViewsOneBuffer:
         a.insert_text("xy")
         assert b.dot == 8
 
+    def test_detaching_a_view_with_a_selection_releases_its_marks(self):
+        d = TextData("abcdef")
+        keeper = TextView(d)
+        leaver = TextView(d)
+        leaver.set_dot(1)
+        leaver.set_dot(4, extend=True)
+        assert leaver.selection() == (1, 4)
+        assert len(d.marks._marks) == 3
+        leaver.set_dataobject(None)
+        # Only the view still attached holds a mark (its caret).
+        assert d.marks._marks == [keeper._dot]
+        assert leaver.selection() is None
+
 
 # ---------------------------------------------------------------------------
 # Run-level drawing: one draw_string per tab-free piece of a style run
