@@ -1,13 +1,15 @@
-"""The remote port's op log (remote recording).
+"""The remote raster port's op log (remote recording).
 
 The paper's drawable (§4) hides the window system behind device
 primitives.  Every window executes each primitive at once; only the
 remote port (paper §8, :mod:`repro.remote`) also needs the primitives
-as data.  Its windows attach a :class:`CommandBuffer` to every drawable
-they hand out, and each device op is *logged* there right after it
-runs, so the local replica is always current and
+as data.  Its raster windows attach a :class:`CommandBuffer` to every
+drawable they hand out, and each device op is *logged* there right
+after it runs, so the local replica is always current and
 :attr:`CommandBuffer.frame` is the list of ops executed since the
-window last shipped.
+window last shipped.  A remote ascii window logs nothing: its cell
+surface records its frame (:meth:`~repro.wm.ascii_ws.CellSurface.
+take_frame`).
 
 Ops are immutable tuples laid out by :data:`SCHEMA`, one tuple per
 device request, nothing merged.  The logged op list *is* the wire op
@@ -19,8 +21,8 @@ order, so a shipped frame is cell/pixel-identical to the local replica
 — proven by ``tests/conformance/test_remote.py``.
 
 Offscreen surfaces never log (their graphics carry no buffer), and a
-remote window's ``resize`` empties the log: the surface its ops drew
-on is gone and a full expose is queued.
+remote raster window's ``resize`` empties the log: the surface its ops
+drew on is gone and a full expose is queued.
 
 Telemetry (gated on ``ANDREW_METRICS``): ``wm.requests_batched`` counts
 ops logged for the wire.
@@ -102,7 +104,8 @@ def apply_op(graphic, op: tuple) -> None:
 
 
 class CommandBuffer:
-    """A remote window's op log: the frame's ops, awaiting shipping.
+    """A remote raster window's op log: the frame's ops, awaiting
+    shipping.
 
     The drawable runs each device primitive itself and then logs the
     op here (``record_*``), so :attr:`frame` holds every op the frame

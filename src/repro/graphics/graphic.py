@@ -68,8 +68,8 @@ class Graphic:
     arguments are in-bounds device coordinates.
 
     A drawable may carry a :class:`~repro.graphics.batch.CommandBuffer`
-    (``_buffer``, attached by a remote window, which needs its frames
-    as data): the ``_emit_*`` dispatchers below run each device
+    (``_buffer``, attached by a remote raster window, which needs its
+    frames as data): the ``_emit_*`` dispatchers below run each device
     primitive at once and then log the op into it.  Child drawables
     share the parent's buffer — the whole window logs into one op
     stream, in drawing order.

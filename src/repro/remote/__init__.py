@@ -1,12 +1,13 @@
-"""Remote display: the command buffer as a wire protocol.
+"""Remote display: a window's frame record as a wire protocol.
 
-A remote window logs every frame's device ops as data (:class:`~repro.
-graphics.batch.CommandBuffer`); this package serializes that op list into a
-versioned, delta-encoded binary stream so the toolkit can run
-server-side with dumb renderers at the edge — the thin-client split
-the paper's §8 portability story promises and the ROADMAP's
-control-room-scale fan-out exemplar (the DESY display-server split)
-motivates.
+A remote window records every frame as data: a raster window logs its
+device ops (:class:`~repro.graphics.batch.CommandBuffer`), and an ascii
+window's cell surface records its scroll copies and written rows.  This
+package serializes that record into a versioned, delta-encoded binary
+stream so the toolkit can run server-side with dumb renderers at the
+edge — the thin-client split the paper's §8 portability story promises
+and the ROADMAP's control-room-scale fan-out exemplar (the DESY
+display-server split) motivates.
 
 Layers, bottom up:
 
@@ -14,9 +15,9 @@ Layers, bottom up:
   (:func:`~repro.remote.wire.encode_frame` /
   :func:`~repro.remote.wire.decode_frame`, typed
   :class:`~repro.remote.wire.WireError` on any malformed input);
-* :mod:`~repro.remote.encoder` — logged ops -> frames, with
-  keyframes, op elision against the previous frame and the ascii
-  cell-diff pass.  The command buffer logs wire ops
+* :mod:`~repro.remote.encoder` — frame records -> frames, with
+  keyframes, raster op elision against the previous frame and the
+  ascii cell-diff pass.  Both records hold wire ops
   (:data:`repro.graphics.batch.SCHEMA`), so the encoder ships them
   as they are;
 * :mod:`~repro.remote.renderer` — the dumb client: decode into a

@@ -5,21 +5,20 @@ display server; the remote backend is that port against a *wire*
 instead of a device.  Each window keeps a full local replica (a
 :class:`~repro.wm.ascii_ws.CellSurface` or raster framebuffer — the
 encoder's diff source and the conformance baseline), and at ``flush``
-the frame's logged ops go through a :class:`~repro.remote.encoder.
+the frame's record goes through a :class:`~repro.remote.encoder.
 FrameEncoder` and out every attached sink to dumb renderers.
 
-What the port adds to a plain local backend: drawables carry the
-window's :class:`~repro.graphics.batch.CommandBuffer`, so every device
-op runs on the replica at once and is also logged.  At ``flush`` the
-log — every op the frame executed, in order — goes to the encoder.
-The logged ops already are wire ops
-(:data:`repro.graphics.batch.SCHEMA`), so nothing is copied or
-translated.  Writes that bypass the drawable (an offscreen
-``copy_to``, how ``AnimationView`` shows its pre-composed frames) are
-not logged; the encoder's shadow diff repairs them.  On the ascii
-target that diff covers the rows the surface recorded as written, so
-frames stay byte-identical only while every surface writer marks its
-rows (``CellSurface.mark_rows``).
+Every device op runs on the replica at once.  A raster window's
+drawables also log each op into its
+:class:`~repro.graphics.batch.CommandBuffer`; the logged ops already
+are wire ops (:data:`repro.graphics.batch.SCHEMA`), so nothing is
+copied or translated.  An ascii window logs nothing: its surface
+records the copies made before any write and the rows written.
+Writes that bypass the drawable (an offscreen ``copy_to``, how
+``AnimationView`` shows its pre-composed frames) are not logged; the
+encoder's shadow diff repairs them.  On the ascii target that diff
+covers only the recorded rows, so frames stay byte-identical only
+while every surface writer marks its rows (``CellSurface.mark_rows``).
 
 Select it like any backend: ``ANDREW_WM=remote`` builds one from the
 environment (``ANDREW_REMOTE_TARGET``,
@@ -69,11 +68,11 @@ def _parse_addr(addr: str) -> Tuple[str, int]:
 
 
 class _RemoteWindowMixin:
-    """The wire-shipping half of a remote window (both targets)."""
+    """The wire-shipping half of a remote window (both targets); each
+    target hands the encoder its frame (``_encode``) or, with no viewer
+    attached, drops it (``_drop_frame``)."""
 
     def _init_remote(self) -> None:
-        #: The frame's executed device ops, awaiting shipping.
-        self.commands = batch.CommandBuffer()
         self._encoder: Optional[FrameEncoder] = None
         self._sink = FanoutSink()
         #: Heartbeat cadence: after this many consecutive flushes that
@@ -82,28 +81,15 @@ class _RemoteWindowMixin:
         self.pings_sent = 0
         self._quiet_flushes = 0
 
-    def graphic(self):
-        """The root drawable; it logs into :attr:`commands`, and its
-        child drawables inherit the log via ``Graphic.child``."""
-        graphic = super().graphic()
-        graphic._buffer = self.commands
-        return graphic
-
-    def _wire_surface(self):
-        raise NotImplementedError
-
     def flush(self) -> None:
-        """Ship the frame's logged ops to every viewer."""
+        """Ship the frame to every viewer."""
         encoder = self._encoder
-        ops = self.commands.take()
         if encoder is None or not self._sink.sinks:
-            # No viewer: drop the ops; the attach keyframe will carry
-            # whatever state accumulates meanwhile (a resumed viewer
-            # gets a whole-surface diff instead).
-            if ops and encoder is not None:
-                encoder.drop()
+            # No viewer: the attach keyframe, or a resume's diff,
+            # carries whatever accumulates meanwhile.
+            self._drop_frame()
             return
-        data = encoder.encode(ops, self._wire_surface())
+        data = self._encode(encoder)
         if data is not None:
             self._quiet_flushes = 0
             faulty_send(self._sink, data)
@@ -120,10 +106,10 @@ class _RemoteWindowMixin:
                 faulty_send(self._sink, wire.encode_ping(encoder.last_seq))
 
     def resize(self, width: int, height: int) -> None:
-        # Logged ops drew on the old surface: drop them.  The queued
-        # full expose redraws everything and the encoder keyframes the
-        # new size.
-        self.commands.take()
+        # The frame drew on the old surface: drop it.  The queued full
+        # expose redraws everything and the encoder keyframes the new
+        # size.
+        self._drop_frame()
         super().resize(width, height)
         if self._encoder is not None:
             self._encoder.resize(width, height)
@@ -164,14 +150,25 @@ class _RemoteWindowMixin:
 
 
 class RemoteAsciiWindow(_RemoteWindowMixin, AsciiWindow):
-    """A remote window whose local replica is a cell grid."""
+    """A remote window whose local replica is a cell grid; it logs
+    nothing, because its surface records the frame."""
 
     def __init__(self, title: str, width: int, height: int) -> None:
         super().__init__(title, width, height)
         self._init_remote()
 
-    def _wire_surface(self):
-        return self.surface
+    def _resize_surface(self, width: int, height: int) -> None:
+        super()._resize_surface(width, height)
+        self.surface._copies = []  # record the copies a frame ships
+
+    def _encode(self, encoder: FrameEncoder) -> Optional[bytes]:
+        return encoder.encode((), self.surface)
+
+    def _drop_frame(self) -> None:
+        # Taking the record keeps the copy list bounded; the shadow
+        # never sees those copies, so every row is marked for a diff.
+        self.surface.take_frame()
+        self.surface.mark_rows(0, self.height)
 
 
 class RemoteRasterWindow(_RemoteWindowMixin, RasterWindow):
@@ -181,9 +178,21 @@ class RemoteRasterWindow(_RemoteWindowMixin, RasterWindow):
                  requests: RequestCounter) -> None:
         super().__init__(title, width, height, requests)
         self._init_remote()
+        #: The frame's executed device ops, awaiting shipping.
+        self.commands = batch.CommandBuffer()
 
-    def _wire_surface(self):
-        return self.framebuffer
+    def graphic(self):
+        """The root drawable; it logs into :attr:`commands`, and its
+        child drawables inherit the log via ``Graphic.child``."""
+        graphic = super().graphic()
+        graphic._buffer = self.commands
+        return graphic
+
+    def _encode(self, encoder: FrameEncoder) -> Optional[bytes]:
+        return encoder.encode(self.commands.take(), self.framebuffer)
+
+    def _drop_frame(self) -> None:
+        self.commands.take()
 
 
 class RemoteWindowSystem(WindowSystem):

@@ -1,25 +1,25 @@
-"""Frame encoding: logged ops -> wire frames, with delta compression.
+"""Frame encoding: a window's frame record -> wire frames.
 
-The encoder consumes the :class:`CommandBuffer` op list at flush — the
-ops the frame already executed on the window's replica, in order (GUI
-Easy's render-path discipline: no encoder state inside stateful draw
-code) — and emits at most one wire frame per window flush.
+The encoder reads what the frame already executed on the window's
+replica — a raster window's :class:`CommandBuffer` op list, or an ascii
+surface's own record of its copies and written rows
+(:meth:`~repro.wm.ascii_ws.CellSurface.take_frame`); no encoder state
+lives in draw code (GUI Easy's render-path discipline) — and emits at
+most one wire frame per window flush.
 
 The correctness anchor is the **shadow surface**: an exact replica of
 the renderer's surface, maintained by applying every emitted frame's
 ops through the *same* :func:`repro.graphics.batch.apply_op` the
 client's :class:`~repro.remote.renderer.Applier` uses.  After
 predicting, the encoder diffs shadow vs the window's actual surface
-and appends repair ops for anything the op list missed — an
+and appends repair ops for anything the ops missed — an
 ``OffscreenWindow.copy_to`` (how ``AnimationView`` shows its
 pre-composed frames) writes window surfaces directly without
 logging, so prediction alone can't be complete.
 On the ascii target the diff and the shadow sync cover only the rows
-the surface recorded as written since the last frame
-(:meth:`~repro.wm.ascii_ws.CellSurface.take_dirty`), so byte-identity
-holds as long as every surface writer marks its rows; the whole
-surface is diffed on keyframes, after a copy logged behind a draw, and
-after a flush dropped ops with no viewer attached.
+the surface recorded as written, so byte-identity holds as long as
+every surface writer marks its rows; keyframes sync the whole surface,
+and a window that flushes with no viewer marks every row.
 
 Frame shapes per mode:
 
@@ -28,10 +28,10 @@ Frame shapes per mode:
   :meth:`FrameEncoder.request_keyframe` (late-joining viewer), and
   every ``keyframe_interval`` sent frames so a lossy transport
   resynchronizes without a back-channel.
-* **delta, ascii** — scroll ``copy`` ops ship verbatim (a cell diff
-  would re-send every shifted row), then ``cells`` runs carry exactly
-  the cells of the written rows that differ from the post-scroll
-  shadow — the terminal emits only changed cells.
+* **delta, ascii** — the recorded scroll ``copy`` ops ship verbatim (a
+  cell diff would re-send every shifted row), then ``cells`` runs carry
+  exactly the cells of the written rows that differ from the
+  post-scroll shadow — the terminal emits only changed cells.
 * **delta, raster** — :func:`delta_compress` elides runs of ops
   unchanged from the previous frame into ``("ref", start, count)``
   tuples, then ``rowbits`` spans repair prediction gaps.
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import collections
 from itertools import count
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..graphics.batch import apply_op
@@ -184,9 +184,10 @@ class FrameEncoder:
     """Per-window frame producer with shadow-diff repair.
 
     ``encode(wire_ops, surface)`` is called once per window flush with
-    that flush's logged op list and the window's surface; it returns
-    the encoded frame bytes, or ``None`` when nothing visible changed
-    and no keyframe is due.
+    the window's surface and, on raster, that flush's logged op list
+    (an ascii window passes none: its surface records the frame).  It
+    returns the encoded frame bytes, or ``None`` when nothing visible
+    changed and no keyframe is due.
     """
 
     #: Encoded frames retained for seq-based resume.  Small on purpose:
@@ -202,6 +203,8 @@ class FrameEncoder:
             raise ValueError("keyframe_interval must be >= 1")
         self.target = target
         self.keyframe_interval = keyframe_interval
+        #: The configured interval while degraded mode stretches it.
+        self._base_keyframe_interval: Optional[int] = None
         self.frames_sent = 0
         self.keyframes_sent = 0
         self.bytes_sent = 0
@@ -228,16 +231,15 @@ class FrameEncoder:
         to shed bandwidth before any input is refused.  The base
         interval is remembered so :meth:`restore_keyframes` snaps back.
         """
-        if getattr(self, "_base_keyframe_interval", None) is None:
+        if self._base_keyframe_interval is None:
             self._base_keyframe_interval = self.keyframe_interval
         self.keyframe_interval = max(
             1, self._base_keyframe_interval * max(1, factor))
 
     def restore_keyframes(self) -> None:
         """Leave degraded mode: restore the configured keyframe interval."""
-        base = getattr(self, "_base_keyframe_interval", None)
-        if base is not None:
-            self.keyframe_interval = base
+        if self._base_keyframe_interval is not None:
+            self.keyframe_interval = self._base_keyframe_interval
             self._base_keyframe_interval = None
 
     # -- seq-based resume ------------------------------------------------
@@ -269,16 +271,6 @@ class FrameEncoder:
         replica = Applier(self.target, width, height)
         self._shadow, self._shadow_graphic = replica.surface, replica.graphic
         self._force_keyframe = True
-        self._log_gap = False
-
-    def drop(self) -> None:
-        """The window discarded a frame's ops unshipped (no viewer).
-
-        The shadow missed those ops, copies among them, so the written
-        rows no longer bound what differs: the next delta diffs the
-        whole surface.
-        """
-        self._log_gap = True
 
     # -- shadow plumbing -------------------------------------------------
 
@@ -287,10 +279,9 @@ class FrameEncoder:
         if self.target == "ascii":
             width = surface.width
             start, stop = rows.start * width, rows.stop * width
-            if start < stop:
-                shadow._chars[start:stop] = surface._chars[start:stop]
-                shadow._inverse[start:stop] = surface._inverse[start:stop]
-                shadow._bold[start:stop] = surface._bold[start:stop]
+            shadow._chars[start:stop] = surface._chars[start:stop]
+            shadow._inverse[start:stop] = surface._inverse[start:stop]
+            shadow._bold[start:stop] = surface._bold[start:stop]
         else:
             shadow._bits[:] = surface._bits
 
@@ -304,23 +295,21 @@ class FrameEncoder:
 
     # -- encoding --------------------------------------------------------
 
-    def encode(self, wire_ops: List[tuple], surface) -> Optional[bytes]:
+    def encode(self, wire_ops: Sequence[tuple], surface) -> Optional[bytes]:
         keyframe = (self._force_keyframe
                     or self._since_keyframe >= self.keyframe_interval)
-        # The rows to diff and sync: on ascii, those written since the
-        # last encode, unless the log is not the whole story.
+        # The rows to diff and sync: on ascii, those the surface records
+        # as written since the last encode, along with its copies.
         rows = range(self.height)
         if self.target == "ascii":
-            written = surface.take_dirty()
-            if not (keyframe or self._log_gap):
+            wire_ops, written = surface.take_frame()
+            if not keyframe:
                 rows = written
-            self._log_gap = False
         if keyframe:
             out_ops = self._keyframe_ops(surface)
             elided = diffed = 0
         else:
-            out_ops, elided, diffed, rows = self._delta_ops(
-                wire_ops, surface, rows)
+            out_ops, elided, diffed = self._delta_ops(wire_ops, surface, rows)
             if not out_ops:
                 return None  # nothing visible changed
 
@@ -357,35 +346,19 @@ class FrameEncoder:
     def _delta_ops(self, wire_ops, surface, rows: range):
         """Minimal delta frame; empty result means skip the frame.
 
-        Returns ``(ops, elided, diffed, rows)``: ``rows`` are the rows
-        the shadow must sync, widened to the whole surface where the
-        diff had to be.
+        Returns ``(ops, elided, diffed)``.
         """
-        if self.target == "ascii":
-            # Scrolls ship verbatim (a cell diff would re-send whole
-            # shifted rows); anything after them becomes a cell diff
-            # against the post-scroll shadow, over the rows written.
-            # A copy logged *after* a draw can't be split out safely,
-            # so that rare shape falls back to a pure cell diff of the
-            # whole surface (the shadow never replays that copy).
-            copies: List[tuple] = []
-            for op in wire_ops:
-                if op[0] != "copy":
-                    break
-                copies.append(op)
-            if any(op[0] == "copy" for op in wire_ops[len(copies):]):
-                copies = []
-                rows = range(self.height)
-            for op in copies:
-                apply_op(self._shadow_graphic, op)
-            cells, diffed = diff_cells(self._shadow, surface, rows=rows)
-            elided = len(wire_ops) - len(copies)
-            return copies + cells, max(0, elided), diffed, rows
-        compressed, elided = delta_compress(wire_ops, self._prev_ops)
         for op in wire_ops:
             apply_op(self._shadow_graphic, op)
+        if self.target == "ascii":
+            # The copies ship verbatim (a cell diff would re-send whole
+            # shifted rows); the written rows become a cell diff against
+            # the post-copy shadow.
+            cells, diffed = diff_cells(self._shadow, surface, rows=rows)
+            return [*wire_ops, *cells], 0, diffed
+        compressed, elided = delta_compress(wire_ops, self._prev_ops)
         repairs = diff_rowbits(self._shadow, surface)
-        return compressed + repairs, elided, 0, rows
+        return compressed + repairs, elided, 0
 
     def __repr__(self) -> str:
         return (f"<FrameEncoder {self.target} {self.width}x{self.height} "

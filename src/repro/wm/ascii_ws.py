@@ -12,7 +12,7 @@ snapshot benches and examples show.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .. import obs
 from ..graphics.fontdesc import FontDesc, FontMetrics
@@ -47,16 +47,17 @@ def _cell_metrics(desc: FontDesc) -> FontMetrics:
 class CellSurface:
     """A mutable grid of character cells with inverse/bold attributes.
 
-    The surface also records the band of rows written since the last
-    :meth:`take_dirty` (``_dirty_top`` up to ``_dirty_bottom``, empty
-    when top >= bottom).  Every writer marks its rows: the device
-    primitives, :meth:`put` and :meth:`toggle_inverse`, and an offscreen
-    ``copy_to``.  A remote encoder reads the band to bound its diff, so
-    a new writer that skips the mark ships a stale frame.
+    Since the last :meth:`take_frame` the surface records the band of
+    rows written (``_dirty_top`` up to ``_dirty_bottom``) and, on a
+    remote window (``_copies`` a list), the copies made before any
+    write, as wire ``copy`` ops.  Every other write marks its rows:
+    the device primitives, :meth:`put`, :meth:`toggle_inverse` and an
+    offscreen ``copy_to``.  A remote encoder ships the copies and diffs
+    the band, so a new writer that skips the mark ships a stale frame.
     """
 
     __slots__ = ("width", "height", "_chars", "_inverse", "_bold",
-                 "_dirty_top", "_dirty_bottom")
+                 "_dirty_top", "_dirty_bottom", "_copies")
 
     def __init__(self, width: int, height: int) -> None:
         self.width = int(width)
@@ -66,6 +67,7 @@ class CellSurface:
         self._inverse = bytearray(size)
         self._bold = bytearray(size)
         self._dirty_top, self._dirty_bottom = self.height, 0
+        self._copies = None
 
     def mark_rows(self, top: int, bottom: int) -> None:
         """Record rows ``top`` up to ``bottom`` (exclusive) as written."""
@@ -74,11 +76,15 @@ class CellSurface:
         if bottom > self._dirty_bottom:
             self._dirty_bottom = bottom
 
-    def take_dirty(self) -> range:
-        """The rows written since the last call; clears the record."""
+    def take_frame(self) -> Tuple[Sequence[tuple], range]:
+        """The copies recorded and the rows written since the last call;
+        clears both."""
+        copies = self._copies
         rows = range(self._dirty_top, self._dirty_bottom)
+        if copies:
+            self._copies = []
         self._dirty_top, self._dirty_bottom = self.height, 0
-        return rows
+        return copies or (), rows
 
     def _index(self, x: int, y: int) -> int:
         return y * self.width + x
@@ -202,12 +208,14 @@ class AsciiGraphic(Graphic):
         top = max(top, 0, -dy)
         if left >= right or top >= bottom:
             return
-        # A destination row inherits its source row's mark; a replica
-        # replaying this copy keeps every unmarked row equal.
-        marked_top = max(top, surface._dirty_top)
-        marked_bottom = min(bottom, surface._dirty_bottom)
-        if marked_top < marked_bottom:
-            surface.mark_rows(marked_top + dy, marked_bottom + dy)
+        # A copy before any write ships as is: a replica replaying it
+        # keeps every unmarked row equal.  After a write it marks the
+        # rows it lands on instead.
+        copies = surface._copies
+        if copies is not None and surface._dirty_top >= surface._dirty_bottom:
+            copies.append(("copy", *rect, dx, dy))
+        else:
+            surface.mark_rows(top + dy, bottom + dy)
         chars, inverse, bold = surface._chars, surface._inverse, surface._bold
         span = right - left
         rows = range(top, bottom)
@@ -332,7 +340,7 @@ class AsciiWindow(BackendWindow):
 
     def __init__(self, title: str, width: int, height: int) -> None:
         super().__init__(title, width, height)
-        self.surface = CellSurface(width, height)
+        self._resize_surface(width, height)
 
     def graphic(self) -> AsciiGraphic:
         return AsciiGraphic(self.surface)

@@ -19,7 +19,7 @@ the pieces the matrix test (and any future gate's tests) composes:
   backends as a port whose drawables lack ``copy_area``, so scrolls
   take the full-area repaint fallback (the scroll suite's reference);
 * :func:`recording_ws` — the ``batch`` arm's window system: the same
-  target, but every device op also logged for the wire.
+  target, but every frame also recorded for the wire.
 """
 
 from __future__ import annotations
@@ -201,10 +201,11 @@ def recording_ws(target: str) -> Callable:
     on the remote backend with no viewer attached.
 
     Every device op draws on the window's own surface at once, as on
-    a local window, and is also logged into the window's command
-    buffer — the path every remote frame takes.  Fingerprinting that
-    surface against a local run proves the logging drawable
-    byte-identical to a plain one.
+    a local window, and the frame is also recorded — the path every
+    remote frame takes: raster logs each op into the window's command
+    buffer, and an ascii surface records its copies and written rows.
+    Fingerprinting that surface against a local run proves the
+    recording window byte-identical to a plain one.
     """
     from repro.remote import RemoteWindowSystem
 

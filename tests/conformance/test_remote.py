@@ -209,9 +209,10 @@ def _glyph_session(window_system, width, height):
 @pytest.mark.parametrize("target", sorted(BACKENDS))
 def test_glyph_client_records_one_op_per_device_request(target):
     """Remote recording merges nothing: a glyph client's renderer
-    matches the local render byte for byte at every step, and the
-    frames it was sent hold exactly one op per device request that the
-    same session issued on the local backend."""
+    matches the local render byte for byte at every step, and on
+    raster the op log holds exactly one op per device request that the
+    same session issued on the local backend (an ascii window logs
+    nothing; its renderer match is the whole check)."""
     from repro.remote import RemoteRenderer, RemoteWindowSystem
 
     make_ws, width, height, _steps, _offset = BACKENDS[target]
@@ -229,4 +230,4 @@ def test_glyph_client_records_one_op_per_device_request(target):
         recorded = obs.registry.counter("wm.requests_batched")
     assert actual == expected
     assert local_requests > 500  # the client really is request-heavy
-    assert recorded == local_requests
+    assert recorded == (local_requests if target == "raster" else 0)

@@ -1,26 +1,28 @@
-"""The remote backend's op log: draws at once, logs once.
+"""The remote backend's frame record: draws at once, records once.
 
 Every window draws each device op at once; only remote windows also
-log it: their drawables carry the window's
-:class:`~repro.graphics.batch.CommandBuffer`, and the logged ops are
-the frame the wire encoder ships.  Apart from the check that local
-windows log nothing, every test here runs on a
+record the frame the wire encoder ships.  A raster window logs every
+op: its drawables carry the window's
+:class:`~repro.graphics.batch.CommandBuffer`.  An ascii window logs
+nothing: its :class:`~repro.wm.ascii_ws.CellSurface` records the
+copies made before any write and the rows written.  Apart from the
+check that local windows log nothing, every test here runs on a
 :class:`~repro.remote.RemoteWindowSystem` window, ascii and raster
-targets both.
+targets both, unless it tests the raster op log alone.
 
 Covers:
 
-* logging: an op shows on the replica as it is logged; one op per
-  device request, nothing merged; child drawables share the window's
-  log; observing the window ships nothing;
-* blit intern: one pixel snapshot per distinct bitmap content a frame,
-  cleared when the frame is taken;
+* recording: an op shows on the replica as it is recorded; one raster
+  op per device request, nothing merged; child drawables share the
+  window's record; observing the window ships nothing;
+* blit intern (raster): one pixel snapshot per distinct bitmap content
+  a frame, cleared when the frame is taken;
 * shipping: ``flush_updates`` ships ops drawn outside the damage path
   even with an empty damage queue; an expose is child damage, shipped
   as one frame by the pump; ``process_events`` always ships; an offscreen
-  ``copy_to`` between logged ops reaches the renderer byte for byte;
+  ``copy_to`` between recorded ops reaches the renderer byte for byte;
   offscreen drawables never log;
-* ``resize`` emptying the log of ops drawn on the discarded surface.
+* ``resize`` emptying the record of ops drawn on the discarded surface.
 
 Byte-identity of whole frames lives in ``tests/conformance/``.
 """
@@ -47,9 +49,9 @@ def telemetry():
     obs.configure(metrics=was, reset_data=True)
 
 
-def _windows(width=40, height=10):
+def _windows(width=40, height=10, targets=TARGETS):
     """One fresh remote window per target."""
-    for target in TARGETS:
+    for target in targets:
         yield RemoteWindowSystem(target).create_window("t", width, height)
 
 
@@ -62,6 +64,17 @@ def _ims(text, width=20, height=4, renderer=None):
         im = InteractionManager(ws, width=width, height=height)
         im.set_child(Label(text))
         yield im
+
+
+def _pending(window):
+    """The window's record of its next frame, ``[]`` when there is
+    none: raster's logged ops; on ascii the surface's recorded copies
+    and the rows it wrote."""
+    if hasattr(window, "commands"):
+        return window.commands.frame
+    surface = window.surface
+    rows = range(surface._dirty_top, surface._dirty_bottom)
+    return (surface._copies, rows) if surface._copies or rows else []
 
 
 def _inked(window, x, y) -> bool:
@@ -87,17 +100,24 @@ class TestRecording:
 
     @pytest.mark.parametrize("target", TARGETS)
     def test_ops_draw_as_they_are_logged(self, target):
-        window = RemoteWindowSystem(target).create_window("t", 40, 10)
+        renderer = RemoteRenderer()
+        ws = RemoteWindowSystem(target, renderer=renderer)
+        window = ws.create_window("t", 40, 10)
+        window.flush()  # the join keyframe
         window.graphic().fill_rect(Rect(0, 0, 4, 2), 1)
         assert _inked(window, 0, 0)  # no flush needed
-        assert window.commands.frame == [("fill", 0, 0, 4, 2, 1)]
+        assert _pending(window) == (
+            [("fill", 0, 0, 4, 2, 1)] if target == "raster"
+            else ([], range(0, 2)))
         window.flush()
-        assert window.commands.frame == []
+        assert _pending(window) == []
         assert _inked(window, 0, 0)
+        assert fingerprint(renderer) == fingerprint(window)
 
     def test_every_request_is_its_own_op(self):
         """Nothing merges: abutting fills, contiguous spans and
-        same-baseline text each stay one op per device request."""
+        same-baseline text each stay one op per device request (an
+        ascii surface records the rows they wrote instead)."""
         for window in _windows():
             graphic = window.graphic()
             graphic.fill_rect(Rect(0, 0, 4, 3), 1)
@@ -106,14 +126,19 @@ class TestRecording:
             graphic.draw_line(11, 5, 20, 5)
             graphic.draw_string(0, 7, "a")
             graphic.draw_string(graphic.string_width("a"), 7, "b")
-            assert [op[0] for op in window.commands.frame] == [
-                "fill", "fill", "hline", "hline", "text", "text"]
+            if hasattr(window, "commands"):
+                assert [op[0] for op in window.commands.frame] == [
+                    "fill", "fill", "hline", "hline", "text", "text"]
+            else:
+                assert _pending(window) == ([], range(0, 8))
 
     def test_child_graphics_share_the_window_buffer(self):
         for window in _windows():
             child = window.graphic().child(Rect(2, 2, 10, 4))
             child.fill_rect(Rect(0, 0, 2, 2), 1)
-            assert window.commands.frame == [("fill", 2, 2, 2, 2, 1)]
+            assert _pending(window) == (
+                [("fill", 2, 2, 2, 2, 1)] if hasattr(window, "commands")
+                else ([], range(2, 4)))
             assert _inked(window, 2, 2)
 
     def test_observing_ships_nothing(self):
@@ -129,7 +154,7 @@ class TestRecording:
             lines = window.snapshot_lines()
             assert window.pending_events() == 0
             assert any("#" in line for line in lines)
-            assert len(window.commands.frame) == 1
+            assert _pending(window)
             assert renderer.frames_applied == frames
             window.flush()
             assert renderer.frames_applied == frames + 1
@@ -147,7 +172,7 @@ class TestBlitIntern:
         # snapshot the source eagerly per call, so an animation blitting
         # one cel N times copied (and would have wire-encoded) the
         # pixels N times.  Identical contents now intern per frame.
-        for window in _windows():
+        for window in _windows(targets=("raster",)):
             bitmap = Bitmap(4, 4)
             bitmap.set(1, 1, 1)
             graphic = window.graphic()
@@ -168,7 +193,7 @@ class TestBlitIntern:
             assert window.commands._blit_cache == {}
 
     def test_blit_dedupe_counts_in_telemetry(self, telemetry):
-        for window in _windows():
+        for window in _windows(targets=("raster",)):
             obs.registry.reset()
             bitmap = Bitmap(2, 2)
             graphic = window.graphic()
@@ -195,9 +220,9 @@ class TestFlushOrdering:
             frames = renderer.frames_applied
             im.window.graphic().fill_rect(Rect(1, 1, 3, 2), 1)
             assert im.updates.is_empty()
-            assert im.window.commands.frame
+            assert _pending(im.window)
             im.flush_updates()  # damage queue empty; must ship anyway
-            assert im.window.commands.frame == []
+            assert _pending(im.window) == []
             assert renderer.frames_applied == frames + 1
             assert fingerprint(renderer) == fingerprint(im.window)
 
@@ -212,20 +237,22 @@ class TestFlushOrdering:
             assert im.updates.pending_damage() == [
                 (im.child, im.child.local_bounds)
             ]
-            assert im.window.commands.frame == []  # nothing drawn yet
+            assert _pending(im.window) == []  # nothing drawn yet
             im.process_events()
-            assert im.window.commands.frame == []
+            assert _pending(im.window) == []
             assert renderer.frames_applied == frames + 1
             assert fingerprint(renderer) == fingerprint(im.window)
             if hasattr(im.window, "surface"):
                 assert "mork" in im.window.snapshot()
 
     def test_process_events_always_settles(self):
-        for im in _ims("mark"):
+        for im in _ims("mark", renderer=RemoteRenderer):
+            renderer = im.window._sink.sinks[0].renderer
             im.process_events()
             im.window.inject_expose()
             im.process_events()
-            assert im.window.commands.frame == []
+            assert _pending(im.window) == []
+            assert fingerprint(renderer) == fingerprint(im.window)
 
     def test_offscreen_copy_to_settles_target(self):
         """An offscreen blit writes the replica directly, unlogged,
@@ -270,7 +297,9 @@ class TestResize:
     def test_resize_discards_pending_ops(self):
         for window in _windows():
             window.graphic().fill_rect(Rect(0, 0, 4, 2), 1)
-            assert len(window.commands.frame) == 1
+            assert _pending(window)
             window.resize(30, 8)
-            assert window.commands.frame == []
+            assert _pending(window) == []
             assert not _inked(window, 0, 0)  # a fresh surface
+            if not hasattr(window, "commands"):
+                assert window.surface._copies == []  # still recording

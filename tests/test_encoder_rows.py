@@ -1,18 +1,20 @@
 """Row-bounded ascii encoding: the same bytes as a whole-surface diff.
 
-The ascii encoder diffs and syncs only the rows the surface recorded as
-written since its last frame.  This file keeps the whole-surface
-encoder it replaced as the reference: twin remote windows run the same
-random script, one with the real :class:`FrameEncoder`, one with
-:class:`ReferenceEncoder`, and every shipped frame must be
+A remote ascii window's surface records its frame: the copies made
+before any row was written, and the rows written since the last frame.
+The encoder ships the copies and diffs and syncs only those rows.  This
+file keeps a whole-surface encoder as the reference: it ships the same
+recorded copies, then diffs and syncs every row.  Twin remote windows
+run the same random script, one with the real :class:`FrameEncoder`,
+one with :class:`ReferenceEncoder`, and every shipped frame must be
 byte-identical.  A renderer fed by the real window must also hold the
-window's surface after every shipped frame.
+window's surface after every shipped frame, and no flush may leave a
+copy recorded.
 
 A script mixes every surface writer (fills, text, lines and pixels,
 blits, ``CellSurface.put``, an offscreen ``copy_to``), scroll copies
-both leading a frame and logged after a draw, flushes with no viewer
-attached followed by a resume with ``attach_sink(keyframe=False)``,
-and resizes.
+made both before and after a write, flushes with no viewer attached
+followed by a resume with ``attach_sink(keyframe=False)``, and resizes.
 
 Hypothesis seeds from :mod:`tests.randutil`, so ``ANDREW_TEST_SEED``
 draws a different set of scripts.
@@ -79,21 +81,17 @@ def whole_surface_diff_cells(old, new, max_gap: int = 4
 
 
 class ReferenceEncoder(FrameEncoder):
-    """Diffs and syncs the whole surface on every ascii delta frame."""
+    """Ships the surface's recorded copies, then diffs and syncs the
+    whole surface on every ascii delta frame."""
 
     def _delta_ops(self, wire_ops, surface, rows):
-        copies: List[tuple] = []
         for op in wire_ops:
-            if op[0] != "copy":
-                break
-            copies.append(op)
-        if any(op[0] == "copy" for op in wire_ops[len(copies):]):
-            copies = []
-        for op in copies:
             apply_op(self._shadow_graphic, op)
         cells, diffed = whole_surface_diff_cells(self._shadow, surface)
-        elided = len(wire_ops) - len(copies)
-        return copies + cells, max(0, elided), diffed, range(self.height)
+        return [*wire_ops, *cells], 0, diffed
+
+    def _sync_shadow(self, surface, rows):
+        super()._sync_shadow(surface, range(self.height))
 
 
 class Capture:
@@ -270,7 +268,7 @@ def _cells(surface):
                      ("copy", 0, 0, 12, 8, 0, 3), ("flush",)])
 @example(12, 8, 64, [("offscreen", 1, 1, 4, 2, "ab"),
                      ("copy", 0, 0, 12, 8, 1, -1), ("flush",)])
-# A copy logged after a draw.
+# A copy made after a write.
 @example(12, 8, 64, [("fill", 0, 0, 2, 1, 1),
                      ("copy", 0, 2, 12, 6, 0, 2), ("flush",)])
 # A copy dropped with no viewer, then a resume or a rejoin.
@@ -279,6 +277,9 @@ def _cells(surface):
 @example(12, 8, 64, [("detach",), ("copy", 0, 0, 12, 8, 0, -2),
                      ("flush",), ("rejoin",), ("flush",),
                      ("fill", 0, 0, 1, 1, 1), ("flush",)])
+# Many copies with no viewer: the flush drops them all.
+@example(12, 8, 64, [("detach",)] + [("copy", 0, 0, 12, 8, 0, -1)] * 1000
+         + [("flush",), ("resume",), ("flush",)])
 def test_row_bounded_frames_equal_whole_surface_frames(width, height,
                                                       interval, script):
     renderer = RemoteRenderer()
@@ -292,11 +293,11 @@ def test_row_bounded_frames_equal_whole_surface_frames(width, height,
             f"frame bytes diverged at step {number} {step!r}")
         assert _cells(live.window.surface) == _cells(
             reference.window.surface)
+        if step[0] == "flush":
+            assert live.window.surface._copies == []
         if (len(live.capture.frames) > shipped
                 or (step[0] == "flush" and live.attached)):
             assert _cells(renderer.surface) == _cells(live.window.surface), (
                 f"renderer diverged at step {number} {step!r}")
     assert live.window._encoder.cell_diff_cells \
         == reference.window._encoder.cell_diff_cells
-    assert live.window._encoder.ops_elided \
-        == reference.window._encoder.ops_elided

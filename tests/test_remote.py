@@ -147,13 +147,12 @@ class TestFrameEncoder:
         encoder.encode([], surface)  # keyframe over the settled state
         # One-row scroll: the whole grid shifts, then one row repaints.
         from repro.graphics import Rect
-        copy_op = ("copy", 0, 0, 10, 4, 0, -1)
+        surface._copies = []  # record copies, as a remote window does
         graphic.device_copy_area(Rect(0, 0, 10, 4), 0, -1)
         for x in range(10):
             surface.put(x, 3, "~")
-        frame, _ = decode_frame(encoder.encode([copy_op], surface))
-        kinds = [op[0] for op in frame.ops]
-        assert kinds[0] == "copy"
+        frame, _ = decode_frame(encoder.encode([], surface))
+        assert frame.ops[0] == ("copy", 0, 0, 10, 4, 0, -1)
         # Only the repainted strip rides as cells — not the moved rows.
         assert encoder.cell_diff_cells == 10
 
@@ -244,10 +243,15 @@ class TestRemoteWindowSystem:
     def test_no_viewer_means_no_encoding_work(self):
         ws = RemoteWindowSystem("ascii")
         window = ws.create_window("idle", 20, 5)
-        window.graphic().draw_string(0, 0, "unseen")
+        graphic = window.graphic()
+        graphic.copy_area(graphic.bounds, 0, -1)
+        assert window.surface._copies == [("copy", 0, 1, 20, 4, 0, -1)]
+        graphic.draw_string(0, 0, "unseen")
         window.flush()
         assert window._encoder.frames_sent == 0
-        assert window.commands.frame == []
+        # The record is dropped and every row marked, so a viewer that
+        # resumes without a keyframe gets a whole-surface diff.
+        assert window.surface.take_frame() == ((), range(0, 5))
 
     def test_from_env_reads_target(self, monkeypatch):
         monkeypatch.setenv(REMOTE_TARGET_ENV, "raster")

@@ -21,7 +21,7 @@ from repro.components.text.textdata import TextData
 from repro.core import InteractionManager
 from repro.core.view import View
 from repro.graphics import Rect
-from repro.remote import RemoteWindowSystem
+from repro.remote import RemoteRenderer, RemoteWindowSystem
 from repro.wm import AsciiWindowSystem, RasterWindowSystem
 from tests.conformance.driver import fingerprint, without_copy_area
 
@@ -120,11 +120,14 @@ class TestRasterCopyArea:
 
 
 def test_batch_records_and_replays_copy_area(telemetry):
-    """A remote window shifts its replica at once and logs the shift
-    once, as the frame's one copy op."""
+    """A remote window shifts its replica at once and records the shift
+    once, as the frame's one copy op: raster logs it, and an ascii
+    surface records a copy made before any write."""
     for target in ("ascii", "raster"):
         obs.registry.reset()
-        window = RemoteWindowSystem(target).create_window("t", 20, 10)
+        renderer = RemoteRenderer()
+        window = RemoteWindowSystem(target, renderer=renderer).create_window(
+            "t", 20, 10)
         g = window.graphic()
         g.fill_rect(Rect(0, 5, 3, 1), 1)
         window.flush()
@@ -139,9 +142,11 @@ def test_batch_records_and_replays_copy_area(telemetry):
         g.copy_area(Rect(0, 0, 20, 10), 0, -4)
         assert inked(1) == row
         assert telemetry.counter(f"wm.{target}.copy_area") == 1
-        assert window.commands.frame == [("copy", 0, 4, 20, 6, 0, -4)]
+        recorded = (window.surface._copies if target == "ascii"
+                    else window.commands.frame)
+        assert recorded == [("copy", 0, 4, 20, 6, 0, -4)]
         window.flush()
-        assert telemetry.counter(f"wm.{target}.copy_area") == 1
+        assert fingerprint(renderer) == fingerprint(window)
 
 
 # ---------------------------------------------------------------------------
