@@ -8,9 +8,13 @@ Representation
 --------------
 The buffer is a character sequence in which each embedded object
 occupies exactly one position, held as the Unicode object-replacement
-character (``OBJECT_CHAR``).  Style spans and embedded placements are
-kept in side tables that the mutators adjust, so every position-bearing
-structure stays consistent across edits.  Views' carets are
+character (``OBJECT_CHAR``).  It is stored as one list of characters
+with a gap at the last edit (``_chars[_lo:_hi]`` holds nothing), so a
+run of edits in one place moves no later character: an edit first
+moves the gap to its position, and an insert grows a full gap by a
+few slots.  Style spans and embedded placements are kept in side
+tables that the mutators adjust, so every position-bearing structure
+stays consistent across edits.  Views' carets are
 :class:`~repro.components.text.marks.Mark` s registered with the
 buffer's mark set.
 
@@ -58,6 +62,12 @@ OBJECT_CHAR = "￼"
 
 _WRAP_WIDTH = 76  # encoded columns before a continuation split
 
+#: Free slots a full gap grows by.  Each session's buffer carries them,
+#: so the step stays small: a fleet of idle notes pays it per note.
+_GAP_STEP = 16
+#: A gap wider than this (a large deletion) is cut back to the step.
+_GAP_MAX = 4 * _GAP_STEP
+
 
 class EmbeddedObject:
     """One embedded component: the data object plus its placement."""
@@ -88,6 +98,7 @@ class TextData(DataObject):
     def __init__(self, text: str = "") -> None:
         super().__init__()
         self._chars: List[str] = []
+        self._lo = self._hi = 0  # the gap: _chars[_lo:_hi] holds nothing
         self.marks = MarkSet()
         self.spans: List[StyleSpan] = []
         self._embeds: List[EmbeddedObject] = []
@@ -100,20 +111,49 @@ class TextData(DataObject):
 
     @property
     def length(self) -> int:
-        return len(self._chars)
+        return len(self._chars) - self._hi + self._lo
 
     def char_at(self, pos: int) -> str:
-        return self._chars[pos]
+        size = self.length
+        if pos < 0:
+            pos += size
+        if not 0 <= pos < size:
+            raise IndexError(f"position {pos} outside buffer of {size}")
+        return self._chars[pos if pos < self._lo else pos + self._hi - self._lo]
 
     def text(self, start: int = 0, end: Optional[int] = None) -> str:
         """The raw buffer slice (embedded objects appear as OBJECT_CHAR)."""
-        if end is None:
-            end = len(self._chars)
-        return "".join(self._chars[start:end])
+        start, end, _ = slice(start, end).indices(self.length)
+        chars, lo, hi = self._chars, self._lo, self._hi
+        if end <= lo:
+            return "".join(chars[start:end])
+        gap = hi - lo
+        if start >= lo:
+            return "".join(chars[start + gap:end + gap])
+        return "".join(chars[start:lo]) + "".join(chars[hi:end + gap])
 
     def plain_text(self) -> str:
         """The buffer with embedded-object placeholders removed."""
-        return "".join(c for c in self._chars if c != OBJECT_CHAR)
+        return self.text().replace(OBJECT_CHAR, "")
+
+    def find(self, char: str, start: int, end: int) -> int:
+        """Position of the first ``char`` in ``[start, end)``, or -1.
+
+        Searches the two sides of the gap in place, so finding the end
+        of a paragraph costs its length, not the document's.
+        """
+        chars, lo, gap = self._chars, self._lo, self._hi - self._lo
+        if start < lo:
+            try:
+                return chars.index(char, start, min(end, lo))
+            except ValueError:
+                start = lo
+        if start >= end:
+            return -1
+        try:
+            return chars.index(char, start + gap, end + gap) - gap
+        except ValueError:
+            return -1
 
     def search(self, needle: str, start: int = 0) -> int:
         """Offset of ``needle`` at or after ``start``, or -1."""
@@ -127,12 +167,36 @@ class TextData(DataObject):
     # ------------------------------------------------------------------
 
     def _check_range(self, pos: int, length: int = 0) -> None:
-        if not 0 <= pos <= len(self._chars):
-            raise IndexError(f"position {pos} outside buffer of {len(self._chars)}")
-        if not 0 <= pos + length <= len(self._chars):
-            raise IndexError(
-                f"range {pos}+{length} outside buffer of {len(self._chars)}"
-            )
+        size = self.length
+        if not 0 <= pos <= size:
+            raise IndexError(f"position {pos} outside buffer of {size}")
+        if not 0 <= pos + length <= size:
+            raise IndexError(f"range {pos}+{length} outside buffer of {size}")
+
+    def _move_gap(self, pos: int) -> None:
+        """Move the gap to buffer position ``pos``."""
+        chars, lo, hi = self._chars, self._lo, self._hi
+        if lo == hi:
+            self._lo = self._hi = pos
+            return
+        if pos < lo:
+            d = lo - pos
+            chars[hi - d:hi] = chars[pos:lo]
+        elif pos > lo:
+            d = pos - lo
+            chars[lo:pos] = chars[hi:hi + d]
+        self._lo, self._hi = pos, hi + pos - lo
+
+    def _put(self, pos: int, text: str) -> None:
+        """Write ``text`` into the buffer at ``pos`` through the gap."""
+        self._move_gap(pos)
+        lo, size = self._lo, len(text)
+        if self._hi - lo < size:
+            self._chars[lo:self._hi] = list(text) + [""] * _GAP_STEP
+            self._hi = lo + size + _GAP_STEP
+        else:
+            self._chars[lo:lo + size] = text
+        self._lo = lo + size
 
     def insert(self, pos: int, text: str) -> None:
         """Insert ``text`` at ``pos`` and notify observers.
@@ -145,7 +209,7 @@ class TextData(DataObject):
         if not text:
             return
         self._check_range(pos)
-        self._chars[pos:pos] = list(text)
+        self._put(pos, text)
         self.marks.adjust_insert(pos, len(text))
         for span in self.spans:
             span.adjust_insert(pos, len(text))
@@ -170,7 +234,11 @@ class TextData(DataObject):
         for embed in removed_embeds:
             self._embeds.remove(embed)
             self.marks.release(embed.mark)
-        del self._chars[pos:pos + length]
+        self._move_gap(pos)
+        self._hi += length
+        if self._hi - self._lo > _GAP_MAX:
+            del self._chars[self._lo + _GAP_STEP:self._hi]
+            self._hi = self._lo + _GAP_STEP
         self.marks.adjust_delete(pos, length)
         for span in self.spans:
             span.adjust_delete(pos, length)
@@ -198,7 +266,7 @@ class TextData(DataObject):
         self._check_range(pos)
         if view_type is None:
             view_type = f"{data.type_tag}view"
-        self._chars[pos:pos] = [OBJECT_CHAR]
+        self._put(pos, OBJECT_CHAR)
         self.marks.adjust_insert(pos, 1)
         for span in self.spans:
             span.adjust_insert(pos, 1)
@@ -355,6 +423,7 @@ class TextData(DataObject):
 
     def read_body(self, reader) -> None:
         self._chars = []
+        self._lo = self._hi = 0
         self.spans = []
         self._embeds = []
         self.marks = MarkSet()
@@ -393,10 +462,11 @@ class TextData(DataObject):
             elif isinstance(event, EndObject):
                 break
         self._chars = content
+        self._lo = self._hi = len(content)
         # Re-pin embed marks (content assembly didn't go through insert()).
         for embed in self._embeds:
-            embed.mark.pos = min(embed.mark.pos, len(self._chars))
-        self.changed("insert", where=0, extent=len(self._chars))
+            embed.mark.pos = min(embed.mark.pos, len(content))
+        self.changed("insert", where=0, extent=len(content))
 
     def _read_style_line(self, raw: str, lineno: int) -> None:
         parts = raw.split()

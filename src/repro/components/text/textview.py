@@ -417,10 +417,10 @@ class TextView(View, Scrollable):
             starts.shift_from(starts.bisect_right(where), extent)
         elif what == "delete":
             self._shift_dirty_delete(where, extent)
-            # The join point plus one: a cached line starting exactly at
-            # ``where`` may have lost leading characters, so it can never
-            # be trusted for suffix reuse.
-            self._extend_dirty(where, where + 1)
+            # The join point.  A cached line starting exactly there may
+            # have lost leading characters; the re-wrap never reuses it,
+            # since it stops just past a newline at or after the point.
+            self._extend_dirty(where, where)
             inside = starts.bisect_right(where)
             after = starts.bisect_left(where + extent, inside)
             starts.shift_from(after, -extent)
@@ -465,35 +465,42 @@ class TextView(View, Scrollable):
 
         Wrapping is per paragraph and top-down, so a display line
         ending before ``where`` keeps its text and height; the first
-        line that can change is the one ending at or after ``where``.
-        (A line ending exactly there can only gain glyphs no taller
-        than its own, so the lines above the window keep their
-        heights.)  A change above the window moves every row.
+        line that can change is the one ending at or after ``where``
+        (:meth:`_first_line_to`).  (A line ending exactly there can
+        only gain glyphs no taller than its own, so the lines above the
+        window keep their heights.)  A change above the window moves
+        every row; one below it touches none (the view's height).
         """
         if change.what not in ("insert", "delete", "style") or not isinstance(
             change.where, int
         ):
             return None
-        lines, starts = self._lines, self._starts
-        n = len(lines)
-        if not n or self._top >= n:
+        top = self._top
+        if not self._lines or top >= len(self._lines):
             return None
-        where = change.where
-        if where < starts[self._top]:
+        if change.where < self._starts[top]:
             return None
-        y = 0
-        for index in range(self._top, n):
-            if y >= self.height:
-                return self.height  # change below the window: no damage
-            # ``<=``: a line ending exactly at ``where`` may change
-            # too (an edit at the next line's start can pull glyphs
-            # back onto it); starting one row early is always safe.
-            if where <= starts[index] + len(lines[index].text) or (
-                index == n - 1
-            ):
-                return y
-            y += lines[index].height
-        return self.height
+        prefix = self._prefix
+        index = self._first_line_to(change.where, top)
+        return min(prefix[index] - prefix[top], self.height)
+
+    def _first_line_to(self, pos: int, lo: int = 0) -> int:
+        """The first display line from index ``lo`` ending at or after
+        ``pos`` (the last line if none does); ``pos`` must not lie
+        before line ``lo``'s start.
+
+        A bisection finds the last line starting at or before ``pos``;
+        the lines before it end before ``pos`` unless they end exactly
+        there (a soft break at ``pos``, or an embedded block whose
+        trailing empty line shares its start), so it backs up over
+        those.  ``<=``: a line ending exactly at ``pos`` may change too
+        (an edit at the next line's start can pull glyphs back onto
+        it); starting one line early is always safe.
+        """
+        index = max(lo, self._starts.bisect_right(pos, lo) - 1)
+        while index > lo and self._line_end(index - 1) >= pos:
+            index -= 1
+        return index
 
     # ------------------------------------------------------------------
     # Metrics & layout
@@ -612,13 +619,24 @@ class TextView(View, Scrollable):
             obs.registry.inc("text.lines_wrapped", len(self._lines))
 
     def _layout_incremental(self) -> bool:
-        """Re-wrap only the dirty paragraphs; splice cached lines around.
+        """Re-wrap from the first line the dirty span can touch to the
+        end of the paragraph the dirty span ends in; splice the rest.
 
         Returns False when the cached line list cannot be repaired in
         place (the caller then falls back to a full wrap).  Cached line
         starts were already shifted into current buffer coordinates by
-        :meth:`_record_change`, so paragraph boundaries are re-verified
-        against the live buffer before any line is trusted for reuse.
+        :meth:`_record_change`, and every cached line starting at or
+        after the dirty end holds unchanged characters.
+
+        Greedy wrapping is prefix-stable: a line ending before the
+        dirty start keeps its text and its break, so the re-wrap
+        restarts at the first line ending at or after it.  A text line
+        always starts from an empty wrap state; an embedded block need
+        not (a text line may end at its position, flushed by it), and
+        an empty range would give the trailing line no properties of
+        its own, so the restart backs up a line past either.  The
+        re-wrap ends just after the first newline at or after the dirty
+        end, whose cached line follows it, or at the region end.
         """
         lines, starts = self._lines, self._starts
         n = len(lines)
@@ -635,65 +653,20 @@ class TextView(View, Scrollable):
             return True
         dlo = max(lo, min(self._dirty_lo, hi))
         dhi = max(dlo, min(self._dirty_hi, hi))
-        # Paragraph start at or before the dirty span (verified against
-        # the live buffer — cached lines may be stale inside the span).
-        if self._hard_start(dlo, lo):
-            para_start = dlo
-        else:
-            idx = starts.bisect_right(dlo) - 1
-            if idx < 0:
-                return False
-            while idx > 0 and not self._line_is_hard(idx, lo):
-                idx -= 1
-            if not self._line_is_hard(idx, lo):
-                return False
-            para_start = starts[idx]
-            if para_start > dlo:
-                return False
-        # Prefix: lines lying entirely before the re-wrapped range.  A
-        # stale line can share the paragraph's start (a deletion clamps
-        # interior lines to the join point), so membership is by
-        # content extent, not by index arithmetic.
-        i0 = starts.bisect_left(para_start)
-        while i0 > 0 and self._line_end(i0 - 1) > para_start:
+        i0 = self._first_line_to(dlo)
+        while i0 and (isinstance(lines[i0], _EmbedLine) or starts[i0] >= hi):
             i0 -= 1
-        # Suffix: the first verified paragraph-start line at or after
-        # the dirty end; it and everything below are reused as-is.
-        k = starts.bisect_left(dhi, i0)
-        while k < n and not self._line_is_hard(k, lo):
-            k += 1
-        if k == n - 1 and not lines[k].text:
-            # The empty trailing line (the caret home) inherits its
-            # paragraph properties from the wrap state left by the
-            # content before it — re-derive it with the re-wrap.
-            k = n
-        elif self._dirty_hi > hi:
-            # A cut reached the end (the span's join point clamped to
-            # it): a cached line starting there may be the deleted
-            # paragraph's, so nothing after the span is trusted.
-            k = n
-        if k == n and para_start >= hi:
-            # Empty re-wrap range ending at the buffer tail: the trailing
-            # line's paragraph properties are leftover wrap state from
-            # content before ``para_start``, which only a full pass sees.
-            return False
-        if k < n:
-            if self._line_end(n - 1) != hi:
-                return False  # suffix drifted: cache not trustworthy
-            new_lines, new_starts = self._wrap_range(
-                para_start, starts[k], final_trailing=False
-            )
-            reused = i0 + (n - k)
-        else:
-            new_lines, new_starts = self._wrap_range(
-                para_start, hi, final_trailing=True
-            )
-            reused = i0
+        newline = self.data.find("\n", dhi, hi)
+        stop = hi if newline < 0 else newline + 1
+        new_lines, new_starts = self._wrap_range(
+            starts[i0], stop, final_trailing=stop == hi
+        )
+        k = n if stop == hi else starts.bisect_left(stop, i0)
         self._splice(i0, k, new_lines, new_starts)
         self._refresh_embed_lines()
         if obs.metrics_on:
             obs.registry.inc("text.layout_incremental")
-            obs.registry.inc("text.lines_reused", reused)
+            obs.registry.inc("text.lines_reused", n - k + i0)
             obs.registry.inc("text.lines_wrapped", len(new_lines))
         return True
 
@@ -731,23 +704,6 @@ class TextView(View, Scrollable):
         """One past the last buffer position on display line ``index``."""
         return self._starts[index] + len(self._lines[index].text)
 
-    def _hard_start(self, pos: int, region_lo: int) -> bool:
-        """Is ``pos`` a wrap-restart point (region or paragraph start)?
-
-        Verified against the live buffer, not cached flags, so stale
-        line state after a deletion cannot fake a boundary.
-        """
-        if pos == region_lo:
-            return True
-        if pos <= 0 or pos > self.data.length:
-            return False
-        return self.data.char_at(pos - 1) == "\n"
-
-    def _line_is_hard(self, index: int, region_lo: int) -> bool:
-        return isinstance(self._lines[index], _TextLine) and (
-            self._hard_start(self._starts[index], region_lo)
-        )
-
     def _wrap_range(self, start: int, end: int, final_trailing: bool
                     ) -> Tuple[List[object], List[int]]:
         """Wrap buffer positions ``[start, end)`` into display lines.
@@ -757,11 +713,12 @@ class TextView(View, Scrollable):
         The single wrap state machine: full layout runs it over the
         whole region with ``final_trailing=True`` (the trailing line
         exists even when empty — the caret home), incremental relayout
-        over a paragraph range ending just after a newline with
-        ``final_trailing=False``.  Fonts, metrics and paragraph
-        properties are resolved once per constant-style run, not once
-        per character, and glyphs go onto a line a stretch at a time:
-        a whole run of plain characters, cut only where the line fills.
+        from a line start to just after a newline with
+        ``final_trailing=False``, or to the region end.
+        Fonts, metrics and paragraph properties are resolved once per
+        constant-style run, not once per character, and glyphs go onto
+        a line a stretch at a time: a whole run of plain characters,
+        cut only where the line fills.
         """
         data = self.data
         out: List[object] = []
@@ -948,13 +905,11 @@ class TextView(View, Scrollable):
         if index < self._top:
             self._top = index
         else:
-            # Walk down until the dot line starts inside the window.
+            # The first top from which the dot line starts inside the
+            # window.
             prefix = self._prefix
-            window = max(1, self.height)
-            while self._top < index and (
-                prefix[index] - prefix[self._top] >= window
-            ):
-                self._top += 1
+            self._top = min(index, prefix.bisect_right(
+                prefix[index] - max(1, self.height), self._top))
         if self._top != before and self._embed_views:
             self._place_embed_views()
 

@@ -37,8 +37,11 @@ _WORDS = ("a", "toolkit", "view", "of", "the", "data", "object", "tab\tstop")
 def _document(rng):
     lines = []
     for _ in range(rng.randint(10, 16)):
-        lines.append(" ".join(rng.choice(_WORDS)
-                              for _ in range(rng.randint(0, 7))))
+        # Now and then a paragraph of several display lines, so an edit
+        # in it restarts the wrap mid-paragraph.
+        words = rng.randint(0, 7) if rng.random() < 0.8 else rng.randint(
+            15, 40)
+        lines.append(" ".join(rng.choice(_WORDS) for _ in range(words)))
     return "\n".join(lines)
 
 

@@ -175,6 +175,40 @@ class TestDirectedEquivalence:
         data.insert(0, "zz")  # then an ordinary edit with the embed present
         assert_equivalent(*pair[:4])
 
+    def test_cut_after_a_final_embed_rewraps_from_the_line_before(
+            self, ascii_ws):
+        # The block's position is no clean restart: the text line before
+        # it ends there, flushed by the block, and the trailing line
+        # after the block starts one past it.
+        pair = make_pair(ascii_ws, "abc")
+        *_, data = pair
+        data.insert_object(3, TextData("inner"), "textview")
+        data.insert(4, "xyz")
+        assert_equivalent(*pair[:4])
+        data.delete(4, 3)
+        assert_equivalent(*pair[:4])
+
+    def test_cut_to_the_end_rewraps_the_last_paragraph(self, ascii_ws):
+        # An empty re-wrap range would give the trailing line the
+        # properties at the buffer end, not those of the line before.
+        pair = make_pair(ascii_ws, "abc\nxyz")
+        *_, data = pair
+        data.add_style(0, 3, "indent")
+        assert_equivalent(*pair[:4])
+        data.delete(4, 3)
+        assert_equivalent(*pair[:4])
+
+    def test_newline_before_a_final_embed_rewraps_the_block(self, ascii_ws):
+        # The block followed text on its line and now opens its own; its
+        # cached start stays at the insertion point, inside the dirty
+        # span, so the re-wrap re-derives it and the trailing line.
+        pair = make_pair(ascii_ws, "abc")
+        *_, data = pair
+        data.insert_object(3, TextData("inner"), "textview")
+        assert_equivalent(*pair[:4])
+        data.insert(3, "\n")
+        assert_equivalent(*pair[:4])
+
     def test_grown_embed_shifts_heights_below(self, ascii_ws, telemetry):
         # An embedded view that grew between layouts changes the height
         # above every later line, though none of them was re-wrapped.
@@ -235,6 +269,32 @@ class TestIncrementalCounters:
         assert telemetry.counter("text.layout_incremental") == 1
         assert telemetry.counter("text.lines_reused") == total
 
+    def test_typing_on_a_last_line_costs_no_more_in_a_long_paragraph(
+            self, telemetry):
+        # The re-wrap starts at the edited display line, not at the
+        # paragraph's first.
+        assert _last_line_key_wraps(telemetry, 60) \
+            == _last_line_key_wraps(telemetry, 6_000)
+
+    def test_backspace_at_a_paragraph_end_rewraps_no_later_paragraph(
+            self, telemetry):
+        # The character left at the join point is the paragraph's
+        # newline, so the re-wrap ends just past it.
+        data = TextData("abcx\n" + "a long paragraph that wraps " * 20)
+        im = InteractionManager(AsciiWindowSystem(), width=60, height=18)
+        view = TextView(data)
+        im.set_child(view)
+        view.layout()
+        telemetry.reset()
+        data.delete(3, 1)
+        view.ensure_layout()
+        assert telemetry.counter("text.layout_full") == 0
+        assert telemetry.counter("text.lines_wrapped") == 1
+        control = TextView(data)
+        control.incremental_enabled = False
+        im.set_child(control)
+        assert line_signature(view) == line_signature(control)
+
     def test_counters_silent_when_metrics_off(self, ascii_ws):
         was = obs.metrics_enabled()
         obs.configure(metrics=False, reset_data=True)
@@ -247,6 +307,27 @@ class TestIncrementalCounters:
             assert obs.registry.counter("text.layout_full") == 0
         finally:
             obs.configure(metrics=was, reset_data=True)
+
+
+def _last_line_key_wraps(telemetry, length):
+    """``text.lines_wrapped`` for one key typed at the end of a
+    ``length``-character paragraph, which wraps to several lines."""
+    body = ("word " * length)[:length]
+    data = TextData("intro\n" + body + "\noutro")
+    im = InteractionManager(AsciiWindowSystem(), width=60, height=18)
+    view = TextView(data)
+    im.set_child(view)
+    view.layout()
+    telemetry.reset()
+    data.insert(len("intro\n") + length, "x")
+    view.ensure_layout()
+    wrapped = telemetry.counter("text.lines_wrapped")
+    assert telemetry.counter("text.layout_full") == 0
+    control = TextView(data)
+    control.incremental_enabled = False
+    im.set_child(control)
+    assert line_signature(view) == line_signature(control)
+    return wrapped
 
 
 # ---------------------------------------------------------------------------

@@ -454,7 +454,8 @@ def test_write_body_and_segments_match_char_walk(data, runs):
 def test_segments_skip_a_placeholder_with_no_embed():
     data = TextData("ab")
     data.insert_object(1, TextData("x"))
-    data._chars.append(OBJECT_CHAR)  # a placeholder no embed owns
+    orphan = data.append_object(TextData("y"))
+    data._embeds.remove(orphan)  # a placeholder no embed owns
     assert list(data.segments()) == list(reference_segments(data))
     assert (written(TextData.write_body, data)
             == written(reference_write_body, data))
