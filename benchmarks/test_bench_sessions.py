@@ -19,8 +19,12 @@ the first soak.  Alongside, the median cost of an *idle* cycle over 1k
 and 10k bare sessions (``idle_cycle_1k_ns`` / ``idle_cycle_10k_ns``):
 the ready queue makes a cycle cost its ready sessions, so both sit far
 under the 50 µs budget ``check_regression.py`` enforces, and a scan of
-the fleet creeping back in blows it at 10k.  Outputs ``BENCH_sessions.json``; CI uploads it and
-gates ``*_ns`` fields against the committed baseline.
+the fleet creeping back in blows it at 10k.  And the footprint of one
+idle session (``editor_session_bytes``): tracemalloc bytes per 80x24
+fleet editor, the ``fleet-typists`` session of ``perfbench``, over 200
+editors built after one warm-up.  Outputs ``BENCH_sessions.json``; CI
+uploads it and gates ``*_ns`` fields against the committed baseline,
+and fails on growth of ``editor_session_bytes`` (a ``_bytes`` field).
 
 ``ANDREW_SOAK_SESSIONS`` sets the fleet size (default 1000; the
 acceptance range is 1k–10k).
@@ -31,10 +35,13 @@ import json
 import os
 import statistics
 import time
+import tracemalloc
 
 from conftest import report
+from repro import obs
 from repro.components.text.textdata import TextData
 from repro.components.text.textview import TextView
+from repro.core import InteractionManager, datastream
 from repro.server import ServerLoop
 from repro.sim.loadmodel import compare, fleet_profile
 from repro.wm import AsciiWindowSystem
@@ -46,6 +53,7 @@ QUEUE_LIMIT = 64
 SLICE_EVENTS = 8
 IDLE_CYCLES = 250
 SOAKS = 3
+FOOTPRINT_EDITORS = 200
 
 
 def build_fleet(loop, count):
@@ -87,6 +95,49 @@ def idle_cycle_ns(count):
     loop.close()
     samples.sort()
     return samples[len(samples) // 2]
+
+
+def editor_session_bytes(count=FOOTPRINT_EDITORS):
+    """Traced bytes per idle 80x24 fleet editor, over ``count`` editors.
+
+    Each is a ``fleet-typists`` session: a 32-line note read from its
+    datastream, a backing-stored text view with the caret mid-note, its
+    first frame painted, one ``ServerLoop`` session.  One warm-up editor
+    is built before tracing starts, so the figure leaves out the
+    toolkit's shared memos and counts only what a session holds.
+    Telemetry is off, as in a fleet that is not being traced.
+    """
+    sources = [datastream.write_document(TextData("\n".join(
+        f"note {index:04d} line {line:02d}: the toolkit provides a framework"
+        for line in range(32)))) for index in range(count + 1)]
+    loop = ServerLoop(slice_events=SLICE_EVENTS)
+    ws = AsciiWindowSystem()
+
+    def build(source):
+        text = datastream.read_document(source)
+        im = InteractionManager(ws, width=80, height=24)
+        view = TextView(text)
+        view.set_backing_store(True)
+        im.set_child(view)
+        im.set_focus(view)
+        view.set_dot(text.length // 2)
+        im.process_events()
+        return loop.add_session(im=im)
+
+    was_on = obs.metrics_enabled()
+    obs.configure(metrics=False)
+    sessions = [build(sources[0])]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sessions += [build(source) for source in sources[1:]]
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        obs.configure(metrics=was_on)
+        loop.close()
+    assert len(sessions) == count + 1
+    return round(grown / count)
 
 
 async def soak(loop, fleet):
@@ -175,6 +226,7 @@ def test_bench_session_soak(metrics):
         "fairness_spread": spread,
         "idle_cycle_1k_ns": idle_cycle_ns(1_000),
         "idle_cycle_10k_ns": idle_cycle_ns(10_000),
+        "editor_session_bytes": editor_session_bytes(),
         "app_mix": app_mix,
         "runapp_context": {
             "sample_apps": len(sample),
@@ -197,6 +249,8 @@ def test_bench_session_soak(metrics):
         f"backpressure refusals (retried): {stats['events_dropped']}",
         f"idle cycle median: {summary['idle_cycle_1k_ns']}ns at 1k "
         f"sessions, {summary['idle_cycle_10k_ns']}ns at 10k",
+        f"idle 80x24 editor: {summary['editor_session_bytes']} traced "
+        f"bytes per session ({FOOTPRINT_EDITORS} editors)",
         f"runapp context (n={len(sample)}): fetch "
         f"{static_world['fetch_kb']:.0f}kb static vs "
         f"{runapp_world['fetch_kb']:.0f}kb shared",

@@ -8,15 +8,15 @@ Representation
 --------------
 The buffer is a character sequence in which each embedded object
 occupies exactly one position, held as the Unicode object-replacement
-character (``OBJECT_CHAR``).  It is stored as one list of characters
-with a gap at the last edit (``_chars[_lo:_hi]`` holds nothing), so a
-run of edits in one place moves no later character: an edit first
-moves the gap to its position, and an insert grows a full gap by a
-few slots.  Style spans and embedded placements are kept in side
-tables that the mutators adjust, so every position-bearing structure
-stays consistent across edits.  Views' carets are
-:class:`~repro.components.text.marks.Mark` s registered with the
-buffer's mark set.
+character (``OBJECT_CHAR``).  It is stored as one ``array('I')`` of
+code points (:mod:`repro.codepoints`) with a gap at the last edit
+(``_chars[_lo:_hi]`` holds nothing), so a run of edits in one place
+moves no later character: an edit first moves the gap to its position,
+and an insert grows a full gap by a few slots.  Style spans and
+embedded placements are kept in side tables that the mutators adjust,
+so every position-bearing structure stays consistent across edits.
+Views' carets are :class:`~repro.components.text.marks.Mark` s
+registered with the buffer's mark set.
 
 External representation
 -----------------------
@@ -42,8 +42,10 @@ Change vocabulary: ``insert``, ``delete``, ``embed``, ``style`` with
 from __future__ import annotations
 
 import re
+from array import array
 from typing import Iterator, List, Optional, Tuple, Union
 
+from ...codepoints import code_points, text_of
 from ...core.dataobject import DataObject
 from ...core.datastream import (
     BeginObject,
@@ -67,6 +69,10 @@ _WRAP_WIDTH = 76  # encoded columns before a continuation split
 _GAP_STEP = 16
 #: A gap wider than this (a large deletion) is cut back to the step.
 _GAP_MAX = 4 * _GAP_STEP
+#: The free slots a full gap grows by.
+_GAP_SLOTS = array("I", [0]) * _GAP_STEP
+#: Code points ``rfind`` decodes first; each further window doubles.
+_RFIND_WINDOW = 128
 
 
 class EmbeddedObject:
@@ -97,7 +103,7 @@ class TextData(DataObject):
 
     def __init__(self, text: str = "") -> None:
         super().__init__()
-        self._chars: List[str] = []
+        self._chars = array("I")
         self._lo = self._hi = 0  # the gap: _chars[_lo:_hi] holds nothing
         self.marks = MarkSet()
         self.spans: List[StyleSpan] = []
@@ -119,18 +125,19 @@ class TextData(DataObject):
             pos += size
         if not 0 <= pos < size:
             raise IndexError(f"position {pos} outside buffer of {size}")
-        return self._chars[pos if pos < self._lo else pos + self._hi - self._lo]
+        return chr(
+            self._chars[pos if pos < self._lo else pos + self._hi - self._lo])
 
     def text(self, start: int = 0, end: Optional[int] = None) -> str:
         """The raw buffer slice (embedded objects appear as OBJECT_CHAR)."""
         start, end, _ = slice(start, end).indices(self.length)
         chars, lo, hi = self._chars, self._lo, self._hi
         if end <= lo:
-            return "".join(chars[start:end])
+            return text_of(chars, start, end)
         gap = hi - lo
         if start >= lo:
-            return "".join(chars[start + gap:end + gap])
-        return "".join(chars[start:lo]) + "".join(chars[hi:end + gap])
+            return text_of(chars, start + gap, end + gap)
+        return text_of(chars, start, lo) + text_of(chars, hi, end + gap)
 
     def plain_text(self) -> str:
         """The buffer with embedded-object placeholders removed."""
@@ -143,17 +150,34 @@ class TextData(DataObject):
         of a paragraph costs its length, not the document's.
         """
         chars, lo, gap = self._chars, self._lo, self._hi - self._lo
+        point = ord(char)
         if start < lo:
             try:
-                return chars.index(char, start, min(end, lo))
+                return chars.index(point, start, min(end, lo))
             except ValueError:
                 start = lo
         if start >= end:
             return -1
         try:
-            return chars.index(char, start + gap, end + gap) - gap
+            return chars.index(point, start + gap, end + gap) - gap
         except ValueError:
             return -1
+
+    def rfind(self, char: str, start: int, end: int) -> int:
+        """Position of the last ``char`` in ``[start, end)``, or -1.
+
+        Reads backwards from ``end`` in doubling windows, so finding the
+        start of a line costs its length, not the document's.
+        """
+        start, end, _ = slice(start, end).indices(self.length)
+        window = _RFIND_WINDOW
+        while end > start:
+            low = max(start, end - window)
+            found = self.text(low, end).rfind(char)
+            if found >= 0:
+                return low + found
+            end, window = low, 2 * window
+        return -1
 
     def search(self, needle: str, start: int = 0) -> int:
         """Offset of ``needle`` at or after ``start``, or -1."""
@@ -190,12 +214,13 @@ class TextData(DataObject):
     def _put(self, pos: int, text: str) -> None:
         """Write ``text`` into the buffer at ``pos`` through the gap."""
         self._move_gap(pos)
-        lo, size = self._lo, len(text)
+        points = code_points(text)
+        lo, size = self._lo, len(points)
         if self._hi - lo < size:
-            self._chars[lo:self._hi] = list(text) + [""] * _GAP_STEP
+            self._chars[lo:self._hi] = points + _GAP_SLOTS
             self._hi = lo + size + _GAP_STEP
         else:
-            self._chars[lo:lo + size] = text
+            self._chars[lo:lo + size] = points
         self._lo = lo + size
 
     def insert(self, pos: int, text: str) -> None:
@@ -422,16 +447,15 @@ class TextData(DataObject):
             flush(continue_line=True)  # final partial line: no newline
 
     def read_body(self, reader) -> None:
-        self._chars = []
+        self._chars = array("I")
         self._lo = self._hi = 0
         self.spans = []
         self._embeds = []
         self.marks = MarkSet()
+        # The content as string pieces, encoded once at the end; ``size``
+        # counts its characters so far.
         content: List[str] = []
-        line_open = False  # previous physical line ended with continuation
-
-        def append_text(text: str) -> None:
-            content.extend(text)
+        size = 0
 
         for event in reader.body_events():
             if isinstance(event, BodyLine):
@@ -440,10 +464,10 @@ class TextData(DataObject):
                     self._read_style_line(raw, event.line)
                     continue
                 decoded, continued = _decode_content_line(raw, event.line)
-                append_text(decoded)
                 if not continued:
-                    append_text("\n")
-                line_open = continued
+                    decoded += "\n"
+                content.append(decoded)
+                size += len(decoded)
             elif isinstance(event, BeginObject):
                 reader.read_object(event)  # registers in objects_by_id
             elif isinstance(event, ViewRef):
@@ -453,20 +477,20 @@ class TextData(DataObject):
                         f"\\view references unknown object {event.object_id}",
                         event.line,
                     )
-                pos = len(content)
+                mark = self.marks.create(size, RIGHT)
                 content.append(OBJECT_CHAR)
-                mark = self.marks.create(pos, RIGHT)
+                size += 1
                 self._embeds.append(
                     EmbeddedObject(data, event.view_type, mark)
                 )
             elif isinstance(event, EndObject):
                 break
-        self._chars = content
-        self._lo = self._hi = len(content)
+        self._chars = code_points("".join(content))
+        self._lo = self._hi = size
         # Re-pin embed marks (content assembly didn't go through insert()).
         for embed in self._embeds:
-            embed.mark.pos = min(embed.mark.pos, len(content))
-        self.changed("insert", where=0, extent=len(content))
+            embed.mark.pos = min(embed.mark.pos, size)
+        self.changed("insert", where=0, extent=size)
 
     def _read_style_line(self, raw: str, lineno: int) -> None:
         parts = raw.split()

@@ -1191,10 +1191,11 @@ class TextView(View, Scrollable):
     def _line_bounds(self) -> Tuple[int, int]:
         """(start, end) of the logical line around the caret."""
         assert self.data is not None
-        text = self.data.text()
-        start = text.rfind("\n", 0, self.dot) + 1
-        end = text.find("\n", self.dot)
-        return (start, len(text) if end < 0 else end)
+        data, dot = self.data, self.dot
+        size = data.length
+        start = data.rfind("\n", 0, dot) + 1
+        end = data.find("\n", dot, size)
+        return (start, size if end < 0 else end)
 
     def _cmd_line_start(self, view, key) -> None:
         self.set_dot(self._line_bounds()[0])

@@ -56,6 +56,7 @@ from itertools import count
 from typing import Deque, List, Optional, Sequence, Tuple
 
 from .. import obs
+from ..codepoints import text_of
 from ..graphics.batch import apply_op
 from . import wire
 from .renderer import Applier
@@ -151,7 +152,7 @@ def diff_cells(old, new, max_gap: int = 4,
             prev = x
         runs.append((run_start, prev))
         for x0, x1 in runs:
-            ops.append(("cells", y, x0, "".join(row_chars[x0:x1 + 1]),
+            ops.append(("cells", y, x0, text_of(row_chars, x0, x1 + 1),
                         wire.pack_bits(row_inverse[x0:x1 + 1]),
                         wire.pack_bits(row_bold[x0:x1 + 1])))
     return ops, changed
@@ -287,7 +288,7 @@ class FrameEncoder:
 
     def _keyframe_ops(self, surface) -> List[tuple]:
         if self.target == "ascii":
-            return [("grid", "".join(surface._chars),
+            return [("grid", text_of(surface._chars),
                      wire.pack_bits(surface._inverse),
                      wire.pack_bits(surface._bold))]
         return [("snapshot",

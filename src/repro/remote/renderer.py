@@ -31,6 +31,7 @@ import socket
 from typing import List, Optional
 
 from .. import obs
+from ..codepoints import code_points
 from ..graphics import batch
 from ..graphics.image import Bitmap
 from ..wm.ascii_ws import AsciiGraphic, CellSurface
@@ -66,7 +67,7 @@ def _apply_cells(surface: CellSurface, op: tuple) -> None:
     span = _row_span(surface, y, x0, len(chars))
     if span is not None:
         cells, start, stop = span
-        surface._chars[cells] = chars[start:stop]
+        surface._chars[cells] = code_points(chars[start:stop])
         surface._inverse[cells] = inv_bits[start:stop]
         surface._bold[cells] = bold_bits[start:stop]
 
@@ -77,7 +78,7 @@ def _apply_grid(surface: CellSurface, op: tuple) -> None:
     if len(chars) != size:
         raise WireError(
             f"grid of {len(chars)} chars for a {size}-cell surface")
-    surface._chars[:] = list(chars)
+    surface._chars[:] = code_points(chars)
     surface._inverse[:] = wire.unpack_bits(inverse, size)
     surface._bold[:] = wire.unpack_bits(bold, size)
 

@@ -12,9 +12,11 @@ snapshot benches and examples show.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Sequence, Tuple
 
 from .. import obs
+from ..codepoints import code_points, text_of
 from ..graphics.fontdesc import FontDesc, FontMetrics
 from ..graphics.geometry import Point, Rect
 from ..graphics.graphic import Graphic
@@ -30,6 +32,10 @@ _INK = "#"
 
 #: ``bytes.translate`` table that flips a cell's inverse attribute.
 _FLIP = bytes(b ^ 1 for b in range(256))
+
+#: One cell of ink and one blank; a fill repeats them across its span.
+_INK_CELL = array("I", [ord(_INK)])
+_BLANK_CELL = array("I", [ord(" ")])
 
 #: Cell-device metrics memo, shared by the graphic (per draw_string)
 #: and the window system (per layout query): every font is one cell.
@@ -47,13 +53,16 @@ def _cell_metrics(desc: FontDesc) -> FontMetrics:
 class CellSurface:
     """A mutable grid of character cells with inverse/bold attributes.
 
-    Since the last :meth:`take_frame` the surface records the band of
-    rows written (``_dirty_top`` up to ``_dirty_bottom``) and, on a
-    remote window (``_copies`` a list), the copies made before any
-    write, as wire ``copy`` ops.  Every other write marks its rows:
-    the device primitives, :meth:`put`, :meth:`toggle_inverse` and an
-    offscreen ``copy_to``.  A remote encoder ships the copies and diffs
-    the band, so a new writer that skips the mark ships a stale frame.
+    The cells are row-major: ``_chars`` holds one code point per cell
+    (an ``array('I')``, see :mod:`repro.codepoints`), ``_inverse`` and
+    ``_bold`` one byte each.  Since the last :meth:`take_frame` the
+    surface records the band of rows written (``_dirty_top`` up to
+    ``_dirty_bottom``) and, on a remote window (``_copies`` a list),
+    the copies made before any write, as wire ``copy`` ops.  Every
+    other write marks its rows: the device primitives, :meth:`put`,
+    :meth:`toggle_inverse` and an offscreen ``copy_to``.  A remote
+    encoder ships the copies and diffs the band, so a new writer that
+    skips the mark ships a stale frame.
     """
 
     __slots__ = ("width", "height", "_chars", "_inverse", "_bold",
@@ -63,7 +72,7 @@ class CellSurface:
         self.width = int(width)
         self.height = int(height)
         size = self.width * self.height
-        self._chars = [" "] * size
+        self._chars = _BLANK_CELL * size
         self._inverse = bytearray(size)
         self._bold = bytearray(size)
         self._dirty_top, self._dirty_bottom = self.height, 0
@@ -97,7 +106,7 @@ class CellSurface:
         if not self.in_bounds(x, y):
             return
         i = y * self.width + x
-        self._chars[i] = char
+        self._chars[i] = ord(char)
         # mark_rows, inlined: lines and blits put cell by cell.
         if y < self._dirty_top:
             self._dirty_top = y
@@ -111,7 +120,7 @@ class CellSurface:
     def char_at(self, x: int, y: int) -> str:
         if not self.in_bounds(x, y):
             return " "
-        return self._chars[self._index(x, y)]
+        return chr(self._chars[self._index(x, y)])
 
     def inverse_at(self, x: int, y: int) -> bool:
         return self.in_bounds(x, y) and bool(self._inverse[self._index(x, y)])
@@ -127,16 +136,16 @@ class CellSurface:
     def lines(self) -> List[str]:
         """Render the grid; inverse blanks print as ``%`` so selections
         and filled regions stay visible in pure-text snapshots."""
+        width, chars, inverse = self.width, self._chars, self._inverse
         out = []
         for y in range(self.height):
-            row = []
-            for x in range(self.width):
-                i = self._index(x, y)
-                char = self._chars[i]
-                if self._inverse[i] and char == " ":
-                    char = "%"
-                row.append(char)
-            out.append("".join(row))
+            base = y * width
+            row = text_of(chars, base, base + width)
+            flags = inverse[base:base + width]
+            if any(flags):
+                row = "".join("%" if flag and char == " " else char
+                              for char, flag in zip(row, flags))
+            out.append(row)
         return out
 
 
@@ -178,7 +187,7 @@ class AsciiGraphic(Graphic):
                 inverse[i:i + span] = inverse[i:i + span].translate(_FLIP)
             return
         chars, bold = surface._chars, surface._bold
-        ink = [_INK if value else " "] * span
+        ink = (_INK_CELL if value else _BLANK_CELL) * span
         zeros = bytes(span)
         for y in range(top, bottom):
             i = y * width + left
@@ -267,7 +276,7 @@ class AsciiGraphic(Graphic):
         span = right - left
         surface.mark_rows(y, y + 1)
         i = y * surface.width + left
-        surface._chars[i:i + span] = text[left - x:right - x]
+        surface._chars[i:i + span] = code_points(text[left - x:right - x])
         surface._inverse[i:i + span] = bytes(span)
         surface._bold[i:i + span] = b"\x01" * span if font.bold else bytes(span)
 
@@ -297,8 +306,8 @@ class AsciiOffscreen(OffscreenWindow):
         self.surface = CellSurface(width, height)
 
     def surface_bytes(self) -> int:
-        # One char plus the inverse and bold attribute bytes per cell.
-        return self.width * self.height * 3
+        # A 4-byte code point plus the inverse and bold bytes per cell.
+        return self.width * self.height * 6
 
     def copy_to(self, target: Graphic, x: int, y: int) -> None:
         self.count_blit()

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.graphics.fontdesc import BOLD, FontDesc
 from repro.graphics.geometry import Point, Rect
 from repro.remote import wire
+from repro.codepoints import code_points
 from repro.remote.encoder import diff_cells
 from repro.wm.ascii_ws import AsciiGraphic, AsciiOffscreen, CellSurface
 
@@ -26,6 +27,9 @@ coords = st.integers(min_value=-12, max_value=24)
 extents = st.integers(min_value=-3, max_value=24)
 rects = st.builds(Rect, coords, coords, extents, extents)
 
+#: Cell characters: rules, blanks, and non-ASCII up to an astral one.
+CHARS = "ab #-|+%é€𝄞"
+
 
 @st.composite
 def surfaces(draw, width=None, height=None):
@@ -34,8 +38,8 @@ def surfaces(draw, width=None, height=None):
     height = draw(st.integers(1, 9)) if height is None else height
     size = width * height
     surface = CellSurface(width, height)
-    surface._chars[:] = draw(st.lists(st.sampled_from("ab #-|+%"),
-                                      min_size=size, max_size=size))
+    surface._chars[:] = code_points(draw(st.text(
+        alphabet=CHARS, min_size=size, max_size=size)))
     surface._inverse[:] = bytes(draw(st.lists(st.integers(0, 1),
                                               min_size=size, max_size=size)))
     surface._bold[:] = bytes(draw(st.lists(st.integers(0, 1),
@@ -123,7 +127,7 @@ def reference_diff(old, new, max_gap=4):
         runs.append((run_start, prev))
         for x0, x1 in runs:
             ops.append(("cells", y, x0,
-                        "".join(new._chars[base + x0:base + x1 + 1]),
+                        "".join(new.char_at(x, y) for x in range(x0, x1 + 1)),
                         wire.pack_bits(new._inverse[base + x0:base + x1 + 1]),
                         wire.pack_bits(new._bold[base + x0:base + x1 + 1])))
     return ops, changed
@@ -143,7 +147,7 @@ def test_fill_rect_matches_per_cell(surface, rect, value):
 
 @settings(max_examples=150, deadline=None)
 @given(surfaces(), rects, coords, st.integers(-3, 12),
-       st.text(alphabet="ab\t ", max_size=12),
+       st.text(alphabet="ab\t é𝄞", max_size=12),
        st.sampled_from([PLAIN, BOLD_FONT]))
 def test_draw_text_matches_per_cell(surface, clip, x, y, text, font):
     expected = clone(surface)
@@ -161,10 +165,10 @@ def test_draw_text_tab_split_by_clip_edge():
     graphic = AsciiGraphic(surface)
     graphic.clip = Rect(3, 0, 4, 1)
     graphic.device_draw_text(0, 0, "a\tb", BOLD_FONT)
-    assert "".join(surface._chars) == "     b    "
+    assert surface.lines() == ["     b    "]
     assert bytes(surface._bold) == b"\x00" * 3 + b"\x01" * 3 + b"\x00" * 4
     graphic.device_draw_text(1, 0, "\tbc", PLAIN)
-    assert "".join(surface._chars) == "     bc   "
+    assert surface.lines() == ["     bc   "]
     assert bytes(surface._bold) == bytes(10)
 
 
@@ -202,7 +206,7 @@ def surface_pairs(draw):
     for i in draw(st.lists(st.integers(0, size - 1), max_size=size)):
         which = draw(st.integers(0, 2))
         if which == 0:
-            new._chars[i] = draw(st.sampled_from("ab #"))
+            new._chars[i] = ord(draw(st.sampled_from("ab #é𝄞")))
         elif which == 1:
             new._inverse[i] ^= 1
         else:

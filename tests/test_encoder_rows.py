@@ -73,7 +73,7 @@ def whole_surface_diff_cells(old, new, max_gap: int = 4
             prev = x
         runs.append((run_start, prev))
         for x0, x1 in runs:
-            chars = "".join(new_chars[base + x0:base + x1 + 1])
+            chars = "".join(new.char_at(x, y) for x in range(x0, x1 + 1))
             inverse = wire.pack_bits(new_inverse[base + x0:base + x1 + 1])
             bold = wire.pack_bits(new_bold[base + x0:base + x1 + 1])
             ops.append(("cells", y, x0, chars, inverse, bold))
@@ -117,7 +117,7 @@ _SHIFT = st.integers(-4, 4)
 _DRAW = st.one_of(
     st.tuples(st.just("fill"), _X, _Y, _SIZE, _SIZE,
               st.sampled_from((-1, 0, 1))),
-    st.tuples(st.just("text"), _X, _Y, st.text("ab #\t", max_size=9),
+    st.tuples(st.just("text"), _X, _Y, st.text("ab #\té𝄞", max_size=9),
               st.booleans()),
     st.tuples(st.just("line"), _X, _Y, _SHIFT, _SHIFT,
               st.sampled_from(_MODES)),

@@ -358,6 +358,50 @@ def _give_editor(session):
     return view
 
 
+def test_non_ascii_text_reaches_the_renderer():
+    """Typed non-ASCII characters, an astral one among them, and an
+    embedded object's placeholder ship as they are drawn, through delta
+    frames and a forced keyframe."""
+    from repro.components.text import TextData, TextView
+    from repro.components.text.textdata import OBJECT_CHAR
+    from repro.core import InteractionManager
+
+    renderer = RemoteRenderer()
+    im = InteractionManager(RemoteWindowSystem("ascii", renderer=renderer),
+                            width=30, height=6)
+    data = TextData("ab\n")
+    view = TextView(data)
+    im.set_child(view)
+    im.set_focus(view)
+    im.process_events()
+    window = im.window
+
+    def replica_matches():
+        window.flush()
+        mine, theirs = window.surface, renderer.surface
+        return ((theirs._chars, bytes(theirs._inverse), bytes(theirs._bold))
+                == (mine._chars, bytes(mine._inverse), bytes(mine._bold)))
+
+    window.inject_keys("é€𝄞 ")
+    im.process_events()
+    assert replica_matches()
+    assert "é€𝄞 ab" in window.snapshot()
+    # Typing refuses the placeholder, so the object goes in at the caret.
+    view.insert_object(TextData("x€𝄞y"))
+    window.inject_keys("é")
+    im.process_events()
+    assert data.text() == "é€𝄞 " + OBJECT_CHAR + "éab\n"
+    assert replica_matches()
+    shown = window.snapshot()
+    assert "é€𝄞" in shown and "x€𝄞y" in shown
+    keyframes = window._encoder.keyframes_sent
+    window._encoder.request_keyframe()
+    window.flush()
+    assert window._encoder.keyframes_sent == keyframes + 1
+    assert replica_matches()
+    assert renderer.surface.lines() == window.snapshot_lines()
+
+
 class TestServerFanout:
     def test_one_session_many_viewers_byte_identical(self):
         from repro.server import (

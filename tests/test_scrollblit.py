@@ -47,6 +47,11 @@ def _build_text_app(ws, width=60, height=18, lines=60, bar=False):
 # ---------------------------------------------------------------------------
 
 
+def _cells_text(surface, y, count):
+    """The characters of the first ``count`` cells of row ``y``."""
+    return "".join(surface.char_at(x, y) for x in range(count))
+
+
 class TestAsciiCopyArea:
     def _window(self, ws=None):
         ws = ws or AsciiWindowSystem()
@@ -61,12 +66,12 @@ class TestAsciiCopyArea:
         g.copy_area(Rect(0, 1, 20, 5), 0, -2)
         window.flush()
         surface = window.surface
-        row = "".join(surface._chars[1 * 20:1 * 20 + 5])
+        row = _cells_text(surface, 1, 5)
         assert row == "hello"
         assert surface._inverse[1 * 20] == 1
         # Row 3 is a destination too: it received (blank) row 5.  The
         # exposed strip is damage for the repaint, never a device job.
-        assert "".join(surface._chars[3 * 20:3 * 20 + 5]) == "     "
+        assert _cells_text(surface, 3, 5) == "     "
 
     def test_shift_down_uses_reverse_row_order(self):
         window = self._window()
@@ -76,7 +81,7 @@ class TestAsciiCopyArea:
         g.copy_area(Rect(0, 0, 20, 6), 0, 3)
         window.flush()
         surface = window.surface
-        got = [surface._chars[y * 20] for y in range(6)]
+        got = [surface.char_at(0, y) for y in range(6)]
         # dst rows 3..5 receive src rows 0..2 even though they overlap.
         assert got[3:6] == ["0", "1", "2"]
 
@@ -90,8 +95,8 @@ class TestAsciiCopyArea:
         surface = window.surface
         # Rows 0-1 are outside the scrolled area: the shift must not
         # have sourced row 4 into row 1 (dst is clamped to the area).
-        assert "".join(surface._chars[0:6]) == "header"
-        assert surface._chars[1 * 20] == " "
+        assert _cells_text(surface, 0, 6) == "header"
+        assert surface.char_at(0, 1) == " "
 
 
 class TestRasterCopyArea:
@@ -134,7 +139,7 @@ def test_batch_records_and_replays_copy_area(telemetry):
 
         def inked(y):
             if target == "ascii":
-                return "".join(window.surface._chars[y * 20:y * 20 + 3])
+                return _cells_text(window.surface, y, 3)
             return bytes(window.framebuffer._bits[y * 20:y * 20 + 3])
 
         row = inked(5)

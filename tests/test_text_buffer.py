@@ -1,12 +1,15 @@
 """The text buffer's gap and the text view's bisections against references.
 
-``TextData`` keeps its characters in one list with a gap at the last
+``TextData`` keeps its characters as code points with a gap at the last
 edit; every read must see the buffer a plain string would hold, through
 inserts, deletes, embeds, gap moves in both directions, gap growth, a
-large delete that cuts the gap back, and a buffer read from a
-datastream.  ``TextView._damage_row_for`` and ``_scroll_dot_visible``
-find their line by bisection; each test here keeps the per-row walk
-they replaced as the reference.
+large delete that cuts the gap back, a buffer read from a datastream,
+and characters outside ASCII (an astral one and lone surrogates among
+them).  ``find`` and ``rfind`` must agree with ``str.find`` and
+``str.rfind`` wherever the gap lies, and the caret's line bounds must
+not read the whole buffer.  ``TextView._damage_row_for`` and
+``_scroll_dot_visible`` find their line by bisection; each test here
+keeps the per-row walk they replaced as the reference.
 
 Seeds derive from :mod:`tests.randutil`, so ``ANDREW_TEST_SEED``
 reseeds every script.
@@ -23,6 +26,10 @@ from repro.core import InteractionManager, datastream
 from repro.wm import AsciiWindowSystem, RasterWindowSystem
 
 _PIECES = ("a", "xy", "\n", "word ", "tab\tstop\n", "q" * 40, "@\\")
+#: Pieces outside ASCII: two BMP characters and an astral one.
+_WIDE = ("é", "€", "𝄞", "caf\u00e9 𝄞\n")
+#: The characters the searches look for.
+_NEEDLES = ("\n", OBJECT_CHAR, "q", "é", "𝄞")
 
 
 def assert_reads_like(data, model, rng):
@@ -43,16 +50,16 @@ def assert_reads_like(data, model, rng):
             data.char_at(bad)
     start = rng.randint(0, len(model))
     end = rng.randint(start, len(model))
-    for char in ("\n", OBJECT_CHAR, "q"):
+    for char in _NEEDLES:
         assert data.find(char, start, end) == model.find(char, start, end)
 
 
-def _edit(rng, data, model):
+def _edit(rng, data, model, pieces):
     """One random edit on both the buffer and the model."""
     roll = rng.random()
     pos = rng.randint(0, len(model))
     if roll < 0.45 or not model:
-        text = "".join(rng.choice(_PIECES) for _ in range(rng.randint(1, 3)))
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 3)))
         data.insert(pos, text)
         return model[:pos] + text + model[pos:]
     if roll < 0.55:
@@ -74,18 +81,22 @@ def _edit(rng, data, model):
     return model[:pos] + model[pos + length:]
 
 
-@pytest.mark.parametrize("script", range(8))
+@pytest.mark.parametrize("script", range(12))
 def test_gap_buffer_reads_like_a_string(script):
+    # Scripts 8-11 add characters outside ASCII.  The datastream carries
+    # printable 7-bit ASCII only, so only scripts 0-7 read one back.
+    wide = script >= 8
+    pieces = _PIECES + _WIDE if wide else _PIECES
     rng = seeded_rng(4000 + script)
-    model = "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 30)))
+    model = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
     data = TextData(model)
     for step in range(120):
-        model = _edit(rng, data, model)
+        model = _edit(rng, data, model, pieces)
         context = (describe_seed(4000 + script), step)
         assert data.text() == model, context
         if step % 10 == 0:
             assert_reads_like(data, model, rng)
-        if step == 60:
+        if step == 60 and not wide:
             # A buffer read from the datastream starts with no gap.
             data = datastream.read_document(datastream.write_document(data))
             assert_reads_like(data, model, rng)
@@ -109,6 +120,81 @@ def test_gap_moves_far_both_ways_and_grows_by_the_step():
     assert len(data._chars) == size
     data.insert(4, "y")
     assert len(data._chars) == size + 16 + 1
+
+
+def test_any_str_round_trips():
+    # Lone surrogates are valid ``str`` characters; a surrogate pair
+    # written as two of them stays two characters.
+    text = "a\ud800b\udfff\ud834\udd1e𝄞é\n€"
+    data = TextData(text)
+    data.insert(3, "\udc80")
+    text = text[:3] + "\udc80" + text[3:]
+    assert data.length == len(text)
+    assert data.text() == text
+    assert [data.char_at(i) for i in range(len(text))] == list(text)
+    for char in ("\ud800", "\udd1e", "𝄞", "€"):
+        assert data.find(char, 0, len(text)) == text.find(char)
+
+
+def test_find_and_rfind_match_str_with_the_gap_anywhere():
+    rng = seeded_rng(4200)
+    data, model = TextData(), ""
+    # A run longer than rfind's first windows, so they have to widen.
+    for piece in ["q" * 300] + [rng.choice(_PIECES + _WIDE + (OBJECT_CHAR,))
+                                for _ in range(40)]:
+        if piece == OBJECT_CHAR:
+            data.insert_object(rng.randint(0, len(model)), TextData("e"))
+        else:
+            data.insert(data.length, piece)
+        model = data.text()
+    size = len(model)
+    for gap in range(size + 1):
+        # An insert and a delete at ``gap`` leave the gap there.
+        data.insert(gap, "!")
+        data.delete(gap, 1)
+        assert data._lo == gap
+        ranges = [(0, size), (0, gap), (gap, size)]
+        ranges += [sorted((rng.randint(0, size), rng.randint(0, size)))
+                   for _ in range(2)]
+        for start, end in ranges:
+            for char in _NEEDLES:
+                context = (describe_seed(4200), gap, start, end, char)
+                assert data.find(char, start, end) == \
+                    model.find(char, start, end), context
+                assert data.rfind(char, start, end) == \
+                    model.rfind(char, start, end), context
+
+
+def test_line_bounds_read_only_the_caret_line():
+    # The E7 document: 2,000 paragraphs, 104k characters.
+    data = TextData("\n".join(
+        f"paragraph {i:04d}: the quick brown fox" + " jumps" * (i % 40)
+        for i in range(2000)))
+    im = InteractionManager(AsciiWindowSystem(), width=80, height=24)
+    view = TextView(data)
+    im.set_child(view)
+    im.process_events()
+    model = data.text()
+    read = []
+    whole_text = data.text
+
+    def counting_text(start=0, end=None):
+        got = whole_text(start, end)
+        read.append(len(got))
+        return got
+
+    data.text = counting_text
+    for pos in (0, 1, data.length // 2, model.find("\n", 50_000),
+                model.find("\n", 50_000) + 1, data.length - 1, data.length):
+        view.set_dot(pos)
+        read.clear()
+        start, end = view._line_bounds()
+        assert start == model.rfind("\n", 0, pos) + 1
+        newline = model.find("\n", pos)
+        assert end == (len(model) if newline < 0 else newline)
+        # A line is at most 270 characters; the whole buffer is 100k.
+        assert sum(read) <= 1_000, (pos, read)
+    del data.text
 
 
 def test_edits_after_read_body_keep_embeds_and_styles():

@@ -479,7 +479,7 @@ def test_unpack_bits_refuses_short_data():
 
 @settings(max_examples=300, deadline=None)
 @given(surfaces(), st.integers(-3, 12), st.integers(-20, 24),
-       st.text(alphabet="ab #", max_size=20), st.data())
+       st.text(alphabet="ab #é𝄞", max_size=20), st.data())
 def test_apply_cells_matches_per_cell(surface, y, x0, chars, draw):
     bits = st.lists(st.integers(0, 1), min_size=len(chars),
                     max_size=len(chars))
